@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -161,6 +162,20 @@ class tokenizer {
 
   double d() { return unhexd(next()); }
   std::string str() { return dec(next()); }
+
+  /// A `<sect> <n>` header and its n `<row> ...` records, each read by
+  /// `fn`. Records are appended as they parse, so a hostile count fails at
+  /// the end of the payload instead of driving an allocation.
+  template <class Fn>
+  auto rows(std::string_view sect, std::string_view row, Fn fn) {
+    expect(sect);
+    std::vector<decltype(fn())> out;
+    for (std::uint64_t n = count(); n > 0; --n) {
+      expect(row);
+      out.push_back(fn());
+    }
+    return out;
+  }
 
   bool b01() {
     const std::uint64_t v = u64();
@@ -333,20 +348,25 @@ std::string simulator::serialize_checkpoint() const {
       throw std::logic_error("simulator: cannot checkpoint a governed job");
 
   writer w;
-  w.tag("synergy_ckpt").u(1).nl();
+  w.tag("synergy_ckpt").u(2).nl();
   w.tag("fingerprint").u(common::crc32(config_fingerprint())).nl();
   w.tag("trace").u(trace_crc_).u(results_.size()).nl();
-  w.tag("engine").d(engine_.now()).nl();
-  w.tag("integ").d(last_integrated_s_).d(facility_energy_j_).d(busy_gpu_seconds_);
-  w.d(peak_power_w_).d(wasted_energy_j_).d(last_live_t_).nl();
-  w.tag("counts").u(clock_set_faults_).u(degraded_samples_).u(requeues_).u(nodes_lost_);
-  w.u(node_crashes_).u(node_restarts_).u(quarantines_).u(promotions_).u(rollbacks_);
-  w.u(governor_ticks_).u(governor_clock_changes_).nl();
-  // Budget counters travel as the folded run totals: the resuming process
-  // builds a fresh budget (counters zero) and carries these in the base.
-  w.tag("budget").u(budget_rebalances_base_ + budget_->rebalances());
-  w.u(budget_demotions_base_ + budget_->demotions()).nl();
-  w.tag("epoch").u(next_epoch_).u(next_node_event_id_).nl();
+  // Budget counters travel as run totals: the resuming process builds a
+  // fresh budget (counters zero) and carries these in the summary.
+  run_summary totals = summary_;
+  totals.cap_rebalances += budget_->rebalances();
+  totals.cap_demotions += budget_->demotions();
+  w.tag("summary");
+  for (const auto& f : run_summary::fields()) {
+    if (f.count)
+      w.u(totals.*f.count);
+    else
+      w.d(totals.*f.value);
+  }
+  w.nl();
+  w.tag("integ").d(last_integrated_s_).d(busy_gpu_seconds_).d(last_live_t_).nl();
+  w.tag("epoch").u(next_epoch_).nl();
+  w.tag("ticks").u(scrape_ticks_).u(ckpt_index_).nl();
   write_rng(w, "rng_fault", fault_rng_);
   write_rng(w, "rng_chaos", chaos_rng_);
 
@@ -354,9 +374,9 @@ std::string simulator::serialize_checkpoint() const {
   for (std::size_t i = 0; i < ctl_->node_count(); ++i)
     w.tag("node").s(ctl_->node_at(i).name()).nl();
 
-  w.tag("slots").u(slots_.size()).u(config_.gpus_per_node).nl();
+  w.tag("slots").u(slots_.size()).nl();
   for (const auto& row : slots_) {
-    w.tag("srow");
+    w.tag("srow").u(row.size());
     for (const auto& s : row) w.u(s.busy ? 1 : 0).d(s.busy_until);
     w.nl();
   }
@@ -388,29 +408,22 @@ std::string simulator::serialize_checkpoint() const {
     for (const auto& s : rj.gpus) w.u(s.node).u(s.gpu);
     write_traced(rj.job);
     w.d(rj.est).d(rj.start_s).d(rj.duration).d(rj.energy_j).d(rj.avg_power_w);
-    w.u(static_cast<std::uint64_t>(rj.why)).s(rj.node).d(rj.event_t).u(rj.event_seq).nl();
+    w.u(static_cast<std::uint64_t>(rj.why)).s(rj.node).nl();
   }
 
-  w.tag("arrivals").u(arrivals_pending_).nl();
-  for (std::size_t i = 0; i < arrived_.size(); ++i)
-    if (!arrived_[i]) w.tag("arr").u(i).u(arrival_seq_[i]).nl();
-
-  const auto write_pending = [&w](std::string_view sect, std::string_view row, bool with_node,
-                                  const std::vector<pending_node_event>& v) {
-    w.tag(sect).u(v.size()).nl();
-    for (const auto& e : v) {
-      w.tag(row).u(e.id).d(e.t).u(e.seq);
-      if (with_node) w.s(e.node);
-      w.nl();
-    }
+  // The event heap as it stands, less the checkpoint tick and the crash
+  // injection, which resume() re-arms from its own options.
+  const auto& pending = engine_.entries();
+  const auto written = [](const sim_engine::entry& e) {
+    return e.event.kind < event_kind::checkpoint;
   };
-  write_pending("pfault", "pf", true, pending_faults_);
-  write_pending("pcrash", "pc", false, pending_crashes_);
-  write_pending("prestart", "pr", true, pending_restarts_);
-
-  w.tag("scrape").u(next_scrape_t_ >= 0.0 ? 1 : 0).d(next_scrape_t_).u(next_scrape_seq_);
-  w.u(scrape_ticks_).nl();
-  w.tag("ckpt").u(ckpt_index_).d(next_ckpt_t_).nl();
+  w.tag("engine").d(engine_.now()).u(engine_.next_seq()).nl();
+  w.tag("events");
+  w.u(static_cast<std::uint64_t>(std::count_if(pending.begin(), pending.end(), written))).nl();
+  for (const auto& e : pending)
+    if (written(e))
+      w.tag("ev").d(e.t).u(e.seq).u(static_cast<std::uint64_t>(e.event.kind)).i(e.event.id)
+          .u(e.event.epoch).nl();
 
   w.tag("guard").u(ckpt_.guard ? 1 : 0).nl();
   if (ckpt_.guard) {
@@ -498,8 +511,7 @@ std::string simulator::serialize_checkpoint() const {
   }
 
   // Econ accumulators travel verbatim (never recomputed) so the resumed
-  // run's cost report is byte-identical; the pending econ tick carries its
-  // original engine sequence number like the scrape tick above.
+  // run's cost report is byte-identical.
   w.tag("econ").u(econ_meter_.active() ? 1 : 0).nl();
   if (econ_meter_.active()) {
     const econ::cost_meter::state es = econ_meter_.export_state();
@@ -511,8 +523,6 @@ std::string simulator::serialize_checkpoint() const {
     w.tag("ecb");
     write_cause_array(w, es.carbon_by_cause);
     w.nl();
-    w.tag("ecounts").u(econ_jobs_deferred_).u(econ_price_demotions_).nl();
-    w.tag("etick").u(next_econ_t_ >= 0.0 ? 1 : 0).d(next_econ_t_).u(next_econ_seq_).nl();
     w.tag("edef").u(econ_deferred_ids_.size()).nl();
     for (const int id : econ_deferred_ids_) w.tag("ed").i(id).nl();
   }
@@ -525,54 +535,25 @@ std::string simulator::serialize_checkpoint() const {
 // simulator: restore
 // ---------------------------------------------------------------------------
 
-namespace {
-
 /// Everything a checkpoint payload parses into. The restore path fills this
 /// completely and cross-validates it before mutating one byte of simulator
 /// state, so a failed restore really does restore nothing.
-struct parsed_checkpoint {
+struct simulator::parsed_checkpoint {
   std::uint32_t fingerprint{0};
   std::uint64_t trace_crc{0};
   std::uint64_t n_jobs{0};
-  double now{0.0};
-  double last_integrated{0.0}, facility_energy{0.0}, busy_gpu_seconds{0.0};
-  double peak_power{0.0}, wasted_energy{0.0}, last_live_t{0.0};
-  std::uint64_t clock_set_faults{0}, degraded{0}, requeues{0}, nodes_lost{0};
-  std::uint64_t node_crashes{0}, node_restarts{0};
-  std::uint64_t quarantines{0}, promotions{0}, rollbacks{0};
-  std::uint64_t governor_ticks{0}, governor_clock_changes{0};
-  std::uint64_t budget_rebalances{0}, budget_demotions{0};
-  std::uint64_t next_epoch{0}, next_node_event_id{0};
+  run_summary summary;
+  double last_integrated{0.0}, busy_gpu_seconds{0.0}, last_live_t{0.0};
+  std::uint64_t next_epoch{0}, scrape_ticks{0}, ckpt_index{0};
   common::pcg32_state rng_fault, rng_chaos;
   std::vector<std::string> node_names;
-  std::vector<std::vector<std::pair<bool, double>>> slots;
+  std::vector<std::vector<slot_state>> slots;
   std::vector<job_result> results;
   std::vector<queued_job> queue;
-  struct running_row {
-    int id{0};
-    std::uint64_t epoch{0};
-    std::vector<gpu_slot> gpus;
-    traced_job job;
-    double est{0.0}, start_s{0.0}, duration{0.0}, energy_j{0.0}, avg_power_w{0.0};
-    obs::cause why{obs::cause::unattributed};
-    std::string node;
-    double event_t{0.0};
-    std::uint64_t event_seq{0};
-  };
-  std::vector<running_row> running;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> arrivals;  ///< (index, seq)
-  struct pending_row {
-    std::uint64_t id{0};
-    double t{0.0};
-    std::uint64_t seq{0};
-    std::string node;
-  };
-  std::vector<pending_row> pfault, pcrash, prestart;
-  bool scrape_pending{false};
-  double scrape_t{-1.0};
-  std::uint64_t scrape_seq{0}, scrape_ticks{0};
-  std::uint64_t ckpt_index{0};
-  double next_ckpt_t{-1.0};
+  std::vector<running_job> running;
+  double now{0.0};
+  std::uint64_t next_seq{0};
+  std::vector<sim_engine::entry> events;
   bool has_guard{false};
   guard_state guard;
   bool has_service{false};
@@ -583,12 +564,12 @@ struct parsed_checkpoint {
   std::vector<telemetry::metric_snapshot> metrics;
   bool has_econ{false};
   econ::cost_meter::state econ_state;
-  std::uint64_t econ_jobs_deferred{0}, econ_price_demotions{0};
-  bool econ_tick_pending{false};
-  double econ_tick_t{-1.0};
-  std::uint64_t econ_tick_seq{0};
   std::vector<int> econ_deferred_ids;
+
+  static parsed_checkpoint parse(const std::string& payload);
 };
+
+namespace {
 
 traced_job read_traced(tokenizer& t) {
   traced_job j;
@@ -605,75 +586,48 @@ traced_job read_traced(tokenizer& t) {
   return j;
 }
 
-parsed_checkpoint parse_checkpoint(const std::string& payload) {
+}  // namespace
+
+simulator::parsed_checkpoint simulator::parsed_checkpoint::parse(const std::string& payload) {
   tokenizer t{payload};
   parsed_checkpoint p;
 
   t.expect("synergy_ckpt");
-  if (t.u64() != 1) throw parse_fail("unknown payload schema version");
+  if (t.u64() != 2) throw parse_fail("unknown payload schema version");
   t.expect("fingerprint");
   p.fingerprint = static_cast<std::uint32_t>(t.u64());
   t.expect("trace");
   p.trace_crc = t.u64();
   p.n_jobs = t.count();
-  t.expect("engine");
-  p.now = t.d();
+  t.expect("summary");
+  for (const auto& f : run_summary::fields()) {
+    if (f.count)
+      p.summary.*f.count = t.u64();
+    else
+      p.summary.*f.value = t.d();
+  }
   t.expect("integ");
   p.last_integrated = t.d();
-  p.facility_energy = t.d();
   p.busy_gpu_seconds = t.d();
-  p.peak_power = t.d();
-  p.wasted_energy = t.d();
   p.last_live_t = t.d();
-  t.expect("counts");
-  p.clock_set_faults = t.u64();
-  p.degraded = t.u64();
-  p.requeues = t.u64();
-  p.nodes_lost = t.u64();
-  p.node_crashes = t.u64();
-  p.node_restarts = t.u64();
-  p.quarantines = t.u64();
-  p.promotions = t.u64();
-  p.rollbacks = t.u64();
-  p.governor_ticks = t.u64();
-  p.governor_clock_changes = t.u64();
-  t.expect("budget");
-  p.budget_rebalances = t.u64();
-  p.budget_demotions = t.u64();
   t.expect("epoch");
   p.next_epoch = t.u64();
-  p.next_node_event_id = t.u64();
+  t.expect("ticks");
+  p.scrape_ticks = t.u64();
+  p.ckpt_index = t.u64();
   p.rng_fault = read_rng(t, "rng_fault");
   p.rng_chaos = read_rng(t, "rng_chaos");
 
-  t.expect("nodes");
-  const std::uint64_t n_nodes = t.count();
-  p.node_names.reserve(n_nodes);
-  for (std::uint64_t i = 0; i < n_nodes; ++i) {
-    t.expect("node");
-    p.node_names.push_back(t.str());
-  }
-
-  t.expect("slots");
-  const std::uint64_t nrows = t.count();
-  const std::uint64_t ncols = t.count();
-  p.slots.reserve(nrows);
-  for (std::uint64_t r = 0; r < nrows; ++r) {
-    t.expect("srow");
-    std::vector<std::pair<bool, double>> row;
-    row.reserve(ncols);
-    for (std::uint64_t c = 0; c < ncols; ++c) {
+  p.node_names = t.rows("nodes", "node", [&] { return t.str(); });
+  p.slots = t.rows("slots", "srow", [&] {
+    std::vector<slot_state> row;
+    for (std::uint64_t c = t.count(); c > 0; --c) {
       const bool busy = t.b01();
-      row.emplace_back(busy, t.d());
+      row.push_back({busy, t.d()});
     }
-    p.slots.push_back(std::move(row));
-  }
-
-  t.expect("results");
-  const std::uint64_t n_results = t.count();
-  p.results.reserve(n_results);
-  for (std::uint64_t i = 0; i < n_results; ++i) {
-    t.expect("res");
+    return row;
+  });
+  p.results = t.rows("results", "res", [&] {
     job_result r;
     r.id = static_cast<int>(t.i64());
     r.name = t.str();
@@ -695,35 +649,21 @@ parsed_checkpoint parse_checkpoint(const std::string& payload) {
     r.energy_degraded = t.b01();
     r.requeues = static_cast<int>(t.i64());
     r.failure_reason = t.str();
-    p.results.push_back(std::move(r));
-  }
-
-  t.expect("queue");
-  const std::uint64_t n_queue = t.count();
-  p.queue.reserve(n_queue);
-  for (std::uint64_t i = 0; i < n_queue; ++i) {
-    t.expect("q");
+    return r;
+  });
+  p.queue = t.rows("queue", "q", [&] {
     queued_job qj;
     qj.job = read_traced(t);
     qj.est_runtime_s = t.d();
-    p.queue.push_back(std::move(qj));
-  }
-
-  t.expect("running");
-  const std::uint64_t n_running = t.count();
-  p.running.reserve(n_running);
-  for (std::uint64_t i = 0; i < n_running; ++i) {
-    t.expect("runj");
-    parsed_checkpoint::running_row rj;
+    return qj;
+  });
+  p.running = t.rows("running", "runj", [&] {
+    running_job rj;
     rj.id = static_cast<int>(t.i64());
     rj.epoch = t.u64();
-    const std::uint64_t n_gpus = t.count();
-    rj.gpus.reserve(n_gpus);
-    for (std::uint64_t g = 0; g < n_gpus; ++g) {
-      gpu_slot s;
-      s.node = static_cast<std::size_t>(t.u64());
-      s.gpu = static_cast<std::size_t>(t.u64());
-      rj.gpus.push_back(s);
+    for (std::uint64_t g = t.count(); g > 0; --g) {
+      const auto node = static_cast<std::size_t>(t.u64());
+      rj.gpus.push_back({node, static_cast<std::size_t>(t.u64())});
     }
     rj.job = read_traced(t);
     rj.est = t.d();
@@ -735,48 +675,22 @@ parsed_checkpoint parse_checkpoint(const std::string& payload) {
     if (why >= obs::n_causes) throw parse_fail("attribution cause out of range");
     rj.why = static_cast<obs::cause>(why);
     rj.node = t.str();
-    rj.event_t = t.d();
-    rj.event_seq = t.u64();
-    p.running.push_back(std::move(rj));
-  }
+    return rj;
+  });
 
-  t.expect("arrivals");
-  const std::uint64_t n_arrivals = t.count();
-  p.arrivals.reserve(n_arrivals);
-  for (std::uint64_t i = 0; i < n_arrivals; ++i) {
-    t.expect("arr");
-    const std::uint64_t index = t.u64();
-    const std::uint64_t seq = t.u64();
-    p.arrivals.emplace_back(index, seq);
-  }
-
-  const auto read_pending = [&t](std::string_view sect, std::string_view row, bool with_node,
-                                 std::vector<parsed_checkpoint::pending_row>& out) {
-    t.expect(sect);
-    const std::uint64_t n = t.count();
-    out.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      t.expect(row);
-      parsed_checkpoint::pending_row e;
-      e.id = t.u64();
-      e.t = t.d();
-      e.seq = t.u64();
-      if (with_node) e.node = t.str();
-      out.push_back(std::move(e));
-    }
-  };
-  read_pending("pfault", "pf", true, p.pfault);
-  read_pending("pcrash", "pc", false, p.pcrash);
-  read_pending("prestart", "pr", true, p.prestart);
-
-  t.expect("scrape");
-  p.scrape_pending = t.b01();
-  p.scrape_t = t.d();
-  p.scrape_seq = t.u64();
-  p.scrape_ticks = t.u64();
-  t.expect("ckpt");
-  p.ckpt_index = t.u64();
-  p.next_ckpt_t = t.d();
+  t.expect("engine");
+  p.now = t.d();
+  p.next_seq = t.u64();
+  p.events = t.rows("events", "ev", [&] {
+    sim_engine::entry e;
+    e.t = t.d();
+    e.seq = t.u64();
+    const std::uint64_t kind = t.u64();
+    if (kind >= static_cast<std::uint64_t>(event_kind::checkpoint))
+      throw parse_fail("event kind out of range");
+    e.event = {static_cast<event_kind>(kind), t.i64(), t.u64()};
+    return e;
+  });
 
   t.expect("guard");
   p.has_guard = t.b01();
@@ -798,30 +712,18 @@ parsed_checkpoint parse_checkpoint(const std::string& payload) {
     p.guard.drift.next = t.u64();
     p.guard.drift.window_sum = t.d();
     p.guard.drift.reason = t.str();
-    t.expect("gscale");
-    const std::uint64_t n_scale = t.count();
-    for (std::uint64_t i = 0; i < n_scale; ++i) {
-      t.expect("gs");
-      const std::string kernel = t.str();
-      p.guard.drift.scale[kernel] = t.d();
-    }
-    t.expect("gwin");
-    const std::uint64_t n_win = t.count();
-    p.guard.drift.window.reserve(n_win);
-    for (std::uint64_t i = 0; i < n_win; ++i) {
-      t.expect("gw");
-      p.guard.drift.window.push_back(t.d());
-    }
+    for (auto& [kernel, scale] : t.rows("gscale", "gs", [&] {
+           std::string name = t.str();
+           return std::pair{std::move(name), t.d()};
+         }))
+      p.guard.drift.scale[kernel] = scale;
+    p.guard.drift.window = t.rows("gwin", "gw", [&] { return t.d(); });
   }
 
   t.expect("service");
   p.has_service = t.b01();
   if (p.has_service) {
-    t.expect("cache");
-    const std::uint64_t n_cache = t.count();
-    p.cache.reserve(n_cache);
-    for (std::uint64_t i = 0; i < n_cache; ++i) {
-      t.expect("ce");
+    p.cache = t.rows("cache", "ce", [&] {
       cached_plan e;
       e.kernel = t.str();
       e.target = t.str();
@@ -835,15 +737,11 @@ parsed_checkpoint parse_checkpoint(const std::string& payload) {
       e.decision.clamped = t.b01();
       e.decision.probe = t.b01();
       e.decision.reason = t.str();
-      p.cache.push_back(std::move(e));
-    }
+      return e;
+    });
   }
 
-  t.expect("ledger");
-  const std::uint64_t n_cells = t.count();
-  p.ledger.cells.reserve(n_cells);
-  for (std::uint64_t i = 0; i < n_cells; ++i) {
-    t.expect("lc");
+  p.ledger.cells = t.rows("ledger", "lc", [&] {
     obs::ledger_entry cell;
     cell.key.node = t.str();
     cell.key.device = t.str();
@@ -851,62 +749,34 @@ parsed_checkpoint parse_checkpoint(const std::string& payload) {
     cell.key.kernel = t.str();
     cell.by_cause = read_cause_array(t);
     cell.total_j = t.d();
-    p.ledger.cells.push_back(std::move(cell));
-  }
+    return cell;
+  });
   t.expect("ltot");
   p.ledger.totals = read_cause_array(t);
   p.ledger.total_j = t.d();
   p.ledger.charges = t.u64();
-  t.expect("lseries");
-  const std::uint64_t n_series = t.count();
-  p.ledger.series.reserve(n_series);
-  for (std::uint64_t i = 0; i < n_series; ++i) {
-    t.expect("ls");
+  p.ledger.series = t.rows("lseries", "ls", [&] {
     obs::scrape_sample sample;
     sample.t_s = t.d();
     sample.by_cause = read_cause_array(t);
     sample.total_j = t.d();
     sample.charges = t.u64();
-    p.ledger.series.push_back(sample);
-  }
+    return sample;
+  });
 
   t.expect("watchdog");
   p.has_watchdog = t.b01();
   if (p.has_watchdog) {
     t.expect("wstate");
-    const std::uint64_t n_rules = t.count();
-    p.watchdog.firing.reserve(n_rules);
-    for (std::uint64_t i = 0; i < n_rules; ++i) p.watchdog.firing.push_back(t.b01());
+    for (std::uint64_t n = t.count(); n > 0; --n) p.watchdog.firing.push_back(t.b01());
     p.watchdog.plans_total = t.u64();
     p.watchdog.plans_model = t.u64();
     p.watchdog.quarantine_since = t.d();
     p.watchdog.breaker_opens_base = t.u64();
-    t.expect("wjobs");
-    const std::uint64_t n_jobs = t.count();
-    p.watchdog.job_energies.reserve(n_jobs);
-    for (std::uint64_t i = 0; i < n_jobs; ++i) {
-      t.expect("wj");
-      p.watchdog.job_energies.push_back(t.d());
-    }
-    t.expect("wcosts");
-    const std::uint64_t n_costs = t.count();
-    p.watchdog.job_costs.reserve(n_costs);
-    for (std::uint64_t i = 0; i < n_costs; ++i) {
-      t.expect("wc");
-      p.watchdog.job_costs.push_back(t.d());
-    }
-    t.expect("wcarbons");
-    const std::uint64_t n_carbons = t.count();
-    p.watchdog.job_carbons.reserve(n_carbons);
-    for (std::uint64_t i = 0; i < n_carbons; ++i) {
-      t.expect("wb");
-      p.watchdog.job_carbons.push_back(t.d());
-    }
-    t.expect("walerts");
-    const std::uint64_t n_alerts = t.count();
-    p.watchdog.alerts.reserve(n_alerts);
-    for (std::uint64_t i = 0; i < n_alerts; ++i) {
-      t.expect("wa");
+    p.watchdog.job_energies = t.rows("wjobs", "wj", [&] { return t.d(); });
+    p.watchdog.job_costs = t.rows("wcosts", "wc", [&] { return t.d(); });
+    p.watchdog.job_carbons = t.rows("wcarbons", "wb", [&] { return t.d(); });
+    p.watchdog.alerts = t.rows("walerts", "wa", [&] {
       obs::alert a;
       a.t_s = t.d();
       a.rule = t.str();
@@ -914,14 +784,12 @@ parsed_checkpoint parse_checkpoint(const std::string& payload) {
       a.value = t.d();
       a.threshold = t.d();
       a.detail = t.str();
-      p.watchdog.alerts.push_back(std::move(a));
-    }
+      return a;
+    });
   }
 
   t.expect("metrics");
-  const std::uint64_t n_metrics = t.count();
-  p.metrics.reserve(n_metrics);
-  for (std::uint64_t i = 0; i < n_metrics; ++i) {
+  for (std::uint64_t n = t.count(); n > 0; --n) {
     using kind = telemetry::metric_snapshot::kind;
     telemetry::metric_snapshot m;
     const std::string row = t.next();
@@ -941,11 +809,9 @@ parsed_checkpoint parse_checkpoint(const std::string& payload) {
       m.min = t.d();
       m.max = t.d();
       const std::uint64_t n_bounds = t.count();
-      m.bounds.reserve(n_bounds);
       for (std::uint64_t b = 0; b < n_bounds; ++b) m.bounds.push_back(t.d());
       const std::uint64_t n_buckets = t.count();
       if (n_buckets != n_bounds + 1) throw parse_fail("histogram bucket count mismatch");
-      m.buckets.reserve(n_buckets);
       for (std::uint64_t b = 0; b < n_buckets; ++b) m.buckets.push_back(t.u64());
     } else {
       throw parse_fail("unknown metric row '" + row + "'");
@@ -967,27 +833,12 @@ parsed_checkpoint parse_checkpoint(const std::string& payload) {
     p.econ_state.cost_by_cause = read_cause_array(t);
     t.expect("ecb");
     p.econ_state.carbon_by_cause = read_cause_array(t);
-    t.expect("ecounts");
-    p.econ_jobs_deferred = t.u64();
-    p.econ_price_demotions = t.u64();
-    t.expect("etick");
-    p.econ_tick_pending = t.b01();
-    p.econ_tick_t = t.d();
-    p.econ_tick_seq = t.u64();
-    t.expect("edef");
-    const std::uint64_t n_deferred = t.count();
-    p.econ_deferred_ids.reserve(n_deferred);
-    for (std::uint64_t i = 0; i < n_deferred; ++i) {
-      t.expect("ed");
-      p.econ_deferred_ids.push_back(static_cast<int>(t.i64()));
-    }
+    p.econ_deferred_ids = t.rows("edef", "ed", [&] { return static_cast<int>(t.i64()); });
   }
 
   t.expect("end");
   return p;
 }
-
-}  // namespace
 
 common::status simulator::restore_checkpoint(const std::string& payload,
                                              const job_trace& trace) {
@@ -996,7 +847,7 @@ common::status simulator::restore_checkpoint(const std::string& payload,
                  "restore: call set_checkpointing() before restore_checkpoint()"};
   parsed_checkpoint p;
   try {
-    p = parse_checkpoint(payload);
+    p = parsed_checkpoint::parse(payload);
   } catch (const std::exception& e) {
     return error{errc::invalid_argument, std::string("restore: malformed checkpoint: ") + e.what()};
   }
@@ -1016,6 +867,9 @@ common::status simulator::restore_checkpoint(const std::string& payload,
                  "restore: watchdog presence differs from the exporting run"};
   if (p.node_names.empty() || p.slots.size() != p.node_names.size())
     return error{errc::invalid_argument, "restore: node/slot tables inconsistent"};
+  for (const auto& name : p.node_names)
+    if (node_ordinal(name) >= config_.n_nodes)
+      return error{errc::invalid_argument, "restore: nodes: not an inventory node name"};
   for (const auto& row : p.slots)
     if (row.size() != config_.gpus_per_node)
       return error{errc::invalid_argument, "restore: GPU slot row width mismatch"};
@@ -1024,32 +878,59 @@ common::status simulator::restore_checkpoint(const std::string& payload,
   for (std::size_t i = 0; i < p.results.size(); ++i)
     if (p.results[i].id != trace.jobs[i].id)
       return error{errc::invalid_argument, "restore: job id order mismatch"};
+  // Queued and running jobs are copies of trace rows, and job events name
+  // trace job ids: anything else would fault mid-resume.
+  std::map<std::int64_t, const traced_job*> by_id;
+  for (const auto& j : trace.jobs) by_id.emplace(j.id, &j);
+  const auto in_trace = [&by_id](const traced_job& j) {
+    const auto it = by_id.find(j.id);
+    return it != by_id.end() && *it->second == j;
+  };
+  for (const auto& qj : p.queue)
+    if (!in_trace(qj.job))
+      return error{errc::invalid_argument, "restore: queue: job " + std::to_string(qj.job.id) +
+                                               " does not match the trace"};
   for (const auto& rj : p.running) {
+    if (rj.id != rj.job.id || !in_trace(rj.job))
+      return error{errc::invalid_argument, "restore: running: job " + std::to_string(rj.id) +
+                                               " does not match the trace"};
     if (rj.epoch >= p.next_epoch)
       return error{errc::invalid_argument, "restore: running-job epoch out of range"};
     for (const auto& s : rj.gpus)
       if (s.node >= p.slots.size() || s.gpu >= config_.gpus_per_node)
         return error{errc::invalid_argument, "restore: running-job GPU slot out of range"};
   }
-  for (const auto& [index, seq] : p.arrivals) {
-    (void)seq;
-    if (index >= trace.jobs.size())
-      return error{errc::invalid_argument, "restore: pending arrival index out of range"};
+  if (!std::isfinite(p.now) || p.now < 0.0)
+    return error{errc::invalid_argument, "restore: events: engine clock out of range"};
+  for (const auto& e : p.events) {
+    const std::int64_t id = e.event.id;
+    bool ok = std::isfinite(e.t) && e.t >= p.now && e.seq < p.next_seq;
+    switch (e.event.kind) {
+      case event_kind::arrival:
+        ok = ok && id >= 0 && static_cast<std::uint64_t>(id) < trace.jobs.size();
+        break;
+      case event_kind::completion:
+      case event_kind::governor_tick:
+        ok = ok && by_id.contains(id) && e.event.epoch < p.next_epoch;
+        break;
+      case event_kind::device_lost:
+      case event_kind::node_restart:
+        ok = ok && id >= 0 && static_cast<std::uint64_t>(id) < config_.n_nodes;
+        break;
+      default: break;
+    }
+    if (!ok)
+      return error{errc::invalid_argument,
+                   "restore: events: pending event (seq " + std::to_string(e.seq) + ") out of range"};
   }
   if (p.has_econ != config_.econ.usable())
     return error{errc::invalid_argument,
                  "restore: econ accounting presence differs from the exporting run"};
-  for (const int id : p.econ_deferred_ids) {
-    bool queued = false;
-    for (const auto& qj : p.queue)
-      if (qj.job.id == id) {
-        queued = true;
-        break;
-      }
-    if (!queued)
+  for (const int id : p.econ_deferred_ids)
+    if (std::none_of(p.queue.begin(), p.queue.end(),
+                     [id](const queued_job& qj) { return qj.job.id == id; }))
       return error{errc::invalid_argument,
                    "restore: econ-deferred job id not present in the queue"};
-  }
 
   // --- external subsystem imports (each is individually atomic) ---
   if (!telemetry::metrics_registry::instance().restore(p.metrics))
@@ -1063,44 +944,24 @@ common::status simulator::restore_checkpoint(const std::string& payload,
   obs::energy_ledger::instance().import_state(p.ledger);
 
   // --- simulator state proper (cannot fail past this point) ---
-  engine_ = event_engine{};
-  engine_.run_until(p.now);  // empty queue: clock restore only
+  live_events_ = static_cast<std::size_t>(std::count_if(
+      p.events.begin(), p.events.end(),
+      [](const sim_engine::entry& e) { return is_live(e.event.kind); }));
+  engine_.restore(p.now, p.next_seq, std::move(p.events));
 
   std::vector<sched::node_config> nodes;
   nodes.reserve(p.node_names.size());
   for (const auto& name : p.node_names) nodes.push_back(make_node_config(name));
   ctl_ = std::make_unique<sched::controller>(std::move(nodes));
 
-  slots_.assign(p.slots.size(), std::vector<slot_state>(config_.gpus_per_node));
-  for (std::size_t n = 0; n < p.slots.size(); ++n)
-    for (std::size_t g = 0; g < config_.gpus_per_node; ++g)
-      slots_[n][g] = {p.slots[n][g].first, p.slots[n][g].second};
-
+  slots_ = std::move(p.slots);
   results_ = std::move(p.results);
   queue_ = std::move(p.queue);
-  running_.clear();
-  running_.reserve(p.running.size());
-  for (auto& rr : p.running) {
-    running_job rj;
-    rj.id = rr.id;
-    rj.epoch = rr.epoch;
-    rj.gpus = std::move(rr.gpus);
-    rj.job = std::move(rr.job);
-    rj.est = rr.est;
-    rj.start_s = rr.start_s;
-    rj.duration = rr.duration;
-    rj.energy_j = rr.energy_j;
-    rj.avg_power_w = rr.avg_power_w;
-    rj.why = rr.why;
-    rj.node = std::move(rr.node);
-    rj.event_t = rr.event_t;
-    rj.event_seq = rr.event_seq;
-    running_.push_back(std::move(rj));
-  }
+  running_ = std::move(p.running);
 
   // Fresh budget over the restored inventory; running jobs re-register their
-  // demand and node occupancy. No restore-time rebalance — the folded totals
-  // carry the exporting run's counters, and a gratuitous rebalance here
+  // demand and node occupancy. No restore-time rebalance — the summary
+  // carries the exporting run's counters, and a gratuitous rebalance here
   // would put the resumed summary one count ahead.
   budget_ = std::make_unique<power_budget>(*ctl_, config_.facility_cap_w);
   for (const auto& rj : running_) {
@@ -1111,66 +972,24 @@ common::status simulator::restore_checkpoint(const std::string& payload,
     }
     for (const std::size_t n : nodes_used) ctl_->node_at(n).add_job();
   }
-  budget_rebalances_base_ = p.budget_rebalances;
-  budget_demotions_base_ = p.budget_demotions;
 
+  summary_ = p.summary;
   last_integrated_s_ = p.last_integrated;
-  facility_energy_j_ = p.facility_energy;
   busy_gpu_seconds_ = p.busy_gpu_seconds;
-  peak_power_w_ = p.peak_power;
-  wasted_energy_j_ = p.wasted_energy;
   last_live_t_ = p.last_live_t;
   power_samples_.clear();  // diagnostics only; not part of any output artefact
-  clock_set_faults_ = p.clock_set_faults;
-  degraded_samples_ = p.degraded;
-  requeues_ = p.requeues;
-  nodes_lost_ = p.nodes_lost;
-  node_crashes_ = p.node_crashes;
-  node_restarts_ = p.node_restarts;
-  quarantines_ = p.quarantines;
-  promotions_ = p.promotions;
-  rollbacks_ = p.rollbacks;
-  governor_ticks_ = p.governor_ticks;
-  governor_clock_changes_ = p.governor_clock_changes;
   next_epoch_ = p.next_epoch;
-  next_node_event_id_ = p.next_node_event_id;
   fault_rng_.set_state(p.rng_fault);
   chaos_rng_.set_state(p.rng_chaos);
   recovery_was_quarantined_ = false;
-
-  arrival_seq_.assign(trace.jobs.size(), 0);
-  arrived_.assign(trace.jobs.size(), 1);
-  for (const auto& [index, seq] : p.arrivals) {
-    arrived_[index] = 0;
-    arrival_seq_[index] = seq;
-  }
-  arrivals_pending_ = p.arrivals.size();
-
-  const auto to_pending = [](std::vector<parsed_checkpoint::pending_row>&& in) {
-    std::vector<pending_node_event> out;
-    out.reserve(in.size());
-    for (auto& e : in) out.push_back({e.id, e.t, e.seq, std::move(e.node)});
-    return out;
-  };
-  pending_faults_ = to_pending(std::move(p.pfault));
-  pending_crashes_ = to_pending(std::move(p.pcrash));
-  pending_restarts_ = to_pending(std::move(p.prestart));
-
-  next_scrape_t_ = p.scrape_pending ? p.scrape_t : -1.0;
-  next_scrape_seq_ = p.scrape_seq;
   scrape_ticks_ = p.scrape_ticks;
   ckpt_index_ = p.ckpt_index;
-  next_ckpt_t_ = p.next_ckpt_t;
   trace_crc_ = p.trace_crc;
 
   econ_meter_ = econ::cost_meter{config_.econ, config_.n_nodes};
   if (p.has_econ) econ_meter_.import_state(p.econ_state);
   econ_deferred_ids_.clear();
   econ_deferred_ids_.insert(p.econ_deferred_ids.begin(), p.econ_deferred_ids.end());
-  econ_jobs_deferred_ = p.econ_jobs_deferred;
-  econ_price_demotions_ = p.econ_price_demotions;
-  next_econ_t_ = p.econ_tick_pending ? p.econ_tick_t : -1.0;
-  next_econ_seq_ = p.econ_tick_seq;
 
   if (ckpt_.service) ckpt_.service->import_cache(p.cache);
 
@@ -1185,96 +1004,27 @@ common::status simulator::restore_checkpoint(const std::string& payload,
 run_summary simulator::resume(const job_trace& trace) {
   if (!restored_)
     throw std::logic_error("simulator::resume without a successful restore_checkpoint");
+  if (trace.jobs.size() != results_.size())
+    throw std::invalid_argument("simulator::resume: not the trace restore_checkpoint() verified");
   restored_ = false;
-
-  // Rebuild the event queue. Closures do not serialize, so each pending
-  // event was recorded in a registry with the sequence number it held in the
-  // exporting engine. Sequence numbers are monotone in schedule time, so
-  // every event scheduled *after* the checkpoint outranks every pending one
-  // — rescheduling the pending set in ascending original-seq order into a
-  // fresh engine reproduces all tie-break orderings exactly.
-  enum class ev_kind { arrival, completion, fault, crash, restart, scrape, econ };
-  struct ev {
-    std::uint64_t old_seq{0};
-    ev_kind kind{ev_kind::arrival};
-    std::size_t index{0};  ///< arrival trace index / running_ or registry index
-  };
-  std::vector<ev> events;
-  for (std::size_t i = 0; i < arrived_.size(); ++i)
-    if (!arrived_[i]) events.push_back({arrival_seq_[i], ev_kind::arrival, i});
-  for (std::size_t i = 0; i < running_.size(); ++i)
-    events.push_back({running_[i].event_seq, ev_kind::completion, i});
-  for (std::size_t i = 0; i < pending_faults_.size(); ++i)
-    events.push_back({pending_faults_[i].seq, ev_kind::fault, i});
-  for (std::size_t i = 0; i < pending_crashes_.size(); ++i)
-    events.push_back({pending_crashes_[i].seq, ev_kind::crash, i});
-  for (std::size_t i = 0; i < pending_restarts_.size(); ++i)
-    events.push_back({pending_restarts_[i].seq, ev_kind::restart, i});
-  if (next_scrape_t_ >= 0.0) events.push_back({next_scrape_seq_, ev_kind::scrape, 0});
-  if (next_econ_t_ >= 0.0) events.push_back({next_econ_seq_, ev_kind::econ, 0});
-  std::sort(events.begin(), events.end(),
-            [](const ev& a, const ev& b) { return a.old_seq < b.old_seq; });
-
-  for (const auto& e : events) {
-    switch (e.kind) {
-      case ev_kind::arrival:
-        schedule_arrival(trace, e.index, trace.jobs[e.index].submit_s);
-        break;
-      case ev_kind::completion: {
-        auto& rj = running_[e.index];
-        const int id = rj.id;
-        const std::uint64_t epoch = rj.epoch;
-        rj.event_seq = engine_.at(rj.event_t, [this, id, epoch] { complete(id, epoch); });
-        break;
-      }
-      case ev_kind::fault: {
-        auto& pe = pending_faults_[e.index];
-        const std::uint64_t eid = pe.id;
-        pe.seq = engine_.at(pe.t, [this, eid] { device_lost_event(eid); });
-        break;
-      }
-      case ev_kind::crash: {
-        auto& pe = pending_crashes_[e.index];
-        const std::uint64_t eid = pe.id;
-        pe.seq = engine_.at(pe.t, [this, eid] { node_crash(eid); });
-        break;
-      }
-      case ev_kind::restart: {
-        auto& pe = pending_restarts_[e.index];
-        const std::uint64_t eid = pe.id;
-        pe.seq = engine_.at(pe.t, [this, eid] { node_restart(eid); });
-        break;
-      }
-      case ev_kind::scrape:
-        next_scrape_seq_ = engine_.at(next_scrape_t_, [this] { scrape_tick(); });
-        break;
-      case ev_kind::econ:
-        next_econ_seq_ = engine_.at(next_econ_t_, [this] { econ_tick(); });
-        break;
-    }
-  }
-
-  // Periodic checkpointing continues on the exporting run's cadence. The
-  // tick is inert (no accounting), so its tie-break rank among co-timed
-  // events does not need restoring.
-  if (ckpt_.interval_s > 0.0 && next_ckpt_t_ >= 0.0)
-    engine_.at(next_ckpt_t_, [this] { checkpoint_tick(); });
+  trace_ = &trace;
+  // The restored heap holds every other pending event at its original
+  // (t, seq) rank. Periodic checkpointing continues on this simulator's
+  // cadence; the tick is inert, so its rank among co-timed events does not
+  // matter.
+  if (ckpt_.interval_s > 0.0 && has_live_work())
+    schedule(engine_.now() + ckpt_.interval_s, event_kind::checkpoint);
   if (ckpt_.crash_at_s >= 0.0 && ckpt_.crash_at_s > engine_.now())
-    engine_.at(ckpt_.crash_at_s, [] {
-      std::fflush(nullptr);
-      std::_Exit(crash_injection_exit_code);
-    });
-
-  return finish_run(trace);
+    schedule(ckpt_.crash_at_s, event_kind::crash_injection);
+  return finish_run();
 }
 
 void simulator::checkpoint_tick() {
-  // Decide the next tick *before* serializing so the artefact carries the
-  // resumed run's cadence. The tick itself is inert: no integrate, no power
-  // sample — a checkpointed run's accounting spans are identical to an
-  // uncheckpointed one's.
+  // Decide on the next tick before serializing, like resume() does after a
+  // restore. The tick itself is inert: no integrate, no power sample — a
+  // checkpointed run's accounting spans are identical to an uncheckpointed
+  // one's.
   const bool more = has_live_work();
-  next_ckpt_t_ = more ? engine_.now() + ckpt_.interval_s : -1.0;
   ++ckpt_index_;
 
   const std::string payload = serialize_checkpoint();
@@ -1285,7 +1035,7 @@ void simulator::checkpoint_tick() {
     common::log_warn("cluster: checkpoint write failed: ", st.err().to_string());
   }
 
-  if (more) engine_.at(next_ckpt_t_, [this] { checkpoint_tick(); });
+  if (more) schedule(engine_.now() + ckpt_.interval_s, event_kind::checkpoint);
 }
 
 }  // namespace synergy::cluster

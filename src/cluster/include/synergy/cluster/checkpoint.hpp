@@ -6,11 +6,12 @@
 /// A month of Marconi-100-scale traffic is hours of wall clock; without
 /// checkpoints any crash, OOM-kill, or preemption throws the whole replay
 /// away. The simulator therefore serializes its *complete* state on a
-/// periodic virtual-time cadence: the pending event queue (rebuilt from
-/// explicit registries — closures cannot serialize), per-node/per-slot
-/// state, per-job results, the power-budget counters, both RNG streams
-/// mid-draw, the drift/quarantine and plan-cache state of the guard chain,
-/// the obs energy ledger, the SLO watchdog, and the metrics registry.
+/// periodic virtual-time cadence: the event heap itself (flat
+/// {t, seq, kind, id, epoch} records, written as they stand and restored
+/// verbatim), per-node/per-slot state, per-job results, the run counters
+/// (the run_summary field table), both RNG streams mid-draw, the
+/// drift/quarantine and plan-cache state of the guard chain, the obs energy
+/// ledger, the SLO watchdog, and the metrics registry.
 ///
 /// Artefacts ride the repository's sealed persistence stack: the payload is
 /// wrapped by common::envelope (format magic + version + CRC-32 over the
@@ -24,8 +25,9 @@
 /// byte-identical final outputs (summary CSV, per-job table, obs JSON
 /// snapshot, alerts JSONL) to the uninterrupted run of the same seed.
 /// Floating-point state round-trips as IEEE-754 bit patterns, and pending
-/// events are rescheduled in their original tie-break order (sequence
-/// numbers are monotone in schedule time, so relative order is sufficient).
+/// events keep their original (time, sequence) ranks, so every tie-break
+/// falls the same way. Only the checkpoint tick and the crash injection are
+/// left out; resume() re-arms them from the resuming simulator's options.
 
 #include <cstdint>
 #include <filesystem>
@@ -44,7 +46,9 @@ namespace synergy::cluster {
 
 /// Envelope kind sealing every checkpoint artefact.
 inline constexpr std::string_view checkpoint_kind = "cluster_checkpoint";
-/// Payload schema version (envelope-enforced upper bound on open).
+/// Envelope version (enforced as an upper bound on open). The payload names
+/// its own schema on its first line, `synergy_ckpt 2`; the parser rejects
+/// any other schema as "unknown payload schema version".
 inline constexpr unsigned checkpoint_version = 1;
 /// Exit code of the crash-injection harness (checkpoint_options::crash_at_s)
 /// — distinct from the tool's operational (1) and usage (2) failures so the

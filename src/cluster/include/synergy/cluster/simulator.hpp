@@ -22,7 +22,9 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "synergy/cluster/checkpoint.hpp"
@@ -245,6 +247,18 @@ struct run_summary {
   std::size_t econ_jobs_deferred{0};      ///< jobs shifted out of pricey windows
   std::size_t econ_price_demotions{0};    ///< placements clock-stepped by price
 
+  /// One column after `policy` and `seed`: its CSV name and the member it
+  /// reads, a count or a real. csv() and the checkpoint both walk this
+  /// table, so a new counter is one member plus one row.
+  struct field {
+    const char* name;
+    std::size_t run_summary::*count{nullptr};
+    double run_summary::*value{nullptr};
+    field(const char* n, std::size_t run_summary::*m) : name(n), count(m) {}
+    field(const char* n, double run_summary::*m) : name(n), value(m) {}
+  };
+  [[nodiscard]] static std::span<const field> fields();
+
   void print(std::ostream& os) const;
   /// One header + one row; `with_header` also writes the comment and
   /// column rows (false appends a row to an existing block).
@@ -319,10 +333,10 @@ class simulator {
   [[nodiscard]] common::status restore_checkpoint(const std::string& payload,
                                                   const job_trace& trace);
 
-  /// Continue a restored run to completion. The event queue is rebuilt from
-  /// the restored state in original tie-break order, so the summary, per-job
-  /// results, ledger, and snapshot rendering are byte-identical to the
-  /// uninterrupted run. Precondition: restore_checkpoint() succeeded.
+  /// Continue a restored run to completion. The restored event heap fires in
+  /// its original tie-break order, so the summary, per-job results, ledger,
+  /// and snapshot rendering are byte-identical to the uninterrupted run.
+  /// Precondition: restore_checkpoint() succeeded.
   [[nodiscard]] run_summary resume(const job_trace& trace);
 
   /// Scrape ticks fired so far (restored across resume) — tools use it to
@@ -343,10 +357,47 @@ class simulator {
     double busy_until{0.0};
   };
 
+  /// What a pending event does when it fires. The values are the
+  /// checkpoint's `ev` kind column: append, never renumber. Kinds from
+  /// `checkpoint` on are never written; resume() re-arms them itself.
+  enum class event_kind : std::uint8_t {
+    arrival,        ///< id = trace index
+    completion,     ///< id = job id, epoch = the job's incarnation
+    governor_tick,  ///< id = job id, epoch = the job's incarnation
+    device_lost,    ///< id = node ordinal (the NNN of cnNNN)
+    node_crash,     ///< the victim is drawn when it fires
+    node_restart,   ///< id = node ordinal
+    scrape,
+    econ,
+    checkpoint,
+    crash_injection,
+  };
+  struct sim_event {
+    event_kind kind{event_kind::arrival};
+    std::int64_t id{0};
+    std::uint64_t epoch{0};
+  };
+  using sim_engine = basic_event_engine<sim_event>;
+  /// Arrivals and node events are live work: while any is pending, the
+  /// self-rescheduling ticks keep going.
+  static bool is_live(event_kind k) {
+    return k == event_kind::arrival || k == event_kind::device_lost ||
+           k == event_kind::node_crash || k == event_kind::node_restart;
+  }
+  /// A checkpoint payload parsed and awaiting validation (checkpoint.cpp).
+  struct parsed_checkpoint;
+
   void rebuild_controller();
   [[nodiscard]] sched::node_config make_node_config(const std::string& name) const;
+  /// Inventory node names are "cn" + the zero-padded ordinal.
+  static std::string node_name(std::size_t ordinal);
+  /// Ordinal of a canonical node name; npos when `name` is not one.
+  static std::size_t node_ordinal(std::string_view name);
+  /// Schedule one event, counting live work.
+  void schedule(double t, event_kind kind, std::int64_t id = 0, std::uint64_t epoch = 0);
+  /// The single dispatch point: every event the engine fires lands here.
+  void dispatch(const sim_event& e);
   void arrive(const traced_job& job);
-  void schedule_arrival(const job_trace& trace, std::size_t index, double t);
   void complete(int job_id, std::uint64_t epoch);
   /// A GPU on `node_name` fell off the bus: requeue every job running
   /// there, drain and remove the node, shrink the inventory.
@@ -356,26 +407,25 @@ class simulator {
   /// Shared by the device-lost and node-crash paths.
   std::size_t drain_node(std::size_t ni);
   /// Remove node `ni` from the inventory and rebuild the power budget over
-  /// the survivors (folding the old budget's counters into the base).
+  /// the survivors (folding the old budget's counters into the summary).
   /// False when the controller refused the removal (node not idle/absent).
   bool remove_node_and_rebuild(std::size_t ni);
   /// Rebuild the power budget against the current inventory, re-registering
-  /// every running job's demand and folding counters into the base.
+  /// every running job's demand and folding counters into the summary.
   void rebuild_budget();
-  /// Node-level chaos events (id-keyed so pending events are serialisable).
-  void node_crash(std::uint64_t event_id);
-  void node_restart(std::uint64_t event_id);
-  void device_lost_event(std::uint64_t event_id);
+  /// Node-level chaos: crash a drawn victim; warm-restart node `ordinal`.
+  void node_crash();
+  void node_restart(std::size_t ordinal);
   /// Periodic checkpoint tick: serialize + seal + atomic write, reschedule.
   void checkpoint_tick();
-  /// True while undrained work can still schedule events: pending arrivals,
-  /// running jobs, or pending fault/chaos events. The self-rescheduling
-  /// ticks (scrape, checkpoint) key off this instead of engine emptiness so
-  /// two tick streams cannot keep each other alive forever.
-  [[nodiscard]] bool has_live_work() const;
+  /// True while undrained work can still schedule events: pending arrivals
+  /// or node events, or running jobs. The self-rescheduling ticks (scrape,
+  /// econ, checkpoint) key off this instead of engine emptiness so two tick
+  /// streams cannot keep each other alive forever.
+  [[nodiscard]] bool has_live_work() const { return live_events_ > 0 || !running_.empty(); }
   /// Shared tail of run()/resume(): drive the engine dry, close accounting,
   /// fail whatever never scheduled, assemble the summary.
-  run_summary finish_run(const job_trace& trace);
+  run_summary finish_run();
   /// Stable digest of the replay-relevant configuration; a checkpoint only
   /// restores into a simulator whose digest matches.
   [[nodiscard]] std::string config_fingerprint() const;
@@ -400,7 +450,11 @@ class simulator {
   gpusim::device_spec spec_;
   gpusim::dvfs_model model_;
 
-  event_engine engine_;
+  sim_engine engine_;
+  /// The trace the current run()/resume() replays (arrivals index it).
+  const job_trace* trace_{nullptr};
+  /// Pending events for which is_live() holds.
+  std::size_t live_events_{0};
   std::unique_ptr<power_budget> budget_;
   std::vector<std::vector<slot_state>> slots_;
   std::vector<queued_job> queue_;
@@ -434,10 +488,6 @@ class simulator {
     double cur_duration_full{0.0};  ///< whole-job seconds at the current clock
     double cur_util{0.0};          ///< modelled compute utilisation at it
     double target_w{0.0};          ///< hybrid watt target (predicted power)
-    // --- checkpoint bookkeeping: the pending completion (or governor tick)
-    // event for this job, so a resumed run can reschedule it exactly.
-    double event_t{0.0};
-    std::uint64_t event_seq{0};
   };
   /// Close `rj`'s open accrual segment at `now`: advance work fraction,
   /// book the segment's joules into the seed/governor bucket, and advance
@@ -445,6 +495,10 @@ class simulator {
   void accrue_governed(running_job& rj, double now);
   std::vector<running_job> running_;
   std::vector<std::pair<double, double>> power_samples_;
+  /// The run's counters, accumulated in place (reset per run, restored
+  /// across resume). The power budget counts rebalances and demotions
+  /// itself; `cap_*` hold the totals of budgets already replaced.
+  run_summary summary_;
   double last_integrated_s_{0.0};
   /// Virtual time of the newest accounting-relevant event. finish_run()
   /// closes integration and the final scrape here rather than at
@@ -452,61 +506,24 @@ class simulator {
   /// work, and the contract is byte-identical output with checkpointing on
   /// or off.
   double last_live_t_{0.0};
-  double facility_energy_j_{0.0};
   double busy_gpu_seconds_{0.0};
-  double peak_power_w_{0.0};
   // --- observability (optional) ---
   /// Scrape tick: ledger sample + watchdog evaluation + hook, rescheduled
-  /// while the engine still has events.
+  /// while the run has live work.
   void scrape_tick();
   std::shared_ptr<obs::slo_watchdog> watchdog_;
   std::shared_ptr<guarded_planner> attribution_guard_;
   std::function<void(double)> scrape_hook_;
-  // --- lifecycle recovery (optional; counters reset per run) ---
+  std::uint64_t scrape_ticks_{0};
+  // --- lifecycle recovery (optional) ---
   std::shared_ptr<guarded_planner> recovery_guard_;
   std::shared_ptr<lifecycle::model_registry> recovery_registry_;
   std::shared_ptr<lifecycle::lifecycle_manager> recovery_manager_;
   bool recovery_was_quarantined_{false};
-  std::size_t quarantines_{0};
-  std::size_t promotions_{0};
-  std::size_t rollbacks_{0};
-  // --- fault state (reset per run) ---
+  // --- fault and chaos streams (reset per run) ---
   common::pcg32 fault_rng_{0};
-  std::uint64_t next_epoch_{0};
-  std::size_t clock_set_faults_{0};
-  std::size_t degraded_samples_{0};
-  std::size_t requeues_{0};
-  std::size_t nodes_lost_{0};
-  double wasted_energy_j_{0.0};
-  // --- governor counters (reset per run) ---
-  std::size_t governor_ticks_{0};
-  std::size_t governor_clock_changes_{0};
-  // Budget counters accumulated across budget rebuilds (node removal).
-  std::size_t budget_rebalances_base_{0};
-  std::size_t budget_demotions_base_{0};
-  // --- node-level chaos state (reset per run) ---
   common::pcg32 chaos_rng_{0};
-  std::size_t node_crashes_{0};
-  std::size_t node_restarts_{0};
-  // --- explicit pending-event registries (closures cannot serialize; the
-  // checkpoint rebuilds the event queue from these + running_/arrivals) ---
-  struct pending_node_event {
-    std::uint64_t id{0};   ///< registry key (captured by the closure)
-    double t{0.0};         ///< fire time
-    std::uint64_t seq{0};  ///< engine tie-break rank
-    std::string node;      ///< victim (device-lost / restart); empty for crash
-  };
-  std::vector<pending_node_event> pending_faults_;    ///< device-lost events
-  std::vector<pending_node_event> pending_crashes_;   ///< chaos crash events
-  std::vector<pending_node_event> pending_restarts_;  ///< chaos restart events
-  std::uint64_t next_node_event_id_{0};
-  std::vector<std::uint64_t> arrival_seq_;  ///< per trace index: arrival event seq
-  std::vector<char> arrived_;               ///< per trace index: arrival fired
-  std::size_t arrivals_pending_{0};
-  // --- scrape/checkpoint tick bookkeeping (restored across resume) ---
-  double next_scrape_t_{-1.0};
-  std::uint64_t next_scrape_seq_{0};
-  std::uint64_t scrape_ticks_{0};
+  std::uint64_t next_epoch_{0};
   // --- facility economics (reset per run; restored across resume) ---
   /// Wake-up at the next price boundary while deferrable jobs wait: a
   /// single self-rescheduling tick (scrape pattern), so econ replays keep
@@ -516,15 +533,10 @@ class simulator {
   /// Jobs a defer() verdict is currently holding in the queue — their
   /// eventual start attributes to cause::econ_deferred.
   std::set<int> econ_deferred_ids_;
-  std::size_t econ_jobs_deferred_{0};
-  std::size_t econ_price_demotions_{0};
-  double next_econ_t_{-1.0};
-  std::uint64_t next_econ_seq_{0};
-  // --- checkpointing (configured once; index/cursor reset per run) ---
+  // --- checkpointing (configured once; index reset per run) ---
   checkpoint_options ckpt_;
   bool ckpt_enabled_{false};
   std::uint64_t ckpt_index_{0};
-  double next_ckpt_t_{-1.0};
   std::uint64_t trace_crc_{0};  ///< CRC-32 of the running trace's CSV form
   bool restored_{false};        ///< restore_checkpoint() succeeded; resume() legal
 };

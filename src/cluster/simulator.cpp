@@ -1,6 +1,7 @@
 #include "synergy/cluster/simulator.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -90,14 +91,25 @@ sched::node_config simulator::make_node_config(const std::string& name) const {
   return cfg;
 }
 
+std::string simulator::node_name(std::size_t ordinal) {
+  char name[24];
+  std::snprintf(name, sizeof name, "cn%03zu", ordinal);
+  return name;
+}
+
+std::size_t simulator::node_ordinal(std::string_view name) {
+  std::size_t k = 0;
+  const char* end = name.data() + name.size();
+  if (!name.starts_with("cn") ||
+      std::from_chars(name.data() + 2, end, k).ptr != end || node_name(k) != name)
+    return std::string_view::npos;
+  return k;
+}
+
 void simulator::rebuild_controller() {
   std::vector<sched::node_config> nodes;
   nodes.reserve(config_.n_nodes);
-  for (std::size_t i = 0; i < config_.n_nodes; ++i) {
-    char name[16];
-    std::snprintf(name, sizeof name, "cn%03u", static_cast<unsigned>(i));
-    nodes.push_back(make_node_config(name));
-  }
+  for (std::size_t i = 0; i < config_.n_nodes; ++i) nodes.push_back(make_node_config(node_name(i)));
   ctl_ = std::make_unique<sched::controller>(std::move(nodes));
 }
 
@@ -176,7 +188,7 @@ void simulator::integrate_to_now() {
   const double t = engine_.now();
   if (t > last_integrated_s_) {
     const double w = budget_->facility_power_w();
-    facility_energy_j_ += w * (t - last_integrated_s_);
+    summary_.facility_energy_j += w * (t - last_integrated_s_);
     // The cost integrator walks the same power signal over the same spans,
     // so facility cost is exactly the price-weighted facility energy.
     if (econ_meter_.active()) econ_meter_.integrate(w, last_integrated_s_, t);
@@ -186,12 +198,40 @@ void simulator::integrate_to_now() {
 
 void simulator::sample_power() {
   const double w = budget_->facility_power_w();
-  peak_power_w_ = std::max(peak_power_w_, w);
+  summary_.peak_facility_power_w = std::max(summary_.peak_facility_power_w, w);
   power_samples_.emplace_back(engine_.now(), w);
 }
 
+void simulator::schedule(double t, event_kind kind, std::int64_t id, std::uint64_t epoch) {
+  if (is_live(kind)) ++live_events_;
+  engine_.at(t, sim_event{kind, id, epoch});
+}
+
+void simulator::dispatch(const sim_event& e) {
+  if (is_live(e.kind)) {
+    --live_events_;
+    last_live_t_ = engine_.now();
+  }
+  switch (e.kind) {
+    case event_kind::arrival: arrive(trace_->jobs[static_cast<std::size_t>(e.id)]); break;
+    case event_kind::completion: complete(static_cast<int>(e.id), e.epoch); break;
+    case event_kind::governor_tick: governor_tick(static_cast<int>(e.id), e.epoch); break;
+    case event_kind::device_lost: device_lost(node_name(static_cast<std::size_t>(e.id))); break;
+    case event_kind::node_crash: node_crash(); break;
+    case event_kind::node_restart: node_restart(static_cast<std::size_t>(e.id)); break;
+    case event_kind::scrape: scrape_tick(); break;
+    case event_kind::econ: econ_tick(); break;
+    case event_kind::checkpoint: checkpoint_tick(); break;
+    case event_kind::crash_injection:
+      // Crash-injection harness: die hard, skipping destructors and atexit,
+      // exactly like an OOM-kill would — whatever the last checkpoint
+      // captured is all a resume gets.
+      std::fflush(nullptr);
+      std::_Exit(crash_injection_exit_code);
+  }
+}
+
 void simulator::arrive(const traced_job& job) {
-  last_live_t_ = engine_.now();
   integrate_to_now();
   SYNERGY_COUNTER_ADD("cluster.arrivals", 1);
   SYNERGY_INSTANT(tel::category::sched, "cluster.arrival",
@@ -264,11 +304,12 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
       // up; the job runs at default clocks and its sample is degraded.
       config = spec_.default_config();
       r.clock_set_failed = true;
-      ++clock_set_faults_;
+      ++summary_.clock_set_faults;
       SYNERGY_COUNTER_ADD("cluster.clock_set_faults", 1);
     }
     lose_device_here = u_lost < config_.faults.device_lost_rate &&
-                       nodes_lost_ < config_.faults.max_node_losses && slots_.size() > 1;
+                       summary_.nodes_lost < config_.faults.max_node_losses &&
+                       slots_.size() > 1;
   }
   r.core_mhz = config.core.value;
 
@@ -362,39 +403,18 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
                   {"core_mhz", r.core_mhz}, {"wait_s", r.queue_wait_s});
 
   budget_->rebalance();
-  const int id = qj.job.id;
   const double tick = std::max(1e-3, config_.governor.tick_interval_s);
-  {
-    // Track the pending event on the job record so a checkpoint can
-    // reschedule it with the exact (time, tie-break rank) it had.
-    auto& rj = running_.back();
-    rj.event_t = governed && duration > tick ? now + tick : now + duration;
-    rj.event_seq =
-        governed && duration > tick
-            ? engine_.at(rj.event_t, [this, id, epoch] { governor_tick(id, epoch); })
-            : engine_.at(rj.event_t, [this, id, epoch] { complete(id, epoch); });
-  }
+  if (governed && duration > tick)
+    schedule(now + tick, event_kind::governor_tick, qj.job.id, epoch);
+  else
+    schedule(now + duration, event_kind::completion, qj.job.id, epoch);
   if (lose_device_here) {
-    // The board dies partway through this job. Nodes are addressed by name
-    // because indices shift when earlier losses remove nodes. The event
-    // lives in an explicit registry (id-keyed) so checkpoints can carry it.
-    const std::string victim = ctl_->node_at(pl.gpus.front().node).name();
-    const std::uint64_t eid = next_node_event_id_++;
-    const double t = now + duration * lose_at_frac;
-    const std::uint64_t seq = engine_.at(t, [this, eid] { device_lost_event(eid); });
-    pending_faults_.push_back({eid, t, seq, victim});
+    // The board dies partway through this job. Nodes are addressed by
+    // ordinal because indices shift when earlier losses remove nodes.
+    const auto victim = node_ordinal(running_.back().node);
+    schedule(now + duration * lose_at_frac, event_kind::device_lost,
+             static_cast<std::int64_t>(victim));
   }
-}
-
-void simulator::device_lost_event(std::uint64_t event_id) {
-  const auto it =
-      std::find_if(pending_faults_.begin(), pending_faults_.end(),
-                   [event_id](const pending_node_event& e) { return e.id == event_id; });
-  if (it == pending_faults_.end()) return;  // dropped by a restore
-  last_live_t_ = engine_.now();
-  const std::string victim = it->node;
-  pending_faults_.erase(it);
-  device_lost(victim);
 }
 
 void simulator::complete(int job_id, std::uint64_t epoch) {
@@ -441,7 +461,7 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
     // The end-of-job power read dropped out: the energy figure comes from
     // the model with no sensor corroboration. Keep it, but flag it.
     r.energy_degraded = true;
-    ++degraded_samples_;
+    ++summary_.degraded_samples;
     SYNERGY_COUNTER_ADD("cluster.degraded_samples", 1);
   }
   SYNERGY_COUNTER_ADD("cluster.jobs_completed", 1);
@@ -499,7 +519,7 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
         {finished.kernel, features, {spec_.default_config().memory, core}, energy_per_item});
     const bool quarantined = recovery_guard_->quarantined();
     if (quarantined && !recovery_was_quarantined_) {
-      ++quarantines_;
+      ++summary_.quarantines;
       recovery_was_quarantined_ = true;
       SYNERGY_COUNTER_ADD("cluster.model_quarantines", 1);
       SYNERGY_INSTANT(tel::category::sched, "cluster.model_quarantine",
@@ -515,10 +535,10 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
                                                   : nullptr);
       recovery_was_quarantined_ = false;
       if (action == lifecycle::lifecycle_action::promoted) {
-        ++promotions_;
+        ++summary_.promotions;
         SYNERGY_COUNTER_ADD("cluster.model_promotions", 1);
       } else {
-        ++rollbacks_;
+        ++summary_.rollbacks;
         SYNERGY_COUNTER_ADD("cluster.model_rollbacks", 1);
       }
       SYNERGY_INSTANT(tel::category::sched, "cluster.model_recovery",
@@ -564,7 +584,7 @@ void simulator::governor_tick(int job_id, std::uint64_t epoch) {
   running_job& rj = *it;
   const double now = engine_.now();
   accrue_governed(rj, now);
-  ++governor_ticks_;
+  ++summary_.governor_ticks;
   SYNERGY_COUNTER_ADD("cluster.governor_ticks", 1);
 
   // Drift may have switched on since the segment opened: refresh observed
@@ -575,7 +595,7 @@ void simulator::governor_tick(int job_id, std::uint64_t epoch) {
   const auto before = rj.gov->current();
   const auto decided = rj.gov->decide(sample);
   if (decided.value != before.value) {
-    ++governor_clock_changes_;
+    ++summary_.governor_clock_changes;
     SYNERGY_COUNTER_ADD("cluster.governor_clock_changes", 1);
     // Re-price the rest of the job at the new clock. Work completed so far
     // is banked in frac_done; only the remaining fraction runs at the new
@@ -597,14 +617,10 @@ void simulator::governor_tick(int job_id, std::uint64_t epoch) {
       rj.cur_duration_full > 0.0 ? (1.0 - rj.frac_done) * rj.cur_duration_full : 0.0;
   for (const auto& s : rj.gpus) slots_[s.node][s.gpu].busy_until = now + remaining;
   const double tick = std::max(1e-3, config_.governor.tick_interval_s);
-  const int id = job_id;
-  if (remaining <= tick + 1e-9) {
-    rj.event_t = now + std::max(0.0, remaining);
-    rj.event_seq = engine_.at(rj.event_t, [this, id, epoch] { complete(id, epoch); });
-  } else {
-    rj.event_t = now + tick;
-    rj.event_seq = engine_.at(rj.event_t, [this, id, epoch] { governor_tick(id, epoch); });
-  }
+  if (remaining <= tick + 1e-9)
+    schedule(now + std::max(0.0, remaining), event_kind::completion, job_id, epoch);
+  else
+    schedule(now + tick, event_kind::governor_tick, job_id, epoch);
   sample_power();
 }
 
@@ -647,7 +663,7 @@ std::size_t simulator::drain_node(std::size_t ni) {
       busy_gpu_seconds_ -= (rj.duration - elapsed) * rj.job.n_gpus;
       wasted = rj.energy_j * done;
     }
-    wasted_energy_j_ += wasted;
+    summary_.wasted_gpu_energy_j += wasted;
     // The partial execution's joules were spent and bought nothing: book
     // them as fault-wasted so the watchdog's wasted_energy_j rule sees the
     // incident on the next scrape.
@@ -659,7 +675,7 @@ std::size_t simulator::drain_node(std::size_t ni) {
     r.start_s = -1.0;
     r.core_mhz = 0.0;
     ++r.requeues;
-    ++requeues_;
+    ++summary_.requeues;
     SYNERGY_COUNTER_ADD("cluster.requeues", 1);
     SYNERGY_INSTANT(tel::category::sched, "cluster.requeue",
                     {"id", static_cast<double>(rj.id)},
@@ -671,10 +687,10 @@ std::size_t simulator::drain_node(std::size_t ni) {
 
 void simulator::rebuild_budget() {
   // The budget is sized to the inventory, so node removal/re-admission
-  // rebuilds it from scratch; counters fold into the base so run totals
+  // rebuilds it from scratch; counters fold into the summary so run totals
   // survive the swap, and running jobs re-register their demand.
-  budget_rebalances_base_ += budget_->rebalances();
-  budget_demotions_base_ += budget_->demotions();
+  summary_.cap_rebalances += budget_->rebalances();
+  summary_.cap_demotions += budget_->demotions();
   budget_ = std::make_unique<power_budget>(*ctl_, config_.facility_cap_w);
   for (const auto& rj : running_)
     for (const auto& s : rj.gpus) budget_->gpu_busy(s.node, s.gpu, rj.avg_power_w);
@@ -702,13 +718,13 @@ void simulator::device_lost(const std::string& node_name) {
       break;
     }
   if (ni >= slots_.size() || slots_.size() <= 1 ||
-      nodes_lost_ >= config_.faults.max_node_losses)
+      summary_.nodes_lost >= config_.faults.max_node_losses)
     return;
   integrate_to_now();
 
   [[maybe_unused]] const std::size_t requeued = drain_node(ni);
   if (remove_node_and_rebuild(ni)) {
-    ++nodes_lost_;
+    ++summary_.nodes_lost;
     SYNERGY_COUNTER_ADD("cluster.nodes_lost", 1);
     SYNERGY_INSTANT(tel::category::sched, "cluster.device_lost",
                     {"node", static_cast<double>(ni)},
@@ -720,13 +736,7 @@ void simulator::device_lost(const std::string& node_name) {
   sample_power();
 }
 
-void simulator::node_crash(std::uint64_t event_id) {
-  const auto it =
-      std::find_if(pending_crashes_.begin(), pending_crashes_.end(),
-                   [event_id](const pending_node_event& e) { return e.id == event_id; });
-  if (it == pending_crashes_.end()) return;
-  last_live_t_ = engine_.now();
-  pending_crashes_.erase(it);
+void simulator::node_crash() {
   // At least one node always survives; a skipped crash consumes no RNG so
   // the victim stream stays aligned across replays regardless of timing.
   if (slots_.size() <= 1) return;
@@ -737,17 +747,14 @@ void simulator::node_crash(std::uint64_t event_id) {
   const std::string name = ctl_->node_at(ni).name();
   [[maybe_unused]] const std::size_t requeued = drain_node(ni);
   if (remove_node_and_rebuild(ni)) {
-    ++node_crashes_;
+    ++summary_.node_crashes;
     SYNERGY_COUNTER_ADD("cluster.node_crashes", 1);
     SYNERGY_INSTANT(tel::category::sched, "cluster.node_crash",
                     {"node", static_cast<double>(ni)},
                     {"requeued", static_cast<double>(requeued)});
-    if (config_.chaos.restart_delay_s > 0.0) {
-      const std::uint64_t eid = next_node_event_id_++;
-      const double t = engine_.now() + config_.chaos.restart_delay_s;
-      const std::uint64_t seq = engine_.at(t, [this, eid] { node_restart(eid); });
-      pending_restarts_.push_back({eid, t, seq, name});
-    }
+    if (config_.chaos.restart_delay_s > 0.0)
+      schedule(engine_.now() + config_.chaos.restart_delay_s, event_kind::node_restart,
+               static_cast<std::int64_t>(node_ordinal(name)));
   }
 
   budget_->rebalance();
@@ -755,24 +762,17 @@ void simulator::node_crash(std::uint64_t event_id) {
   sample_power();
 }
 
-void simulator::node_restart(std::uint64_t event_id) {
-  const auto it =
-      std::find_if(pending_restarts_.begin(), pending_restarts_.end(),
-                   [event_id](const pending_node_event& e) { return e.id == event_id; });
-  if (it == pending_restarts_.end()) return;
-  last_live_t_ = engine_.now();
-  const std::string name = it->node;
-  pending_restarts_.erase(it);
+void simulator::node_restart(std::size_t ordinal) {
   integrate_to_now();
 
   // Warm restart: the node returns with fresh idle slots (whatever ran there
   // was requeued at crash time), is appended to the inventory — append never
   // shifts existing indices — and the budget re-spreads over the grown
   // fleet before an immediate scheduling pass picks up deferred work.
-  ctl_->add_node(make_node_config(name));
+  ctl_->add_node(make_node_config(node_name(ordinal)));
   slots_.emplace_back(config_.gpus_per_node, slot_state{});
   rebuild_budget();
-  ++node_restarts_;
+  ++summary_.node_restarts;
   SYNERGY_COUNTER_ADD("cluster.node_restarts", 1);
   SYNERGY_INSTANT(tel::category::sched, "cluster.node_restart",
                   {"node", static_cast<double>(slots_.size() - 1)});
@@ -796,7 +796,7 @@ void simulator::try_schedule() {
         // re-runs this scan at the next price boundary. Counted per
         // deferral episode (a requeued job may defer again).
         if (econ_deferred_ids_.insert(queue_[i].job.id).second) {
-          ++econ_jobs_deferred_;
+          ++summary_.econ_jobs_deferred;
           SYNERGY_COUNTER_ADD("cluster.econ_deferrals", 1);
         }
         continue;
@@ -829,7 +829,7 @@ void simulator::try_schedule() {
       }
       if (price_demoted) {
         pl->plan_cause = obs::cause::econ_price_demoted;
-        ++econ_price_demotions_;
+        ++summary_.econ_price_demotions;
         SYNERGY_COUNTER_ADD("cluster.econ_price_demotions", 1);
       }
       pl->config = config;
@@ -840,72 +840,32 @@ void simulator::try_schedule() {
   }
 }
 
-void simulator::schedule_arrival(const job_trace& trace, std::size_t index, double t) {
-  const traced_job job = trace.jobs[index];
-  arrival_seq_[index] = engine_.at(t, [this, job, index] {
-    arrived_[index] = 1;
-    --arrivals_pending_;
-    arrive(job);
-  });
-}
-
-bool simulator::has_live_work() const {
-  return arrivals_pending_ > 0 || !running_.empty() || !pending_faults_.empty() ||
-         !pending_crashes_.empty() || !pending_restarts_.empty();
-}
-
 run_summary simulator::run(const job_trace& trace) {
-  // Reset per-run state so one simulator can replay several traces. A
-  // previous faulty run may have removed nodes — restore the full inventory.
-  if (ctl_->node_count() != config_.n_nodes) rebuild_controller();
-  engine_ = event_engine{};
+  // Reset per-run state so one simulator can replay several traces. The
+  // inventory is rebuilt too: a previous run may have removed nodes, or
+  // re-admitted restarted ones at the end, which permutes the node order.
+  rebuild_controller();
+  engine_ = sim_engine{};
+  trace_ = &trace;
+  live_events_ = 0;
   budget_ = std::make_unique<power_budget>(*ctl_, config_.facility_cap_w);
   slots_.assign(config_.n_nodes, std::vector<slot_state>(config_.gpus_per_node));
   queue_.clear();
   running_.clear();
   results_.clear();
   power_samples_.clear();
+  summary_ = run_summary{};
   last_integrated_s_ = 0.0;
   last_live_t_ = 0.0;
-  facility_energy_j_ = 0.0;
   busy_gpu_seconds_ = 0.0;
-  peak_power_w_ = 0.0;
   fault_rng_ = common::pcg32{config_.faults.seed};
-  recovery_was_quarantined_ = false;
-  quarantines_ = 0;
-  promotions_ = 0;
-  rollbacks_ = 0;
-  next_epoch_ = 0;
-  clock_set_faults_ = 0;
-  degraded_samples_ = 0;
-  requeues_ = 0;
-  nodes_lost_ = 0;
-  wasted_energy_j_ = 0.0;
-  governor_ticks_ = 0;
-  governor_clock_changes_ = 0;
-  budget_rebalances_base_ = 0;
-  budget_demotions_base_ = 0;
   chaos_rng_ = common::pcg32{config_.chaos.seed};
-  node_crashes_ = 0;
-  node_restarts_ = 0;
-  pending_faults_.clear();
-  pending_crashes_.clear();
-  pending_restarts_.clear();
-  next_node_event_id_ = 0;
-  arrival_seq_.assign(trace.jobs.size(), 0);
-  arrived_.assign(trace.jobs.size(), 0);
-  arrivals_pending_ = trace.jobs.size();
-  next_scrape_t_ = -1.0;
-  next_scrape_seq_ = 0;
+  recovery_was_quarantined_ = false;
+  next_epoch_ = 0;
   scrape_ticks_ = 0;
   econ_meter_ = econ::cost_meter{config_.econ, config_.n_nodes};
   econ_deferred_ids_.clear();
-  econ_jobs_deferred_ = 0;
-  econ_price_demotions_ = 0;
-  next_econ_t_ = -1.0;
-  next_econ_seq_ = 0;
   ckpt_index_ = 0;
-  next_ckpt_t_ = -1.0;
   trace_crc_ = 0;
   restored_ = false;
 
@@ -920,21 +880,16 @@ run_summary simulator::run(const job_trace& trace) {
     r.n_gpus = job.n_gpus;
     r.submit_s = job.submit_s;
     results_.push_back(std::move(r));
-    schedule_arrival(trace, i, job.submit_s);
+    schedule(job.submit_s, event_kind::arrival, static_cast<std::int64_t>(i));
   }
   sample_power();
-  if (config_.obs_scrape_interval_s > 0.0) {
-    next_scrape_t_ = config_.obs_scrape_interval_s;
-    next_scrape_seq_ = engine_.at(next_scrape_t_, [this] { scrape_tick(); });
-  }
+  if (config_.obs_scrape_interval_s > 0.0)
+    schedule(config_.obs_scrape_interval_s, event_kind::scrape);
   if (econ_meter_.active()) {
     // First econ wake-up at the first price boundary (a constant trace has
     // none — nothing can defer, so no tick stream at all).
     const double first = config_.econ.price.next_change_after(0.0);
-    if (first > 0.0) {
-      next_econ_t_ = first;
-      next_econ_seq_ = engine_.at(next_econ_t_, [this] { econ_tick(); });
-    }
+    if (first > 0.0) schedule(first, event_kind::econ);
   }
   if (config_.chaos.enabled()) {
     // All crash times are drawn up-front from the chaos stream (cumulative
@@ -944,31 +899,19 @@ run_summary simulator::run(const job_trace& trace) {
     double t = 0.0;
     for (std::size_t k = 0; k < config_.chaos.max_crashes; ++k) {
       t += -config_.chaos.mtbf_s * std::log1p(-chaos_rng_.uniform());
-      const std::uint64_t eid = next_node_event_id_++;
-      const std::uint64_t seq = engine_.at(t, [this, eid] { node_crash(eid); });
-      pending_crashes_.push_back({eid, t, seq, ""});
+      schedule(t, event_kind::node_crash);
     }
   }
   if (ckpt_enabled_) {
     trace_crc_ = common::crc32(trace.to_csv());
-    if (ckpt_.interval_s > 0.0) {
-      next_ckpt_t_ = ckpt_.interval_s;
-      engine_.at(next_ckpt_t_, [this] { checkpoint_tick(); });
-    }
-    if (ckpt_.crash_at_s >= 0.0)
-      engine_.at(ckpt_.crash_at_s, [] {
-        // Crash-injection harness: die hard, skipping destructors and
-        // atexit, exactly like an OOM-kill would — whatever the last
-        // checkpoint captured is all a resume gets.
-        std::fflush(nullptr);
-        std::_Exit(crash_injection_exit_code);
-      });
+    if (ckpt_.interval_s > 0.0) schedule(ckpt_.interval_s, event_kind::checkpoint);
+    if (ckpt_.crash_at_s >= 0.0) schedule(ckpt_.crash_at_s, event_kind::crash_injection);
   }
-  return finish_run(trace);
+  return finish_run();
 }
 
-run_summary simulator::finish_run(const job_trace& trace) {
-  engine_.run();
+run_summary simulator::finish_run() {
+  engine_.run([this](const sim_event& e) { dispatch(e); });
   // Close accounting at the last live event, not engine_.now(): the drained
   // clock can sit on a trailing inert event (a checkpoint tick scheduled
   // before the work ran dry, or a stale completion of a requeued job) whose
@@ -976,7 +919,7 @@ run_summary simulator::finish_run(const job_trace& trace) {
   // byte-identical output with checkpointing on or off.
   if (last_live_t_ > last_integrated_s_) {
     const double w = budget_->facility_power_w();
-    facility_energy_j_ += w * (last_live_t_ - last_integrated_s_);
+    summary_.facility_energy_j += w * (last_live_t_ - last_integrated_s_);
     if (econ_meter_.active()) econ_meter_.integrate(w, last_integrated_s_, last_live_t_);
     last_integrated_s_ = last_live_t_;
   }
@@ -998,8 +941,8 @@ run_summary simulator::finish_run(const job_trace& trace) {
   }
   queue_.clear();
 
-  run_summary s;
-  s.seed = trace.seed;
+  run_summary s = summary_;
+  s.seed = trace_->seed;
   s.policy = policy_->name();
   s.jobs = results_.size();
   std::vector<double> waits;
@@ -1013,7 +956,6 @@ run_summary simulator::finish_run(const job_trace& trace) {
       ++s.failed;
     }
   }
-  s.facility_energy_j = facility_energy_j_;
   if (!waits.empty()) {
     s.mean_wait_s = common::mean(waits);
     s.p50_wait_s = common::percentile(waits, 50.0);
@@ -1026,28 +968,13 @@ run_summary simulator::finish_run(const job_trace& trace) {
                         (static_cast<double>(config_.n_nodes * config_.gpus_per_node) *
                          s.makespan_s);
   }
-  s.peak_facility_power_w = peak_power_w_;
-  s.cap_rebalances = budget_rebalances_base_ + budget_->rebalances();
-  s.cap_demotions = budget_demotions_base_ + budget_->demotions();
-  s.clock_set_faults = clock_set_faults_;
-  s.degraded_samples = degraded_samples_;
-  s.requeues = requeues_;
-  s.nodes_lost = nodes_lost_;
-  s.wasted_gpu_energy_j = wasted_energy_j_;
-  s.node_crashes = node_crashes_;
-  s.node_restarts = node_restarts_;
-  s.quarantines = quarantines_;
-  s.promotions = promotions_;
-  s.rollbacks = rollbacks_;
-  s.governor_ticks = governor_ticks_;
-  s.governor_clock_changes = governor_clock_changes_;
+  s.cap_rebalances += budget_->rebalances();
+  s.cap_demotions += budget_->demotions();
   s.econ_cost_usd = econ_meter_.total_cost_usd();
   s.econ_capex_usd = econ_meter_.capex_usd();
   s.econ_carbon_g = econ_meter_.facility_carbon_g();
   s.econ_cost_per_job_usd = econ_meter_.cost_per_job_usd();
   s.econ_carbon_per_job_g = econ_meter_.carbon_per_job_g();
-  s.econ_jobs_deferred = econ_jobs_deferred_;
-  s.econ_price_demotions = econ_price_demotions_;
   return s;
 }
 
@@ -1073,13 +1000,8 @@ void simulator::econ_tick() {
   // engine's tie-break sequence stays deterministic.
   if (waiting || has_live_work()) {
     const double next = config_.econ.price.next_change_after(engine_.now());
-    if (next > engine_.now()) {
-      next_econ_t_ = next;
-      next_econ_seq_ = engine_.at(next_econ_t_, [this] { econ_tick(); });
-      return;
-    }
+    if (next > engine_.now()) schedule(next, event_kind::econ);
   }
-  next_econ_t_ = -1.0;
 }
 
 void simulator::scrape_tick() {
@@ -1091,12 +1013,8 @@ void simulator::scrape_tick() {
   // Reschedule only while the run still has live work: keying off engine
   // emptiness would let the scrape and checkpoint tick streams keep each
   // other alive forever.
-  if (has_live_work()) {
-    next_scrape_t_ = engine_.now() + config_.obs_scrape_interval_s;
-    next_scrape_seq_ = engine_.at(next_scrape_t_, [this] { scrape_tick(); });
-  } else {
-    next_scrape_t_ = -1.0;
-  }
+  if (has_live_work())
+    schedule(engine_.now() + config_.obs_scrape_interval_s, event_kind::scrape);
 }
 
 void simulator::attach_observability(std::shared_ptr<obs::slo_watchdog> watchdog,
@@ -1190,39 +1108,60 @@ void run_summary::print(std::ostream& os) const {
   table.print(os);
 }
 
+std::span<const run_summary::field> run_summary::fields() {
+  using s = run_summary;
+  static const field table[] = {
+      {"jobs", &s::jobs},
+      {"completed", &s::completed},
+      {"failed", &s::failed},
+      {"makespan_s", &s::makespan_s},
+      {"throughput_jobs_per_h", &s::throughput_jobs_per_h},
+      {"gpu_energy_j", &s::total_gpu_energy_j},
+      {"facility_energy_j", &s::facility_energy_j},
+      {"mean_wait_s", &s::mean_wait_s},
+      {"p50_wait_s", &s::p50_wait_s},
+      {"p95_wait_s", &s::p95_wait_s},
+      {"max_wait_s", &s::max_wait_s},
+      {"gpu_utilization", &s::gpu_utilization},
+      {"peak_facility_power_w", &s::peak_facility_power_w},
+      {"cap_rebalances", &s::cap_rebalances},
+      {"cap_demotions", &s::cap_demotions},
+      {"clock_set_faults", &s::clock_set_faults},
+      {"degraded_samples", &s::degraded_samples},
+      {"requeues", &s::requeues},
+      {"nodes_lost", &s::nodes_lost},
+      {"wasted_gpu_energy_j", &s::wasted_gpu_energy_j},
+      {"node_crashes", &s::node_crashes},
+      {"node_restarts", &s::node_restarts},
+      {"quarantines", &s::quarantines},
+      {"promotions", &s::promotions},
+      {"rollbacks", &s::rollbacks},
+      {"governor_ticks", &s::governor_ticks},
+      {"governor_clock_changes", &s::governor_clock_changes},
+      {"econ_cost_usd", &s::econ_cost_usd},
+      {"econ_capex_usd", &s::econ_capex_usd},
+      {"econ_carbon_g", &s::econ_carbon_g},
+      {"econ_cost_per_job_usd", &s::econ_cost_per_job_usd},
+      {"econ_carbon_per_job_g", &s::econ_carbon_per_job_g},
+      {"econ_jobs_deferred", &s::econ_jobs_deferred},
+      {"econ_price_demotions", &s::econ_price_demotions},
+  };
+  return table;
+}
+
 void run_summary::csv(std::ostream& os, bool with_header) const {
   common::csv_writer csv{os};
   if (with_header) {
     os << "# seed=" << seed << " policy=" << policy << '\n';
-    csv.row({"policy", "seed", "jobs", "completed", "failed", "makespan_s",
-             "throughput_jobs_per_h", "gpu_energy_j", "facility_energy_j", "mean_wait_s",
-             "p50_wait_s", "p95_wait_s", "max_wait_s", "gpu_utilization",
-             "peak_facility_power_w", "cap_rebalances", "cap_demotions",
-             "clock_set_faults", "degraded_samples", "requeues", "nodes_lost",
-             "wasted_gpu_energy_j", "node_crashes", "node_restarts", "quarantines",
-             "promotions", "rollbacks", "governor_ticks", "governor_clock_changes",
-             "econ_cost_usd", "econ_capex_usd", "econ_carbon_g", "econ_cost_per_job_usd",
-             "econ_carbon_per_job_g", "econ_jobs_deferred", "econ_price_demotions"});
+    std::vector<std::string> header{"policy", "seed"};
+    for (const auto& f : fields()) header.emplace_back(f.name);
+    csv.row(header);
   }
-  csv.row({policy, std::to_string(seed), std::to_string(jobs), std::to_string(completed),
-           std::to_string(failed), common::csv_writer::num(makespan_s),
-           common::csv_writer::num(throughput_jobs_per_h),
-           common::csv_writer::num(total_gpu_energy_j),
-           common::csv_writer::num(facility_energy_j), common::csv_writer::num(mean_wait_s),
-           common::csv_writer::num(p50_wait_s), common::csv_writer::num(p95_wait_s),
-           common::csv_writer::num(max_wait_s), common::csv_writer::num(gpu_utilization),
-           common::csv_writer::num(peak_facility_power_w), std::to_string(cap_rebalances),
-           std::to_string(cap_demotions), std::to_string(clock_set_faults),
-           std::to_string(degraded_samples), std::to_string(requeues),
-           std::to_string(nodes_lost), common::csv_writer::num(wasted_gpu_energy_j),
-           std::to_string(node_crashes), std::to_string(node_restarts),
-           std::to_string(quarantines), std::to_string(promotions),
-           std::to_string(rollbacks), std::to_string(governor_ticks),
-           std::to_string(governor_clock_changes), common::csv_writer::num(econ_cost_usd),
-           common::csv_writer::num(econ_capex_usd), common::csv_writer::num(econ_carbon_g),
-           common::csv_writer::num(econ_cost_per_job_usd),
-           common::csv_writer::num(econ_carbon_per_job_g),
-           std::to_string(econ_jobs_deferred), std::to_string(econ_price_demotions)});
+  std::vector<std::string> row{policy, std::to_string(seed)};
+  for (const auto& f : fields())
+    row.push_back(f.count ? std::to_string(this->*f.count)
+                          : common::csv_writer::num(this->*f.value));
+  csv.row(row);
 }
 
 plan_fn make_suite_planner(const std::string& device) {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -94,8 +95,9 @@ std::string mutate(const std::string& text, pcg32& rng) {
 }
 
 /// The replay every test here checkpoints: faults AND node chaos enabled, so
-/// the serialized state exercises all event registries (pending faults,
-/// crashes, restarts, requeues) rather than just arrivals and completions.
+/// the serialized event heap holds every kind of pending event (device
+/// faults, crashes, restarts, requeued jobs' stale completions) rather than
+/// just arrivals and completions.
 sc::cluster_config chaotic_config() {
   sc::cluster_config cc;
   cc.n_nodes = 6;
@@ -113,12 +115,50 @@ sc::cluster_config chaotic_config() {
   return cc;
 }
 
-sc::job_trace chaotic_trace() {
+/// `deferrable_fraction` > 0 marks jobs the cost policy may shift; at 0 the
+/// generator draws nothing extra and the trace is the plain chaotic one.
+sc::job_trace chaotic_trace(double deferrable_fraction = 0.0) {
   sc::trace_config tc;
   tc.n_jobs = 80;
   tc.seed = 7;
   tc.gpu_mix = {1, 1, 2, 2, 4};  // jobs must still fit a degraded inventory
+  tc.deferrable_fraction = deferrable_fraction;
+  tc.deadline_slack_s = 600.0;
   return sc::generate_trace(tc);
+}
+
+/// A replay the resume sweep checkpoints, by name:
+///  - "chaotic": chaotic_config() under the energy policy;
+///  - "econ_capped": the same faults and chaos under the cost policy, with a
+///    periodic two-step tariff, deferrable jobs and a binding facility cap,
+///    so econ ticks, deferrals and cap demotions are in flight throughout.
+struct replay_case {
+  sc::cluster_config cc;
+  sc::job_trace trace;
+  /// A fresh policy for this case. The cost policy reads `cc.econ`, so the
+  /// case must outlive every simulator built on it.
+  std::unique_ptr<sc::scheduling_policy> policy() const {
+    const auto plan = sc::make_suite_planner(cc.device);
+    return cc.econ.enabled ? sc::make_cost_aware(&cc.econ, plan) : sc::make_energy_aware(plan);
+  }
+};
+
+replay_case replay_named(const std::string& name) {
+  replay_case rc{chaotic_config(), chaotic_trace()};
+  if (name == "econ_capped") {
+    const auto two_step = [](double high, double low) {
+      return synergy::econ::step_trace{{{0.0, high}, {100.0, low}}, 200.0};
+    };
+    rc.cc.econ.enabled = true;
+    rc.cc.econ.capex_usd_per_node_hour = 0.05;
+    rc.cc.econ.price = two_step(0.30, 0.05);
+    rc.cc.econ.carbon = two_step(600.0, 100.0);
+    rc.cc.econ.defer_price_ratio = 1.0;
+    rc.cc.econ.demote_price_ratio = 1.3;
+    rc.cc.facility_cap_w = 5000.0;
+    rc.trace = chaotic_trace(0.5);
+  }
+  return rc;
 }
 
 std::string csv_of(const sc::run_summary& summary) {
@@ -194,20 +234,29 @@ TEST_F(checkpoint_test, PeriodicCheckpointingDoesNotPerturbTheReplay) {
 
 // ------------------------------------------------ resume byte-identity ----
 
-TEST_F(checkpoint_test, EveryMidRunCheckpointResumesByteIdentical) {
-  const auto trace = chaotic_trace();
-  const auto cc = chaotic_config();
+class resume_sweep : public checkpoint_test,
+                     public ::testing::WithParamInterface<std::string> {};
 
-  sc::simulator ref{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+TEST_P(resume_sweep, EveryMidRunCheckpointResumesByteIdentical) {
+  const auto rc = replay_named(GetParam());
+  const auto& trace = rc.trace;
+  const auto& cc = rc.cc;
+
+  sc::simulator ref{cc, rc.policy()};
   const auto summary_ref = ref.run(trace);
   const auto csv_ref = csv_of(summary_ref);
   const auto json_ref = ledger_json();
   ASSERT_EQ(summary_ref.completed + summary_ref.failed, trace.jobs.size());
+  if (cc.econ.enabled) {
+    ASSERT_GT(summary_ref.econ_jobs_deferred, 0u);
+    ASSERT_GT(summary_ref.econ_price_demotions, 0u);
+    ASSERT_GT(summary_ref.cap_demotions, 0u);
+  }
 
-  const auto dir = temp_dir("synergy_ckpt_resume");
+  const auto dir = temp_dir(("synergy_ckpt_resume_" + GetParam()).c_str());
   reset_globals();
   {
-    sc::simulator sim{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+    sc::simulator sim{cc, rc.policy()};
     sc::checkpoint_options opts;
     opts.interval_s = 20.0;
     opts.dir = dir;
@@ -226,7 +275,7 @@ TEST_F(checkpoint_test, EveryMidRunCheckpointResumesByteIdentical) {
     obs::energy_ledger::instance().charge({"stale", "V100", "job", "k"},
                                           obs::cause::idle, 1234.5);
 
-    sc::simulator resumed{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+    sc::simulator resumed{cc, rc.policy()};
     enable_restore(resumed);
     const auto st = resumed.restore_checkpoint(payload.value(), trace);
     ASSERT_TRUE(st.ok()) << file << ": " << st.err().message;
@@ -246,6 +295,35 @@ TEST_F(checkpoint_test, EveryMidRunCheckpointResumesByteIdentical) {
   }
 
   std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(Replays, resume_sweep, ::testing::Values("chaotic", "econ_capped"),
+                         [](const auto& info) { return info.param; });
+
+// ------------------------------------------------ repeated runs ----
+
+TEST_F(checkpoint_test, SecondRunOnOneSimulatorReplaysTheFirst) {
+  const auto trace = chaotic_trace();
+  auto cc = chaotic_config();
+  cc.faults.device_lost_rate = 0.0;  // only crashes, and every one restarts
+  sc::simulator sim{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+  reset_globals();  // drop the planner compile's metrics from the snapshot
+
+  const auto csv_first = csv_of(sim.run(trace));
+  const auto json_first = ledger_json();
+  // The run ends with the full node count, but restarted nodes re-joined at
+  // the back of the inventory.
+  ASSERT_EQ(sim.controller().node_count(), cc.n_nodes);
+  bool reordered = false;
+  for (std::size_t i = 0; i < cc.n_nodes; ++i)
+    reordered |= sim.controller().node_at(i).name() != "cn00" + std::to_string(i);
+  ASSERT_TRUE(reordered);
+
+  // The second run starts from the configured inventory, so every ledger
+  // charge lands on the same node names as the first run's.
+  reset_globals();
+  EXPECT_EQ(csv_of(sim.run(trace)), csv_first);
+  EXPECT_EQ(ledger_json(), json_first);
 }
 
 // -------------------------------------------- chaos conserves the ledger ----
@@ -341,6 +419,51 @@ TEST_F(checkpoint_test, RestoreRejectsWrongTraceAndWrongCluster) {
     const auto st = fresh.restore_checkpoint(payload.value(), trace);
     ASSERT_FALSE(st.ok());
     EXPECT_NE(st.err().message.find("fingerprint"), std::string::npos) << st.err().message;
+  }
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(checkpoint_test, RestoreRejectsJobIdsThatAreNotInTheTrace) {
+  const auto trace = chaotic_trace();
+  const auto cc = chaotic_config();
+  const auto dir = temp_dir("synergy_ckpt_ids");
+  sc::simulator sim{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+  sc::checkpoint_options opts;
+  opts.interval_s = 20.0;
+  opts.dir = dir;
+  sim.set_checkpointing(std::move(opts));
+  (void)sim.run(trace);
+
+  // An artefact with both a running and a queued job.
+  std::string payload;
+  for (const auto& file : checkpoint_files(dir)) {
+    const auto p = sc::read_checkpoint_payload(file);
+    ASSERT_TRUE(p.has_value());
+    if (p.value().find("\nrunj ") != std::string::npos &&
+        p.value().find("\nq ") != std::string::npos) {
+      payload = p.value();
+      break;
+    }
+  }
+  ASSERT_FALSE(payload.empty()) << "no artefact with running and queued jobs";
+
+  // Swap the job id leading the first row of `tag` for one the trace lacks:
+  // still a well-formed payload, as a re-sealed artefact would be.
+  const auto with_foreign_id = [&payload](const std::string& tag) {
+    std::string bad = payload;
+    const auto row = bad.find("\n" + tag + " ") + tag.size() + 2;
+    bad.replace(row, bad.find(' ', row) - row, "999999");
+    return bad;
+  };
+  for (const std::string section : {"runj", "q"}) {
+    reset_globals();
+    sc::simulator fresh{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+    enable_restore(fresh);
+    const auto st = fresh.restore_checkpoint(with_foreign_id(section), trace);
+    ASSERT_FALSE(st.ok()) << section;
+    const std::string named = section == "q" ? "queue" : "running";
+    EXPECT_NE(st.err().message.find(named), std::string::npos) << st.err().message;
   }
 
   std::filesystem::remove_all(dir);

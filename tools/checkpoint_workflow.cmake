@@ -23,8 +23,9 @@ file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
 # Node-level chaos (two crashes, warm restarts) plus device faults, so the
-# checkpoints carry every event registry — arrivals, completions, faults,
-# crashes, restarts — not just a quiet queue.
+# checkpointed event heap holds every kind of pending event — arrivals,
+# completions, faults, crashes, restarts, scrape and econ ticks — not just a
+# quiet queue.
 set(common_args --nodes 8 --gpus 4 --jobs 120 --seed 7 --mean-interarrival 2
                 --policy cost --econ --capex 1.2 --deferrable 0.3
                 --faults 0.02 --fault-device-lost 0.01 --fault-max-losses 2
