@@ -21,21 +21,8 @@ guarded_planner::guarded_planner(gpusim::device_spec spec,
 plan_decision guarded_planner::plan(const std::string& kernel,
                                     const gpusim::static_features& k,
                                     const metrics::target& target) const {
-#if SYNERGY_TELEMETRY_ENABLED
-  // Plan latency feeds the snapshot's p50/p99 (wall clock, so the
-  // instrument is on the exporter's volatile list — Prometheus only).
-  struct latency_probe {
-    std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
-    ~latency_probe() {
-      const double us = std::chrono::duration<double, std::micro>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      SYNERGY_HISTOGRAM_OBSERVE("planner.plan_latency_us", us, 0.1, 1.0, 10.0, 100.0,
-                                1000.0, 10000.0);
-    }
-  } probe_latency;
-#endif
-  return plan_impl(kernel, k, target);
+  const plan_request req{kernel, k, target};
+  return std::move(plan_batch({&req, 1}).front());
 }
 
 void guarded_planner::fall_through(plan_decision& out, const std::string& kernel,
@@ -49,14 +36,9 @@ void guarded_planner::fall_through(plan_decision& out, const std::string& kernel
                       {"ood", out.ood ? 1.0 : 0.0});
       out.config = *entry;
       // A stale artefact may carry clocks this device cannot run; snap them.
-      if (!spec_.supports_core_clock(out.config.core)) {
-        out.config.core = spec_.nearest_core_clock(out.config.core);
+      if (clamp_to_table(spec_, out.config)) {
         out.clamped = true;
         SYNERGY_COUNTER_ADD("planner.clock_clamped", 1);
-      }
-      if (!spec_.supports_memory_clock(out.config.memory)) {
-        out.config.memory = spec_.memory_clock;
-        out.clamped = true;
       }
       out.tier = plan_tier::tuning_table;
       return;
@@ -73,83 +55,42 @@ void guarded_planner::fall_through(plan_decision& out, const std::string& kernel
   out.tier = plan_tier::default_clocks;
 }
 
-plan_decision guarded_planner::plan_impl(const std::string& kernel,
-                                         const gpusim::static_features& k,
-                                         const metrics::target& target) const {
-  SYNERGY_COUNTER_ADD("planner.plans", 1);
-  plan_decision out;
-
-  // Tier 1: the guarded model.
-  bool probe = false;
-  if (planner_) {
-    if (drift_.quarantined()) {
-      // Atomic fetch-add keeps the probe cadence exact under concurrency:
-      // every Nth quarantined plan probes, no matter how calls interleave.
-      const std::size_t count =
-          quarantine_rejections_.fetch_add(1, std::memory_order_relaxed) + 1;
-      SYNERGY_COUNTER_ADD("planner.quarantine_rejections", 1);
-      out.reason = "model set quarantined: " + drift_.quarantine_reason();
-      // A deterministic minority of quarantined plans skips the table tier
-      // so retraining evidence gains default-clock samples (see
-      // set_quarantine_probe_every).
-      const std::size_t every = quarantine_probe_every_.load(std::memory_order_relaxed);
-      probe = every > 0 && count % every == 0;
-      if (probe) {
-        quarantine_probes_.fetch_add(1, std::memory_order_relaxed);
-        out.probe = true;
-        SYNERGY_COUNTER_ADD("planner.quarantine_probes", 1);
-      }
-    } else {
-      auto guarded = planner_->plan_guarded(k, target);
-      out.ood = guarded.ood;
-      out.clamped = guarded.clamped;
-      if (guarded.usable()) {
-        model_plans_.fetch_add(1, std::memory_order_relaxed);
-        SYNERGY_COUNTER_ADD("planner.plan_model", 1);
-        if (guarded.clamped) SYNERGY_COUNTER_ADD("planner.clock_clamped", 1);
-        out.config = *guarded.config;
-        out.tier = plan_tier::model;
-        return out;
-      }
-      if (guarded.ood) {
-        ood_rejections_.fetch_add(1, std::memory_order_relaxed);
-        SYNERGY_COUNTER_ADD("planner.ood_rejections", 1);
-      } else {
-        prediction_rejections_.fetch_add(1, std::memory_order_relaxed);
-        SYNERGY_COUNTER_ADD("planner.prediction_rejections", 1);
-      }
-      out.reason = guarded.reason;
-    }
-  } else {
-    out.reason = "no model set loaded";
-  }
-
-  fall_through(out, kernel, target, probe);
-  return out;
-}
-
 std::vector<plan_decision> guarded_planner::plan_batch(
     std::span<const plan_request> reqs) const {
   std::vector<plan_decision> out(reqs.size());
   if (reqs.empty()) return out;
 #if SYNERGY_TELEMETRY_ENABLED
+  // Plan latency feeds the snapshot's p50/p99, one observation per call
+  // (wall clock, so the instrument is on the exporter's volatile list).
   struct latency_probe {
     std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
     ~latency_probe() {
       const double us = std::chrono::duration<double, std::micro>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
-      SYNERGY_HISTOGRAM_OBSERVE("planner.plan_batch_latency_us", us, 1.0, 10.0, 100.0,
-                                1000.0, 10000.0, 100000.0);
+      SYNERGY_HISTOGRAM_OBSERVE("planner.plan_latency_us", us, 0.1, 1.0, 10.0, 100.0,
+                                1000.0, 10000.0);
     }
   } probe_latency;
 #endif
   SYNERGY_COUNTER_ADD("planner.plans", static_cast<std::int64_t>(reqs.size()));
 
-  if (planner_ && drift_.quarantined()) {
-    // One quarantine check and one counter fetch-add cover the whole batch;
+  // Tier 1: the guarded model.
+  if (!planner_) {
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      out[i].reason = "no model set loaded";
+      fall_through(out[i], reqs[i].kernel, reqs[i].target, /*probe=*/false);
+    }
+    return out;
+  }
+
+  if (drift_.quarantined()) {
+    // One quarantine check and one atomic fetch-add cover the whole batch;
     // the per-request probe cadence is computed from the reserved counter
-    // range, so it is identical to issuing the requests one by one.
+    // range, so every Nth quarantined plan probes no matter how calls
+    // interleave. A deterministic minority of quarantined plans skips the
+    // table tier so retraining evidence gains default-clock samples (see
+    // set_quarantine_probe_every).
     const std::size_t every = quarantine_probe_every_.load(std::memory_order_relaxed);
     const std::size_t start =
         quarantine_rejections_.fetch_add(reqs.size(), std::memory_order_relaxed);
@@ -169,40 +110,27 @@ std::vector<plan_decision> guarded_planner::plan_batch(
     return out;
   }
 
-  if (planner_) {
-    // Healthy model tier: one envelope pass and one fused predict per model
-    // for the whole batch.
-    std::vector<guarded_query> queries;
-    queries.reserve(reqs.size());
-    for (const plan_request& r : reqs) queries.push_back({r.features, r.target});
-    const auto guarded = planner_->plan_guarded_batch(queries);
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      const guarded_plan& g = guarded[i];
-      out[i].ood = g.ood;
-      out[i].clamped = g.clamped;
-      if (g.usable()) {
-        model_plans_.fetch_add(1, std::memory_order_relaxed);
-        SYNERGY_COUNTER_ADD("planner.plan_model", 1);
-        if (g.clamped) SYNERGY_COUNTER_ADD("planner.clock_clamped", 1);
-        out[i].config = *g.config;
-        out[i].tier = plan_tier::model;
-        continue;
-      }
-      if (g.ood) {
-        ood_rejections_.fetch_add(1, std::memory_order_relaxed);
-        SYNERGY_COUNTER_ADD("planner.ood_rejections", 1);
-      } else {
-        prediction_rejections_.fetch_add(1, std::memory_order_relaxed);
-        SYNERGY_COUNTER_ADD("planner.prediction_rejections", 1);
-      }
-      out[i].reason = g.reason;
-      fall_through(out[i], reqs[i].kernel, reqs[i].target, /*probe=*/false);
-    }
-    return out;
-  }
-
+  const auto guarded = planner_->plan_guarded_batch(reqs);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    out[i].reason = "no model set loaded";
+    const guarded_plan& g = guarded[i];
+    out[i].ood = g.ood;
+    out[i].clamped = g.clamped;
+    if (g.usable()) {
+      model_plans_.fetch_add(1, std::memory_order_relaxed);
+      SYNERGY_COUNTER_ADD("planner.plan_model", 1);
+      if (g.clamped) SYNERGY_COUNTER_ADD("planner.clock_clamped", 1);
+      out[i].config = *g.config;
+      out[i].tier = plan_tier::model;
+      continue;
+    }
+    if (g.ood) {
+      ood_rejections_.fetch_add(1, std::memory_order_relaxed);
+      SYNERGY_COUNTER_ADD("planner.ood_rejections", 1);
+    } else {
+      prediction_rejections_.fetch_add(1, std::memory_order_relaxed);
+      SYNERGY_COUNTER_ADD("planner.prediction_rejections", 1);
+    }
+    out[i].reason = g.reason;
     fall_through(out[i], reqs[i].kernel, reqs[i].target, /*probe=*/false);
   }
   return out;

@@ -10,11 +10,12 @@
 /// this chain. The model tier only answers when the model set is loaded,
 /// not quarantined by the drift monitor, the feature vector is inside the
 /// training envelope, and every prediction passes the sanity rails
-/// (frequency_planner::plan_guarded); otherwise the request falls to the
-/// compiled tuning-table artefact, and failing that to the device's driver
-/// default clocks. Every fallback is counted in the metrics registry and
-/// emitted as a trace instant, so a fleet silently running on degraded
-/// tiers is visible, not mysterious.
+/// (frequency_planner::plan_guarded_batch); otherwise the request falls to
+/// the compiled tuning-table artefact, and failing that to the device's
+/// driver default clocks. Every fallback is counted in the metrics registry
+/// and emitted as a trace instant, so a fleet silently running on degraded
+/// tiers is visible, not mysterious. plan_batch is the one resolution path;
+/// plan() is a batch of one.
 
 #include <atomic>
 #include <cstdint>
@@ -53,13 +54,6 @@ struct plan_decision {
   std::string reason;   ///< why the chain fell past the model tier (empty on model)
 };
 
-/// One request in a batched resolution (guarded_planner::plan_batch).
-struct plan_request {
-  std::string kernel;
-  gpusim::static_features features;
-  metrics::target target;
-};
-
 /// Full mutable state of a guarded_planner (checkpoint/resume support): the
 /// chain generation, every fallback counter, and the drift monitor's rolling
 /// state. The tiers themselves (model set, tuning table) are rebuilt from
@@ -85,23 +79,23 @@ class guarded_planner {
                   std::shared_ptr<const tuning_table> table = nullptr,
                   drift_options drift = {});
 
-  /// Resolve (kernel, features, target) down the chain. Deterministic:
-  /// identical state and inputs produce the identical decision. Safe to call
+  /// Resolve a batch down the chain: one quarantine check for the whole
+  /// batch, and (on the healthy path) one envelope pass plus one fused
+  /// predict per model via frequency_planner::plan_guarded_batch.
+  /// Deterministic: identical state and inputs produce the identical
+  /// decisions, and a batch of N counts tiers and advances the
+  /// quarantine-probe cadence exactly as N batches of one. Safe to call
   /// concurrently with other plan()/plan_batch() calls — the hot path only
   /// reads planner state and bumps atomic counters; install()/observe()/
   /// reset_quarantine() must still be serialised against planning (the plan
   /// service does this with a reader/writer lock).
+  [[nodiscard]] std::vector<plan_decision> plan_batch(
+      std::span<const plan_request> reqs) const;
+
+  /// Resolve one (kernel, features, target) request: a batch of one.
   [[nodiscard]] plan_decision plan(const std::string& kernel,
                                    const gpusim::static_features& k,
                                    const metrics::target& target) const;
-
-  /// Batched resolution: amortises the guardrails — one quarantine check for
-  /// the whole batch, and (on the healthy path) one envelope pass plus one
-  /// fused predict per model via frequency_planner::plan_guarded_batch.
-  /// Decision `i` is identical to `plan(reqs[i]...)`, including tier counters
-  /// and quarantine-probe cadence.
-  [[nodiscard]] std::vector<plan_decision> plan_batch(
-      std::span<const plan_request> reqs) const;
 
   /// Feed one measured energy sample for drift tracking. `core_clock` is
   /// the clock the sample was actually taken at; the model's prediction at
@@ -191,12 +185,8 @@ class guarded_planner {
   bool import_state(const guard_state& s);
 
  private:
-  [[nodiscard]] plan_decision plan_impl(const std::string& kernel,
-                                        const gpusim::static_features& k,
-                                        const metrics::target& target) const;
-
-  /// Tiers 2 and 3 (tuning table, default clocks) shared by the single and
-  /// batched paths. `out.reason`/`out.ood`/`out.probe` are already set.
+  /// Tiers 2 and 3 (tuning table, default clocks). `out.reason`/`out.ood`/
+  /// `out.probe` are already set.
   void fall_through(plan_decision& out, const std::string& kernel,
                     const metrics::target& target, bool probe) const;
 

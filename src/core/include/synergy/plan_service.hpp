@@ -11,16 +11,18 @@
 ///     (or quarantine onset/lift) invalidates by a generation bump instead
 ///     of a global flush — each shard lazily drops its entries the next
 ///     time it is touched under a newer generation;
-///   - a batched resolution API (plan_batch) that amortises the guardrails:
-///     one quarantine check, one OOD-envelope pass, and one fused model
-///     predict per batch, with in-batch deduplication of identical
-///     (kernel, target) requests;
+///   - one batched resolution path (plan_batch; plan() is a batch of one)
+///     that amortises the guardrails: one quarantine check, one
+///     OOD-envelope pass, and one fused model predict per batch, with
+///     in-batch deduplication of identical (kernel, target) requests;
 ///   - a reader/writer lock making concurrent plan()/plan_batch() calls
-///     safe against observe()/install()/reset_quarantine().
+///     safe against observe()/install()/reset_quarantine(). Cache hits take
+///     no service lock; the misses are deduplicated and resolved under one
+///     shared lock, so quarantined requests are never deduplicated.
 ///
 /// Decisions are byte-identical to calling the underlying chain directly:
-/// the cache only ever stores what the chain produced, and the batch path
-/// preserves per-request arithmetic order (see
+/// the cache only ever stores what the chain produced, and a batch of N
+/// decides each request as a batch of one would (see
 /// frequency_planner::plan_guarded_batch).
 
 #include <atomic>
@@ -84,16 +86,16 @@ class plan_service {
   explicit plan_service(std::shared_ptr<guarded_planner> guard,
                         plan_service_options opts = {});
 
-  /// Resolve one (kernel, features, target) request, serving from the cache
-  /// when a decision of the current generation exists. Thread-safe.
+  /// Resolve a batch. Cache hits of the current generation are served per
+  /// request; the misses are deduplicated by (kernel, target), resolved
+  /// through the chain's batched guardrail path, fanned back out, and
+  /// cached. Thread-safe.
+  [[nodiscard]] std::vector<serviced_plan> plan_batch(std::span<const plan_request> reqs);
+
+  /// Resolve one (kernel, features, target) request: a batch of one.
   [[nodiscard]] serviced_plan plan(const std::string& kernel,
                                    const gpusim::static_features& features,
                                    const metrics::target& target);
-
-  /// Resolve a batch. Cache hits are served per request; the misses are
-  /// deduplicated by (kernel, target), resolved through the chain's batched
-  /// guardrail path, fanned back out, and cached. Thread-safe.
-  [[nodiscard]] std::vector<serviced_plan> plan_batch(std::span<const plan_request> reqs);
 
   /// Feed a measured energy sample to the drift monitor (exclusive with
   /// planning). Quarantine onset bumps the chain generation, dropping every

@@ -9,10 +9,13 @@
 ///  - frequency_planner: the paper's approach — four trained per-metric
 ///    models (time, energy, EDP, ED2P) predict each metric at every
 ///    supported frequency; a search picks the configuration satisfying the
-///    requested target.
-///  - oracle plans: the same search over the simulator's exact costs, used
-///    as ground truth for the accuracy analysis (Sec. 8.3: "actual optimal
-///    frequency") and as the reference tuner in the scaling study.
+///    requested target. There is one search, and it is batched: every
+///    entry point (plan, plan_guarded, plan_guarded_batch) runs it, a
+///    single request as a batch of one, over one design matrix per model
+///    and one fused ml::regressor::predict_into each.
+///  - oracle plans: the same selection over the simulator's exact costs,
+///    used as ground truth for the accuracy analysis (Sec. 8.3: "actual
+///    optimal frequency") and as the reference tuner in the scaling study.
 
 #include <array>
 #include <memory>
@@ -69,6 +72,11 @@ inline constexpr std::size_t model_input_dim = 14;
                                                    const metrics::target& target,
                                                    const gpusim::dvfs_model& model = {});
 
+/// The clamp rail: snap `config` onto the device's supported clock tables
+/// (nearest supported core clock, the device memory clock). Returns whether
+/// either clock moved. Shared by the model tier and the tuning-table tier.
+bool clamp_to_table(const gpusim::device_spec& spec, common::frequency_config& config);
+
 /// Outcome of a sanity-railed plan (frequency_planner::plan_guarded).
 /// `config` is empty when the model tier must not be trusted for this
 /// request; `reason` then names the rail that fired. The flags are reported
@@ -82,8 +90,10 @@ struct guarded_plan {
   [[nodiscard]] bool usable() const { return config.has_value(); }
 };
 
-/// One request in a batched guarded plan (frequency_planner::plan_guarded_batch).
-struct guarded_query {
+/// One planning request. The planner reads only `features` and `target`;
+/// `kernel` keys the tuning-table tier and the plan cache above it.
+struct plan_request {
+  std::string kernel;
   gpusim::static_features features;
   metrics::target target;
 };
@@ -93,13 +103,11 @@ class frequency_planner {
  public:
   frequency_planner(gpusim::device_spec spec, trained_models models);
 
-  /// Predicted per-work-item characterization of a kernel over all clocks.
-  [[nodiscard]] metrics::characterization predict_characterization(
-      const gpusim::static_features& k) const;
-
   /// The frequency configuration satisfying `target` according to the
-  /// models. MIN_EDP/MIN_ED2P use their dedicated models; ES_x/PL_x search
-  /// the predicted time/energy characterization.
+  /// models, without rails: MIN_EDP/MIN_ED2P take the strict argmin of their
+  /// dedicated model (NaN never wins; all-NaN keeps the default clock);
+  /// every other target selects on the time/energy predictions, each
+  /// floored at zero.
   [[nodiscard]] common::frequency_config plan(const gpusim::static_features& k,
                                               const metrics::target& target) const;
 
@@ -108,18 +116,17 @@ class frequency_planner {
   /// non-finite / non-positive metric predictions, and snaps the planned
   /// clocks onto the device's supported tables. Never throws for bad
   /// predictions — a rejected plan is a structured outcome the degradation
-  /// chain (guarded_planner) falls through.
+  /// chain (guarded_planner) falls through. A batch of one.
   [[nodiscard]] guarded_plan plan_guarded(const gpusim::static_features& k,
                                           const metrics::target& target) const;
 
-  /// Batched plan_guarded: one envelope pass over the whole batch, then one
-  /// fused predict per model over a contiguous design matrix (queries grouped
-  /// by the model their target needs). Decision `i` is bitwise identical to
-  /// `plan_guarded(queries[i].features, queries[i].target)` — the batched
-  /// inference path preserves per-row arithmetic order, and every rail fires
-  /// in the same clock order with the same reason strings.
+  /// Batched plan_guarded: one envelope pass over the whole batch, then the
+  /// search (queries grouped by the model their target needs), then a
+  /// rejection on the first rail a query's raw predictions break, in clock
+  /// order, then the clamp rail. When no rail breaks, the pick equals
+  /// plan()'s. Decision `i` depends only on `queries[i]`.
   [[nodiscard]] std::vector<guarded_plan> plan_guarded_batch(
-      std::span<const guarded_query> queries) const;
+      std::span<const plan_request> queries) const;
 
   /// Predicted per-item energy at an exact operating point (drift
   /// monitoring compares this against the measured sample). Empty when the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <string_view>
 #include <utility>
 
 #include "synergy/telemetry/telemetry.hpp"
@@ -62,96 +63,75 @@ void plan_service::store(const std::string& key, std::uint64_t gen, const plan_d
 serviced_plan plan_service::plan(const std::string& kernel,
                                  const gpusim::static_features& features,
                                  const metrics::target& target) {
-  const std::uint64_t gen = generation();
-  const std::string key = make_key(kernel, target);
-  serviced_plan out;
-  out.generation = gen;
-  if (lookup(key, gen, out.decision)) {
-    out.cache_hit = true;
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    SYNERGY_COUNTER_ADD("plan_service.hits", 1);
-    return out;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  SYNERGY_COUNTER_ADD("plan_service.misses", 1);
-  bool cacheable = true;
-  {
-    std::shared_lock lk(mu_);
-    out.decision = guard_->plan(kernel, features, target);
-    cacheable = opts_.cache_quarantined || !guard_->quarantined();
-  }
-  if (cacheable) store(key, gen, out.decision);
-  return out;
+  const plan_request req{kernel, features, target};
+  return std::move(plan_batch({&req, 1}).front());
 }
 
 std::vector<serviced_plan> plan_service::plan_batch(std::span<const plan_request> reqs) {
   std::vector<serviced_plan> out(reqs.size());
-  if (reqs.empty()) return out;
   const std::uint64_t gen = generation();
 
-  // Pass 1: serve cache hits; collect the misses, deduplicating identical
-  // (kernel, target) twins onto one chain request. Quarantined chains skip
-  // dedupe so the per-request probe cadence stays exact.
-  std::vector<std::string> keys(reqs.size());
-  std::vector<std::size_t> miss;          // unique miss → request index
-  std::unordered_map<std::string, std::size_t> first;  // key → position in `miss`
-  std::vector<std::size_t> twin(reqs.size(), SIZE_MAX);  // request → position in `miss`
-  bool quarantined = false;
-  {
-    std::shared_lock lk(mu_);
-    quarantined = guard_->quarantined();
-  }
-  const bool dedupe = !quarantined;
-  std::size_t n_hits = 0;
-  std::size_t n_deduped = 0;
+  // Pass 1, lock-free: serve cache hits and collect the misses. Counters
+  // register on their first add, so only non-zero counts are added.
+  struct pending {
+    std::size_t request;
+    std::string key;
+    std::size_t slot{0};  ///< position of its chain request
+  };
+  std::vector<pending> miss;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    keys[i] = make_key(reqs[i].kernel, reqs[i].target);
+    std::string key = make_key(reqs[i].kernel, reqs[i].target);
     out[i].generation = gen;
-    if (lookup(keys[i], gen, out[i].decision)) {
+    if (lookup(key, gen, out[i].decision)) {
       out[i].cache_hit = true;
-      ++n_hits;
       continue;
     }
-    if (dedupe) {
-      const auto [it, inserted] = first.try_emplace(keys[i], miss.size());
-      if (!inserted) {
-        twin[i] = it->second;
-        ++n_deduped;
-        continue;
-      }
-    }
-    twin[i] = miss.size();
-    miss.push_back(i);
+    miss.push_back({i, std::move(key)});
   }
-  hits_.fetch_add(n_hits, std::memory_order_relaxed);
-  misses_.fetch_add(miss.size(), std::memory_order_relaxed);
-  deduped_.fetch_add(n_deduped, std::memory_order_relaxed);
-  SYNERGY_COUNTER_ADD("plan_service.hits", static_cast<double>(n_hits));
-  SYNERGY_COUNTER_ADD("plan_service.misses", static_cast<double>(miss.size()));
-  SYNERGY_COUNTER_ADD("plan_service.batch_deduped", static_cast<double>(n_deduped));
-
+  if (const std::size_t n_hits = reqs.size() - miss.size(); n_hits > 0) {
+    hits_.fetch_add(n_hits, std::memory_order_relaxed);
+    SYNERGY_COUNTER_ADD("plan_service.hits", static_cast<double>(n_hits));
+  }
   if (miss.empty()) return out;
 
-  // Pass 2: one batched chain resolution for the unique misses.
-  std::vector<plan_request> chain_reqs;
-  chain_reqs.reserve(miss.size());
-  for (const std::size_t i : miss) chain_reqs.push_back(reqs[i]);
+  // Pass 2: read the quarantine flag, deduplicate identical (kernel, target)
+  // twins onto one chain request, and resolve the batch, all under one
+  // shared lock — a quarantine onset cannot land between the dedupe and the
+  // resolution. Quarantined chains skip dedupe so the per-request probe
+  // cadence stays exact.
+  std::vector<plan_request> chain;
   std::vector<plan_decision> resolved;
   bool cacheable = true;
   {
     std::shared_lock lk(mu_);
-    resolved = guard_->plan_batch(chain_reqs);
-    cacheable = opts_.cache_quarantined || !guard_->quarantined();
+    const bool quarantined = guard_->quarantined();
+    std::unordered_map<std::string_view, std::size_t> first;  // key → chain slot
+    for (pending& p : miss) {
+      if (!quarantined) {
+        const auto [it, inserted] = first.try_emplace(p.key, chain.size());
+        if (!inserted) {
+          p.slot = it->second;
+          continue;
+        }
+      }
+      p.slot = chain.size();
+      chain.push_back(reqs[p.request]);
+    }
+    misses_.fetch_add(chain.size(), std::memory_order_relaxed);
+    SYNERGY_COUNTER_ADD("plan_service.misses", static_cast<double>(chain.size()));
+    if (const std::size_t n_deduped = miss.size() - chain.size(); n_deduped > 0) {
+      deduped_.fetch_add(n_deduped, std::memory_order_relaxed);
+      SYNERGY_COUNTER_ADD("plan_service.batch_deduped", static_cast<double>(n_deduped));
+    }
+    resolved = guard_->plan_batch(chain);
+    cacheable = opts_.cache_quarantined || !quarantined;
   }
 
   // Pass 3: fan results back out to every request and populate the cache.
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    if (out[i].cache_hit) continue;
-    out[i].decision = resolved[twin[i]];
+  for (const pending& p : miss) {
+    out[p.request].decision = resolved[p.slot];
+    if (cacheable) store(p.key, gen, resolved[p.slot]);
   }
-  if (cacheable)
-    for (std::size_t m = 0; m < miss.size(); ++m)
-      store(keys[miss[m]], gen, resolved[m]);
   return out;
 }
 

@@ -55,22 +55,6 @@ frequency_planner::frequency_planner(gpusim::device_spec spec, trained_models mo
     throw std::invalid_argument("frequency_planner requires four fitted models");
 }
 
-metrics::characterization frequency_planner::predict_characterization(
-    const gpusim::static_features& k) const {
-  metrics::characterization c;
-  c.points.reserve(spec_.core_clocks.size());
-  for (const megahertz f : spec_.core_clocks) {
-    const auto x = model_input(k, f);
-    // Per-item predictions; constant scale factors do not change the argmin
-    // or the ES/PL interval arithmetic, so they can be used directly.
-    const double t = std::max(0.0, models_.time->predict_one(x));
-    const double e = std::max(0.0, models_.energy->predict_one(x));
-    c.points.push_back({{spec_.memory_clock, f}, t, e});
-  }
-  c.default_index = spec_.default_clock_index;
-  return c;
-}
-
 std::optional<double> frequency_planner::predicted_energy(const gpusim::static_features& k,
                                                           megahertz core_clock) const {
   const double e = models_.energy->predict_one(model_input(k, core_clock));
@@ -78,105 +62,145 @@ std::optional<double> frequency_planner::predicted_energy(const gpusim::static_f
   return e;
 }
 
-guarded_plan frequency_planner::plan_guarded(const gpusim::static_features& k,
-                                             const metrics::target& target) const {
-  guarded_plan out;
-  // Out-of-distribution rail. The static-feature columns are constant over
-  // the clock sweep and every clock-basis column (f, 1/f, log f, f^3) is
-  // monotone in f, so checking the table endpoints plus the default clock
-  // covers the entire deployment input range of this kernel.
-  if (models_.envelope.fitted()) {
-    for (const megahertz f :
-         {spec_.min_core_clock(), spec_.default_core_clock(), spec_.max_core_clock()}) {
-      if (!models_.envelope.contains(model_input(k, f))) {
-        out.ood = true;
-        out.reason = "feature vector outside the training envelope at " +
-                     std::to_string(f.value) + " MHz";
-        return out;
-      }
-    }
+bool clamp_to_table(const gpusim::device_spec& spec, frequency_config& config) {
+  bool clamped = false;
+  if (!spec.supports_core_clock(config.core)) {
+    config.core = spec.nearest_core_clock(config.core);
+    clamped = true;
   }
+  if (!spec.supports_memory_clock(config.memory)) {
+    config.memory = spec.memory_clock;
+    clamped = true;
+  }
+  return clamped;
+}
 
+namespace {
+
+/// What the search found for one query.
+struct search_result {
+  frequency_config config;  ///< the rail-free pick
+  std::string broken;       ///< first rail the raw predictions break ("" if none)
+};
+
+/// The planning search, shared by every entry point. Queries with `live[q]`
+/// unset are skipped. Queries are grouped by the model their target needs
+/// (MIN_EDP and MIN_ED2P use their dedicated models, as in the paper's
+/// prediction phase, Sec. 6.2; every other target the time and energy
+/// models), and each group runs one fused predict per model over one
+/// contiguous design matrix. Predictions are per work item: constant scale
+/// factors change neither the argmin nor the ES/PL interval arithmetic.
+std::vector<search_result> search(const gpusim::device_spec& spec, const trained_models& models,
+                                  std::span<const plan_request> queries,
+                                  const std::vector<char>& live) {
   using kind = metrics::target::kind;
-  frequency_config config;
-  if (target.k == kind::min_edp || target.k == kind::min_ed2p) {
-    // Product-metric models predict in log space, where negative values are
-    // legitimate; only non-finite output is a broken model.
-    const ml::regressor& model = target.k == kind::min_edp ? *models_.edp : *models_.ed2p;
-    megahertz best = spec_.default_core_clock();
-    double best_v = std::numeric_limits<double>::infinity();
-    for (const megahertz f : spec_.core_clocks) {
-      const double v = model.predict_one(model_input(k, f));
-      if (!std::isfinite(v)) {
-        out.reason = "non-finite " + target.to_string() + " prediction at " +
-                     std::to_string(f.value) + " MHz";
-        return out;
-      }
-      if (v < best_v) {
-        best_v = v;
-        best = f;
-      }
-    }
-    config = {spec_.memory_clock, best};
-  } else {
-    metrics::characterization c;
-    c.points.reserve(spec_.core_clocks.size());
-    for (const megahertz f : spec_.core_clocks) {
-      const auto x = model_input(k, f);
-      const double t = models_.time->predict_one(x);
-      const double e = models_.energy->predict_one(x);
-      if (!std::isfinite(t) || !std::isfinite(e)) {
-        out.reason =
-            "non-finite time/energy prediction at " + std::to_string(f.value) + " MHz";
-        return out;
-      }
-      if (t <= 0.0 || e <= 0.0) {
-        out.reason =
-            "non-positive time/energy prediction at " + std::to_string(f.value) + " MHz";
-        return out;
-      }
-      c.points.push_back({{spec_.memory_clock, f}, t, e});
-    }
-    c.default_index = spec_.default_clock_index;
-    config = c.points[metrics::select(c, target)].config;
+  std::vector<search_result> out(queries.size());
+  const std::size_t n_clocks = spec.core_clocks.size();
+  std::vector<std::size_t> edp_q, ed2p_q, te_q;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    if (!live[q]) continue;
+    if (queries[q].target.k == kind::min_edp) edp_q.push_back(q);
+    else if (queries[q].target.k == kind::min_ed2p) ed2p_q.push_back(q);
+    else te_q.push_back(q);
   }
 
-  // Clamp rail: a plan the device cannot run is worse than a clamped one.
-  // By construction the search stays on the table; this guards refactors
-  // and deserialized specs from ever issuing an unsupported clock.
-  if (!spec_.supports_core_clock(config.core)) {
-    config.core = spec_.nearest_core_clock(config.core);
-    out.clamped = true;
+  const auto build_design = [&](const std::vector<std::size_t>& qs) {
+    ml::matrix x(qs.size() * n_clocks, model_input_dim);
+    std::size_t r = 0;
+    for (const std::size_t q : qs)
+      for (const megahertz f : spec.core_clocks) {
+        const auto row = model_input(queries[q].features, f);
+        const auto dst = x.row(r++);
+        std::copy(row.begin(), row.end(), dst.begin());
+      }
+    return x;
+  };
+
+  // Product-metric targets: strict argmin over clocks, starting from the
+  // default clock. Their models predict in log space, where negative values
+  // are legitimate; only non-finite output breaks the rail.
+  const auto run_product = [&](const std::vector<std::size_t>& qs, const ml::regressor& model) {
+    if (qs.empty()) return;
+    const ml::matrix x = build_design(qs);
+    std::vector<double> pred(x.rows());
+    model.predict_into(x, pred);
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      search_result& r = out[qs[i]];
+      megahertz best = spec.default_core_clock();
+      double best_v = std::numeric_limits<double>::infinity();
+      for (std::size_t ci = 0; ci < n_clocks; ++ci) {
+        const megahertz f = spec.core_clocks[ci];
+        const double v = pred[i * n_clocks + ci];
+        if (r.broken.empty() && !std::isfinite(v))
+          r.broken = "non-finite " + queries[qs[i]].target.to_string() + " prediction at " +
+                     std::to_string(f.value) + " MHz";
+        if (v < best_v) {
+          best_v = v;
+          best = f;
+        }
+      }
+      r.config = {spec.memory_clock, best};
+    }
+  };
+  run_product(edp_q, *models.edp);
+  run_product(ed2p_q, *models.ed2p);
+
+  // Time/energy targets: both models predict over one shared design matrix;
+  // each query selects on its own characterization, floored at zero. Time
+  // and energy must be finite and positive to pass the rails.
+  if (!te_q.empty()) {
+    const ml::matrix x = build_design(te_q);
+    std::vector<double> t_pred(x.rows());
+    std::vector<double> e_pred(x.rows());
+    models.time->predict_into(x, t_pred);
+    models.energy->predict_into(x, e_pred);
+    metrics::characterization c;
+    c.points.reserve(n_clocks);
+    c.default_index = spec.default_clock_index;
+    for (std::size_t i = 0; i < te_q.size(); ++i) {
+      search_result& r = out[te_q[i]];
+      c.points.clear();
+      for (std::size_t ci = 0; ci < n_clocks; ++ci) {
+        const megahertz f = spec.core_clocks[ci];
+        const double t = t_pred[i * n_clocks + ci];
+        const double e = e_pred[i * n_clocks + ci];
+        if (r.broken.empty()) {
+          if (!std::isfinite(t) || !std::isfinite(e))
+            r.broken = "non-finite time/energy prediction at " + std::to_string(f.value) + " MHz";
+          else if (t <= 0.0 || e <= 0.0)
+            r.broken =
+                "non-positive time/energy prediction at " + std::to_string(f.value) + " MHz";
+        }
+        c.points.push_back({{spec.memory_clock, f}, std::max(0.0, t), std::max(0.0, e)});
+      }
+      r.config = c.points[metrics::select(c, queries[te_q[i]].target)].config;
+    }
   }
-  if (!spec_.supports_memory_clock(config.memory)) {
-    config.memory = spec_.memory_clock;
-    out.clamped = true;
-  }
-  out.config = config;
   return out;
 }
 
+}  // namespace
+
+frequency_config frequency_planner::plan(const gpusim::static_features& k,
+                                         const metrics::target& target) const {
+  const plan_request query{{}, k, target};
+  return search(spec_, models_, {&query, 1}, std::vector<char>(1, 1)).front().config;
+}
+
+guarded_plan frequency_planner::plan_guarded(const gpusim::static_features& k,
+                                             const metrics::target& target) const {
+  const plan_request query{{}, k, target};
+  return std::move(plan_guarded_batch({&query, 1}).front());
+}
+
 std::vector<guarded_plan> frequency_planner::plan_guarded_batch(
-    std::span<const guarded_query> queries) const {
+    std::span<const plan_request> queries) const {
   std::vector<guarded_plan> out(queries.size());
-  if (queries.empty()) return out;
-
-  // Clamp rail, identical to the tail of plan_guarded.
-  const auto finish = [&](guarded_plan& g, frequency_config config) {
-    if (!spec_.supports_core_clock(config.core)) {
-      config.core = spec_.nearest_core_clock(config.core);
-      g.clamped = true;
-    }
-    if (!spec_.supports_memory_clock(config.memory)) {
-      config.memory = spec_.memory_clock;
-      g.clamped = true;
-    }
-    g.config = config;
-  };
-
-  // Pass 1: the out-of-distribution rail over the whole batch, before any
-  // model inference. Same endpoints, order, and reason strings as the
-  // single-query path.
+  // Out-of-distribution rail, before any model inference. The static-feature
+  // columns are constant over the clock sweep and every clock-basis column
+  // (f, 1/f, log f, f^3) is monotone in f, so checking the table endpoints
+  // plus the default clock covers the entire deployment input range of a
+  // kernel.
   std::vector<char> live(queries.size(), 1);
   if (models_.envelope.fitted()) {
     for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -193,123 +217,20 @@ std::vector<guarded_plan> frequency_planner::plan_guarded_batch(
     }
   }
 
-  // Pass 2: group the surviving queries by the model their target needs, so
-  // each regressor runs one fused predict over a contiguous design matrix.
-  using kind = metrics::target::kind;
-  const std::size_t n_clocks = spec_.core_clocks.size();
-  std::vector<std::size_t> edp_q, ed2p_q, te_q;
+  auto found = search(spec_, models_, queries, live);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     if (!live[q]) continue;
-    if (queries[q].target.k == kind::min_edp) edp_q.push_back(q);
-    else if (queries[q].target.k == kind::min_ed2p) ed2p_q.push_back(q);
-    else te_q.push_back(q);
-  }
-
-  const auto build_design = [&](const std::vector<std::size_t>& qs) {
-    ml::matrix x(qs.size() * n_clocks, model_input_dim);
-    std::size_t r = 0;
-    for (const std::size_t q : qs)
-      for (const megahertz f : spec_.core_clocks) {
-        const auto row = model_input(queries[q].features, f);
-        const auto dst = x.row(r++);
-        std::copy(row.begin(), row.end(), dst.begin());
-      }
-    return x;
-  };
-
-  // Product-metric targets: dedicated model, argmin over clocks behind the
-  // non-finite rail (log-space predictions may legitimately be negative).
-  const auto run_product = [&](const std::vector<std::size_t>& qs, const ml::regressor& model) {
-    if (qs.empty()) return;
-    const ml::matrix x = build_design(qs);
-    std::vector<double> pred(x.rows());
-    model.predict_into(x, pred);
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      const std::size_t q = qs[i];
-      megahertz best = spec_.default_core_clock();
-      double best_v = std::numeric_limits<double>::infinity();
-      bool rejected = false;
-      for (std::size_t ci = 0; ci < n_clocks; ++ci) {
-        const megahertz f = spec_.core_clocks[ci];
-        const double v = pred[i * n_clocks + ci];
-        if (!std::isfinite(v)) {
-          out[q].reason = "non-finite " + queries[q].target.to_string() + " prediction at " +
-                          std::to_string(f.value) + " MHz";
-          rejected = true;
-          break;
-        }
-        if (v < best_v) {
-          best_v = v;
-          best = f;
-        }
-      }
-      if (!rejected) finish(out[q], {spec_.memory_clock, best});
+    if (!found[q].broken.empty()) {
+      out[q].reason = std::move(found[q].broken);
+      continue;
     }
-  };
-  run_product(edp_q, *models_.edp);
-  run_product(ed2p_q, *models_.ed2p);
-
-  // Time/energy targets: both models predict over one shared design matrix;
-  // each query then replays the single-path rails in clock order and selects
-  // on its own characterization.
-  if (!te_q.empty()) {
-    const ml::matrix x = build_design(te_q);
-    std::vector<double> t_pred(x.rows());
-    std::vector<double> e_pred(x.rows());
-    models_.time->predict_into(x, t_pred);
-    models_.energy->predict_into(x, e_pred);
-    metrics::characterization c;
-    for (std::size_t i = 0; i < te_q.size(); ++i) {
-      const std::size_t q = te_q[i];
-      c.points.clear();
-      c.points.reserve(n_clocks);
-      bool rejected = false;
-      for (std::size_t ci = 0; ci < n_clocks; ++ci) {
-        const megahertz f = spec_.core_clocks[ci];
-        const double t = t_pred[i * n_clocks + ci];
-        const double e = e_pred[i * n_clocks + ci];
-        if (!std::isfinite(t) || !std::isfinite(e)) {
-          out[q].reason =
-              "non-finite time/energy prediction at " + std::to_string(f.value) + " MHz";
-          rejected = true;
-          break;
-        }
-        if (t <= 0.0 || e <= 0.0) {
-          out[q].reason =
-              "non-positive time/energy prediction at " + std::to_string(f.value) + " MHz";
-          rejected = true;
-          break;
-        }
-        c.points.push_back({{spec_.memory_clock, f}, t, e});
-      }
-      if (rejected) continue;
-      c.default_index = spec_.default_clock_index;
-      finish(out[q], c.points[metrics::select(c, queries[q].target)].config);
-    }
+    // Clamp rail: a plan the device cannot run is worse than a clamped one.
+    // By construction the search stays on the table; this guards refactors
+    // and deserialized specs from ever issuing an unsupported clock.
+    out[q].clamped = clamp_to_table(spec_, found[q].config);
+    out[q].config = found[q].config;
   }
   return out;
-}
-
-frequency_config frequency_planner::plan(const gpusim::static_features& k,
-                                         const metrics::target& target) const {
-  using kind = metrics::target::kind;
-  // MIN_EDP / MIN_ED2P use their dedicated single-target models, as in the
-  // paper's prediction phase (Sec. 6.2).
-  if (target.k == kind::min_edp || target.k == kind::min_ed2p) {
-    const ml::regressor& model = target.k == kind::min_edp ? *models_.edp : *models_.ed2p;
-    megahertz best = spec_.default_core_clock();
-    double best_v = std::numeric_limits<double>::infinity();
-    for (const megahertz f : spec_.core_clocks) {
-      const double v = model.predict_one(model_input(k, f));
-      if (v < best_v) {
-        best_v = v;
-        best = f;
-      }
-    }
-    return {spec_.memory_clock, best};
-  }
-  const auto c = predict_characterization(k);
-  return c.points[metrics::select(c, target)].config;
 }
 
 }  // namespace synergy

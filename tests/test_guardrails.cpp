@@ -567,6 +567,171 @@ TEST(PredictionRails, OutOfDistributionFeaturesAreFlagged) {
   EXPECT_NE(flagged.reason.find("envelope"), std::string::npos);
 }
 
+// --------------------------------------------------------- reference planner ----
+
+namespace {
+
+/// The rail-free planner written out longhand: one predict_one per clock.
+/// MIN_EDP/MIN_ED2P take the strict argmin of their dedicated model from
+/// the default clock; every other target selects on the time/energy
+/// predictions floored at zero.
+synergy::common::frequency_config reference_plan(const synergy::frequency_planner& planner,
+                                                 const gs::static_features& k,
+                                                 const sm::target& target) {
+  const auto& spec = planner.spec();
+  const auto& models = planner.models();
+  if (target.k == sm::target::kind::min_edp || target.k == sm::target::kind::min_ed2p) {
+    const ml::regressor& model =
+        target.k == sm::target::kind::min_edp ? *models.edp : *models.ed2p;
+    megahertz best = spec.default_core_clock();
+    double best_v = std::numeric_limits<double>::infinity();
+    for (const megahertz f : spec.core_clocks) {
+      const double v = model.predict_one(synergy::model_input(k, f));
+      if (v < best_v) {
+        best_v = v;
+        best = f;
+      }
+    }
+    return {spec.memory_clock, best};
+  }
+  sm::characterization c;
+  for (const megahertz f : spec.core_clocks) {
+    const auto x = synergy::model_input(k, f);
+    c.points.push_back({{spec.memory_clock, f},
+                        std::max(0.0, models.time->predict_one(x)),
+                        std::max(0.0, models.energy->predict_one(x))});
+  }
+  c.default_index = spec.default_clock_index;
+  return c.points[sm::select(c, target)].config;
+}
+
+/// The guarded planner written out longhand: the OOD rail at the table
+/// endpoints and the default clock, then the prediction rails in clock order
+/// (first broken rail wins), then the clamp rail.
+synergy::guarded_plan reference_plan_guarded(const synergy::frequency_planner& planner,
+                                             const gs::static_features& k,
+                                             const sm::target& target) {
+  const auto& spec = planner.spec();
+  const auto& models = planner.models();
+  synergy::guarded_plan out;
+  if (models.envelope.fitted()) {
+    for (const megahertz f :
+         {spec.min_core_clock(), spec.default_core_clock(), spec.max_core_clock()}) {
+      if (!models.envelope.contains(synergy::model_input(k, f))) {
+        out.ood = true;
+        out.reason = "feature vector outside the training envelope at " +
+                     std::to_string(f.value) + " MHz";
+        return out;
+      }
+    }
+  }
+  for (const megahertz f : spec.core_clocks) {
+    const auto x = synergy::model_input(k, f);
+    if (target.k == sm::target::kind::min_edp || target.k == sm::target::kind::min_ed2p) {
+      const ml::regressor& model =
+          target.k == sm::target::kind::min_edp ? *models.edp : *models.ed2p;
+      if (!std::isfinite(model.predict_one(x))) {
+        out.reason = "non-finite " + target.to_string() + " prediction at " +
+                     std::to_string(f.value) + " MHz";
+        return out;
+      }
+      continue;
+    }
+    const double t = models.time->predict_one(x);
+    const double e = models.energy->predict_one(x);
+    if (!std::isfinite(t) || !std::isfinite(e)) {
+      out.reason = "non-finite time/energy prediction at " + std::to_string(f.value) + " MHz";
+      return out;
+    }
+    if (t <= 0.0 || e <= 0.0) {
+      out.reason = "non-positive time/energy prediction at " + std::to_string(f.value) + " MHz";
+      return out;
+    }
+  }
+  auto config = reference_plan(planner, k, target);
+  if (!spec.supports_core_clock(config.core)) {
+    config.core = spec.nearest_core_clock(config.core);
+    out.clamped = true;
+  }
+  if (!spec.supports_memory_clock(config.memory)) {
+    config.memory = spec.memory_clock;
+    out.clamped = true;
+  }
+  out.config = config;
+  return out;
+}
+
+void expect_same_guarded(const synergy::guarded_plan& got, const synergy::guarded_plan& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.usable(), want.usable()) << what << ": " << got.reason;
+  if (want.usable()) {
+    EXPECT_EQ(got.config->core.value, want.config->core.value) << what;
+    EXPECT_EQ(got.config->memory.value, want.config->memory.value) << what;
+  }
+  EXPECT_EQ(got.ood, want.ood) << what;
+  EXPECT_EQ(got.clamped, want.clamped) << what;
+  EXPECT_EQ(got.reason, want.reason) << what;
+}
+
+/// plan(), plan_guarded(), and one plan_guarded_batch() call over all of
+/// `queries` must each agree with the reference.
+void expect_matches_reference(const synergy::frequency_planner& planner,
+                              const std::vector<synergy::plan_request>& queries) {
+  const auto batch = planner.plan_guarded_batch(queries);
+  ASSERT_EQ(batch.size(), queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto& q = queries[i];
+    const std::string what = q.kernel + "/" + q.target.to_string();
+    const auto want_plan = reference_plan(planner, q.features, q.target);
+    const auto got_plan = planner.plan(q.features, q.target);
+    EXPECT_EQ(got_plan.core.value, want_plan.core.value) << what << " plan";
+    EXPECT_EQ(got_plan.memory.value, want_plan.memory.value) << what << " plan";
+    const auto want = reference_plan_guarded(planner, q.features, q.target);
+    expect_same_guarded(planner.plan_guarded(q.features, q.target), want, what + " single");
+    expect_same_guarded(batch[i], want, what + " batch");
+  }
+}
+
+/// Every suite kernel crossed with the paper's ten objectives.
+std::vector<synergy::plan_request> suite_queries() {
+  std::vector<synergy::plan_request> queries;
+  for (const auto& b : sw::suite())
+    for (const auto& target : sm::paper_objectives())
+      queries.push_back({b.info.name, b.info.features, target});
+  return queries;
+}
+
+}  // namespace
+
+TEST(PlannerReference, TrainedModelsMatchOnSuiteKernelsAndPaperObjectives) {
+  expect_matches_reference(*shared_planner(), suite_queries());
+}
+
+TEST(PlannerReference, PoisonedModelsMatchRailForRail) {
+  const auto spec = gs::make_v100();
+  for (const double poison :
+       {std::numeric_limits<double>::quiet_NaN(), -std::numeric_limits<double>::infinity(),
+        -1.0, 0.0, std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(poison);
+    const synergy::frequency_planner planner{spec, broken_models(poison)};
+    expect_matches_reference(planner, suite_queries());
+  }
+}
+
+TEST(PlannerReference, OutOfDistributionQueriesMatchInsideABatch) {
+  gs::static_features alien;
+  alien.float_add = 1e9;
+  alien.gl_access = 1e9;
+  alien.sf = 1e9;
+  ASSERT_TRUE(shared_planner()->plan_guarded(alien, sm::ES_50).ood);
+  // The alien rides mid-batch: its rejection must not disturb its neighbours.
+  auto queries = suite_queries();
+  for (const auto& target : sm::paper_objectives())
+    queries.insert(queries.begin() + static_cast<std::ptrdiff_t>(queries.size() / 2),
+                   {"alien", alien, target});
+  expect_matches_reference(*shared_planner(), queries);
+}
+
 // --------------------------------------------------------- degradation chain ----
 
 TEST(DegradationChain, FallsThroughModelTableDefaultDeterministically) {
@@ -617,16 +782,28 @@ TEST(DegradationChain, FallbacksAreCountedInMetricsRegistry) {
   auto& reg = synergy::telemetry::metrics_registry::instance();
   const double table_before = reg.get_counter("planner.fallback_table").value();
   const double default_before = reg.get_counter("planner.fallback_default").value();
+  const double clamped_before = reg.get_counter("planner.clock_clamped").value();
 
   const auto spec = gs::make_v100();
   auto table = std::make_shared<synergy::tuning_table>();
   table->put("mat_mul", sm::ES_50, {megahertz{877}, megahertz{1110}});
   synergy::guarded_planner chained{spec, nullptr, table};
-  (void)chained.plan("mat_mul", sw::find("mat_mul").info.features, sm::ES_50);
-  (void)chained.plan("absent", sw::find("mat_mul").info.features, sm::ES_50);
+  const auto d_table = chained.plan("mat_mul", sw::find("mat_mul").info.features, sm::ES_50);
+  const auto d_default = chained.plan("absent", sw::find("mat_mul").info.features, sm::ES_50);
 
   EXPECT_EQ(reg.get_counter("planner.fallback_table").value(), table_before + 1.0);
   EXPECT_EQ(reg.get_counter("planner.fallback_default").value(), default_before + 1.0);
+
+  // Clamps are counted on the table tier as on the model tier: a stale entry
+  // whose memory clock alone is unsupported is snapped and counted too.
+  const megahertz mid = spec.core_clocks[spec.core_clocks.size() / 2];
+  table->put("memory_only", sm::ES_50, {megahertz{1000}, mid});
+  const auto d_memory = chained.plan("memory_only", sw::find("mat_mul").info.features, sm::ES_50);
+  EXPECT_TRUE(d_memory.clamped);
+  EXPECT_EQ(d_memory.config.memory.value, spec.memory_clock.value);
+  EXPECT_EQ(d_memory.config.core.value, mid.value);
+  const int clamped = int{d_table.clamped} + int{d_default.clamped} + int{d_memory.clamped};
+  EXPECT_EQ(reg.get_counter("planner.clock_clamped").value(), clamped_before + clamped);
 }
 #endif
 

@@ -21,8 +21,10 @@
 #include <vector>
 
 #include "synergy/common/rng.hpp"
+#include "synergy/obs/snapshot.hpp"
 #include "synergy/plan_service.hpp"
 #include "synergy/synergy.hpp"
+#include "synergy/telemetry/telemetry.hpp"
 #include "synergy/workloads/benchmark.hpp"
 
 namespace sm = synergy::metrics;
@@ -147,6 +149,28 @@ TEST(PlanService, BatchMatchesSingleByteForByte) {
                          pool[i].kernel + "/" + pool[i].target.to_string());
   }
 }
+
+#if SYNERGY_TELEMETRY_ENABLED
+// Regression: the batch path observed a wall-clock histogram of its own that
+// was missing from the exporter's volatile list, so host timings leaked into
+// the deterministic JSON and Prometheus renderings. Single and batched plans
+// now feed the one volatile latency histogram.
+TEST(PlanService, WallClockLatencyStaysOutOfDefaultSnapshots) {
+  plan_service service{make_chain(gs::make_v100())};
+  const auto pool = request_pool();
+  (void)service.plan(pool.front().kernel, pool.front().features, pool.front().target);
+  (void)service.plan_batch(pool);
+
+  const auto& ledger = synergy::obs::energy_ledger::instance();
+  EXPECT_EQ(synergy::obs::render_json(ledger, nullptr).find("latency_us"), std::string::npos);
+  EXPECT_EQ(synergy::obs::render_prometheus(ledger).find("latency_us"), std::string::npos);
+  // The latency is still recorded: clearing the volatile list brings it back.
+  synergy::obs::snapshot_options all;
+  all.volatile_metrics.clear();
+  EXPECT_NE(synergy::obs::render_json(ledger, nullptr, all).find("planner.plan_latency_us"),
+            std::string::npos);
+}
+#endif
 
 TEST(PlanService, EmptyBatchIsANoOp) {
   plan_service service{make_chain(gs::make_v100())};
