@@ -19,7 +19,16 @@
 /// leaves the previous checkpoint intact and any corruption is detected at
 /// open time. Loads are fail-closed: a checkpoint that does not parse and
 /// cross-validate completely (config fingerprint, trace CRC, structural
-/// consistency) restores nothing.
+/// consistency, slot table against running jobs, each subsystem's
+/// acceptance of its section) restores nothing, neither in the simulator
+/// nor in the ledger, metrics registry, guard or watchdog.
+///
+/// The payload layout is written once, in checkpoint.cpp: one
+/// transfer(archive, record) per record type, instantiated by both the
+/// writer and the reader, and one function for the section order. The
+/// simulator keeps everything a run resets and a checkpoint carries in one
+/// run_state struct, so a new per-run field is one member plus one token
+/// in the section order.
 ///
 /// Determinism contract: resuming from any checkpoint of a run produces
 /// byte-identical final outputs (summary CSV, per-job table, obs JSON

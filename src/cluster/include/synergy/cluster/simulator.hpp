@@ -274,7 +274,7 @@ class simulator {
   /// simulator can replay several traces.
   run_summary run(const job_trace& trace);
 
-  [[nodiscard]] const std::vector<job_result>& results() const { return results_; }
+  [[nodiscard]] const std::vector<job_result>& results() const { return run_.results; }
 
   /// Modelled facility power sampled after every event, as (time, watts)
   /// pairs — the budget test asserts every sample respects the cap.
@@ -292,7 +292,9 @@ class simulator {
   /// champion from `registry` is installed into `guard` mid-run — the
   /// scheduling policy built on the guard resumes model-tier planning
   /// without a restart. Attach before run(); all three must share the
-  /// device of this cluster and outlive the simulator.
+  /// device of this cluster and outlive the simulator. Throws
+  /// std::invalid_argument when checkpointing is enabled (see
+  /// set_checkpointing()).
   void attach_recovery(std::shared_ptr<guarded_planner> guard,
                        std::shared_ptr<lifecycle::model_registry> registry,
                        std::shared_ptr<lifecycle::lifecycle_manager> manager);
@@ -313,10 +315,11 @@ class simulator {
   /// Enable periodic virtual-time checkpointing (and/or crash injection) for
   /// subsequent run()/resume() calls. Throws std::invalid_argument when the
   /// config has the reactive governor enabled — per-job governor state is
-  /// not serialisable (see ARCHITECTURE §17's operational contract); the
-  /// lifecycle regime is excluded the same way by the tool layer. Pass the
-  /// guard/service the scheduling policy plans through via `opts` so their
-  /// state (drift window, tier counters, plan cache) rides in the artefact.
+  /// not serialisable (see ARCHITECTURE §17's operational contract) — or
+  /// when a lifecycle recovery loop is attached; attach_recovery() throws
+  /// the same error in the other order. Pass the guard/service the
+  /// scheduling policy plans through via `opts` so their state (drift
+  /// window, tier counters, plan cache) rides in the artefact.
   void set_checkpointing(checkpoint_options opts);
 
   /// Serialize the full simulator state at the current virtual time into a
@@ -341,17 +344,26 @@ class simulator {
 
   /// Scrape ticks fired so far (restored across resume) — tools use it to
   /// re-seed the snapshot sequence number.
-  [[nodiscard]] std::uint64_t scrape_ticks() const { return scrape_ticks_; }
+  [[nodiscard]] std::uint64_t scrape_ticks() const { return run_.scrape_ticks; }
   /// The run's cost/carbon accumulators (inactive unless config().econ is
   /// usable) — tools read it for snapshot fields and the cost report.
   [[nodiscard]] const econ::cost_meter& econ_meter() const { return econ_meter_; }
   /// Checkpoint files written by this simulator so far.
-  [[nodiscard]] std::uint64_t checkpoints_written() const { return ckpt_index_; }
+  [[nodiscard]] std::uint64_t checkpoints_written() const { return run_.ckpt_index; }
 
   /// Print the per-job sacct-style table of the last run.
   void report(std::ostream& os) const;
 
  private:
+  /// The checkpoint payload layout (checkpoint.cpp): one transfer() per
+  /// record, shared by serialize_checkpoint() and restore_checkpoint().
+  friend struct checkpoint_layout;
+  /// What set_checkpointing() and attach_recovery() throw, whichever of the
+  /// two comes second.
+  static constexpr const char* lifecycle_checkpointing_error =
+      "simulator: checkpointing is incompatible with the lifecycle recovery loop "
+      "(in-memory retrain state is not serialisable; see ARCHITECTURE Sec. 17)";
+
   struct slot_state {
     bool busy{false};
     double busy_until{0.0};
@@ -384,8 +396,6 @@ class simulator {
     return k == event_kind::arrival || k == event_kind::device_lost ||
            k == event_kind::node_crash || k == event_kind::node_restart;
   }
-  /// A checkpoint payload parsed and awaiting validation (checkpoint.cpp).
-  struct parsed_checkpoint;
 
   void rebuild_controller();
   [[nodiscard]] sched::node_config make_node_config(const std::string& name) const;
@@ -422,7 +432,7 @@ class simulator {
   /// or node events, or running jobs. The self-rescheduling ticks (scrape,
   /// econ, checkpoint) key off this instead of engine emptiness so two tick
   /// streams cannot keep each other alive forever.
-  [[nodiscard]] bool has_live_work() const { return live_events_ > 0 || !running_.empty(); }
+  [[nodiscard]] bool has_live_work() const { return live_events_ > 0 || !run_.running.empty(); }
   /// Shared tail of run()/resume(): drive the engine dry, close accounting,
   /// fail whatever never scheduled, assemble the summary.
   run_summary finish_run();
@@ -456,9 +466,6 @@ class simulator {
   /// Pending events for which is_live() holds.
   std::size_t live_events_{0};
   std::unique_ptr<power_budget> budget_;
-  std::vector<std::vector<slot_state>> slots_;
-  std::vector<queued_job> queue_;
-  std::vector<job_result> results_;
   struct running_job {
     int id{0};
     /// Generation counter: a requeued job's stale completion event (which
@@ -493,20 +500,40 @@ class simulator {
   /// book the segment's joules into the seed/governor bucket, and advance
   /// busy GPU-seconds.
   void accrue_governed(running_job& rj, double now);
-  std::vector<running_job> running_;
+  /// Everything run() starts afresh and a checkpoint carries. run() resets
+  /// it with one assignment; restore_checkpoint() reads a payload into a
+  /// local one, validates it, and installs it with one move. A new per-run
+  /// field is a member here plus, when it must survive a resume, one line
+  /// in checkpoint.cpp's layout.
+  struct run_state {
+    std::vector<std::vector<slot_state>> slots{};
+    std::vector<queued_job> queue{};
+    std::vector<job_result> results{};
+    std::vector<running_job> running{};
+    /// The run's counters, accumulated in place. The power budget counts
+    /// rebalances and demotions itself; `cap_*` hold the totals of budgets
+    /// already replaced.
+    run_summary summary{};
+    double last_integrated_s{0.0};
+    /// Virtual time of the newest accounting-relevant event. finish_run()
+    /// closes integration and the final scrape here rather than at
+    /// engine_.now(): a trailing (inert) checkpoint tick may outlive all
+    /// live work, and the contract is byte-identical output with
+    /// checkpointing on or off.
+    double last_live_t{0.0};
+    double busy_gpu_seconds{0.0};
+    std::uint64_t next_epoch{0};
+    std::uint64_t scrape_ticks{0};
+    std::uint64_t ckpt_index{0};  ///< checkpoint files written so far
+    std::uint64_t trace_crc{0};   ///< CRC-32 of the running trace's CSV form
+    /// Jobs a defer() verdict is currently holding in the queue — their
+    /// eventual start attributes to cause::econ_deferred.
+    std::set<int> econ_deferred_ids{};
+    common::pcg32 fault_rng{0};
+    common::pcg32 chaos_rng{0};
+  };
+  run_state run_;
   std::vector<std::pair<double, double>> power_samples_;
-  /// The run's counters, accumulated in place (reset per run, restored
-  /// across resume). The power budget counts rebalances and demotions
-  /// itself; `cap_*` hold the totals of budgets already replaced.
-  run_summary summary_;
-  double last_integrated_s_{0.0};
-  /// Virtual time of the newest accounting-relevant event. finish_run()
-  /// closes integration and the final scrape here rather than at
-  /// engine_.now(): a trailing (inert) checkpoint tick may outlive all live
-  /// work, and the contract is byte-identical output with checkpointing on
-  /// or off.
-  double last_live_t_{0.0};
-  double busy_gpu_seconds_{0.0};
   // --- observability (optional) ---
   /// Scrape tick: ledger sample + watchdog evaluation + hook, rescheduled
   /// while the run has live work.
@@ -514,31 +541,21 @@ class simulator {
   std::shared_ptr<obs::slo_watchdog> watchdog_;
   std::shared_ptr<guarded_planner> attribution_guard_;
   std::function<void(double)> scrape_hook_;
-  std::uint64_t scrape_ticks_{0};
   // --- lifecycle recovery (optional) ---
   std::shared_ptr<guarded_planner> recovery_guard_;
   std::shared_ptr<lifecycle::model_registry> recovery_registry_;
   std::shared_ptr<lifecycle::lifecycle_manager> recovery_manager_;
   bool recovery_was_quarantined_{false};
-  // --- fault and chaos streams (reset per run) ---
-  common::pcg32 fault_rng_{0};
-  common::pcg32 chaos_rng_{0};
-  std::uint64_t next_epoch_{0};
   // --- facility economics (reset per run; restored across resume) ---
   /// Wake-up at the next price boundary while deferrable jobs wait: a
   /// single self-rescheduling tick (scrape pattern), so econ replays keep
   /// the engine's tie-break sequence deterministic.
   void econ_tick();
   econ::cost_meter econ_meter_;
-  /// Jobs a defer() verdict is currently holding in the queue — their
-  /// eventual start attributes to cause::econ_deferred.
-  std::set<int> econ_deferred_ids_;
-  // --- checkpointing (configured once; index reset per run) ---
+  // --- checkpointing (configured once) ---
   checkpoint_options ckpt_;
   bool ckpt_enabled_{false};
-  std::uint64_t ckpt_index_{0};
-  std::uint64_t trace_crc_{0};  ///< CRC-32 of the running trace's CSV form
-  bool restored_{false};        ///< restore_checkpoint() succeeded; resume() legal
+  bool restored_{false};  ///< restore_checkpoint() succeeded; resume() legal
 };
 
 /// Tuning-table-backed plan resolver for `device`: compiled once from the

@@ -117,19 +117,19 @@ simulator::~simulator() = default;
 
 job_result& simulator::result_of(int job_id) {
   const auto it =
-      std::find_if(results_.begin(), results_.end(),
+      std::find_if(run_.results.begin(), run_.results.end(),
                    [job_id](const job_result& r) { return r.id == job_id; });
-  if (it == results_.end()) throw std::out_of_range("simulator: unknown job id");
+  if (it == run_.results.end()) throw std::out_of_range("simulator: unknown job id");
   return *it;
 }
 
 cluster_view simulator::make_view() const {
   // Sized off the *live* inventory: device-lost events shrink the cluster
-  // mid-run, and slots_ / the controller stay index-aligned throughout.
+  // mid-run, and run_.slots / the controller stay index-aligned throughout.
   cluster_view view;
   view.now = engine_.now();
-  view.nodes.reserve(slots_.size());
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
+  view.nodes.reserve(run_.slots.size());
+  for (std::size_t i = 0; i < run_.slots.size(); ++i) {
     const auto& n = ctl_->node_at(i);
     cluster_view::node_view nv;
     nv.name = n.name();
@@ -140,7 +140,7 @@ cluster_view simulator::make_view() const {
         n.has_gres(sched::nvgpufreq_plugin::gres_tag) && n.config().nvml_available;
     nv.gpu_busy.reserve(config_.gpus_per_node);
     nv.busy_until.reserve(config_.gpus_per_node);
-    for (const auto& s : slots_[i]) {
+    for (const auto& s : run_.slots[i]) {
       nv.gpu_busy.push_back(s.busy);
       nv.busy_until.push_back(s.busy ? s.busy_until : view.now);
     }
@@ -151,8 +151,8 @@ cluster_view simulator::make_view() const {
 
 double simulator::shadow_time(int n_gpus) const {
   std::vector<double> avail;
-  avail.reserve(slots_.size() * config_.gpus_per_node);
-  for (const auto& node_slots : slots_)
+  avail.reserve(run_.slots.size() * config_.gpus_per_node);
+  for (const auto& node_slots : run_.slots)
     for (const auto& s : node_slots)
       avail.push_back(s.busy ? s.busy_until : engine_.now());
   if (static_cast<std::size_t>(n_gpus) > avail.size()) return inf;
@@ -186,19 +186,19 @@ bool simulator::admit(const traced_job& job, common::frequency_config& config,
 
 void simulator::integrate_to_now() {
   const double t = engine_.now();
-  if (t > last_integrated_s_) {
+  if (t > run_.last_integrated_s) {
     const double w = budget_->facility_power_w();
-    summary_.facility_energy_j += w * (t - last_integrated_s_);
+    run_.summary.facility_energy_j += w * (t - run_.last_integrated_s);
     // The cost integrator walks the same power signal over the same spans,
     // so facility cost is exactly the price-weighted facility energy.
-    if (econ_meter_.active()) econ_meter_.integrate(w, last_integrated_s_, t);
-    last_integrated_s_ = t;
+    if (econ_meter_.active()) econ_meter_.integrate(w, run_.last_integrated_s, t);
+    run_.last_integrated_s = t;
   }
 }
 
 void simulator::sample_power() {
   const double w = budget_->facility_power_w();
-  summary_.peak_facility_power_w = std::max(summary_.peak_facility_power_w, w);
+  run_.summary.peak_facility_power_w = std::max(run_.summary.peak_facility_power_w, w);
   power_samples_.emplace_back(engine_.now(), w);
 }
 
@@ -210,7 +210,7 @@ void simulator::schedule(double t, event_kind kind, std::int64_t id, std::uint64
 void simulator::dispatch(const sim_event& e) {
   if (is_live(e.kind)) {
     --live_events_;
-    last_live_t_ = engine_.now();
+    run_.last_live_t = engine_.now();
   }
   switch (e.kind) {
     case event_kind::arrival: arrive(trace_->jobs[static_cast<std::size_t>(e.id)]); break;
@@ -239,7 +239,7 @@ void simulator::arrive(const traced_job& job) {
                   {"n_gpus", static_cast<double>(job.n_gpus)});
 
   auto& r = result_of(job.id);
-  const std::size_t total_gpus = slots_.size() * config_.gpus_per_node;
+  const std::size_t total_gpus = run_.slots.size() * config_.gpus_per_node;
   if (static_cast<std::size_t>(job.n_gpus) > total_gpus) {
     r.state = sched::job_state::failed;
     r.failure_reason = "requests more GPUs than the cluster has";
@@ -251,7 +251,7 @@ void simulator::arrive(const traced_job& job) {
     const auto cost = model_.evaluate(
         spec_, folded_profile(job), {spec_.default_config().memory, spec_.min_core_clock()});
     const double idle_facility =
-        static_cast<double>(slots_.size()) *
+        static_cast<double>(run_.slots.size()) *
         (config_.host_power_w +
          static_cast<double>(config_.gpus_per_node) * spec_.idle_power_w);
     const double min_draw =
@@ -266,7 +266,7 @@ void simulator::arrive(const traced_job& job) {
   if (r.state != sched::job_state::failed) {
     const auto est =
         model_.evaluate(spec_, folded_profile(job), spec_.default_config()).time.value;
-    queue_.push_back(queued_job{job, est});
+    run_.queue.push_back(queued_job{job, est});
     try_schedule();
   }
   sample_power();
@@ -277,10 +277,10 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
   // already); load-bearing for the econ tick, whose inert firings must not
   // move the accounting clock but whose job starts must close the facility
   // integral before the budget registers new draw.
-  last_live_t_ = engine_.now();
+  run_.last_live_t = engine_.now();
   integrate_to_now();
-  const queued_job qj = queue_[queue_index];
-  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(queue_index));
+  const queued_job qj = run_.queue[queue_index];
+  run_.queue.erase(run_.queue.begin() + static_cast<std::ptrdiff_t>(queue_index));
   const double now = engine_.now();
 
   auto& r = result_of(qj.job.id);
@@ -295,21 +295,21 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
   bool lose_device_here = false;
   double lose_at_frac = 0.0;
   if (faults_on) {
-    const double u_clock = fault_rng_.uniform();
-    const double u_lost = fault_rng_.uniform();
-    lose_at_frac = 0.1 + 0.8 * fault_rng_.uniform();
+    const double u_clock = run_.fault_rng.uniform();
+    const double u_lost = run_.fault_rng.uniform();
+    lose_at_frac = 0.1 + 0.8 * run_.fault_rng.uniform();
     if (u_clock < config_.faults.clock_set_fail_rate &&
         !(config == spec_.default_config())) {
       // Persistent clock-set failure: the node prologue retried and gave
       // up; the job runs at default clocks and its sample is degraded.
       config = spec_.default_config();
       r.clock_set_failed = true;
-      ++summary_.clock_set_faults;
+      ++run_.summary.clock_set_faults;
       SYNERGY_COUNTER_ADD("cluster.clock_set_faults", 1);
     }
     lose_device_here = u_lost < config_.faults.device_lost_rate &&
-                       summary_.nodes_lost < config_.faults.max_node_losses &&
-                       slots_.size() > 1;
+                       run_.summary.nodes_lost < config_.faults.max_node_losses &&
+                       run_.slots.size() > 1;
   }
   r.core_mhz = config.core.value;
 
@@ -320,10 +320,10 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
   // re-priced the clocks, and a clock-set fault means the job actually ran
   // at fallback clocks.
   obs::cause why = pl.config ? pl.plan_cause : obs::cause::default_clocks;
-  if (const auto di = econ_deferred_ids_.find(qj.job.id); di != econ_deferred_ids_.end()) {
+  if (const auto di = run_.econ_deferred_ids.find(qj.job.id); di != run_.econ_deferred_ids.end()) {
     // The job waited out a pricey window; its joules carry the deferral tag
     // unless the price-demotion rule already re-priced this placement.
-    econ_deferred_ids_.erase(di);
+    run_.econ_deferred_ids.erase(di);
     if (why != obs::cause::econ_price_demoted) why = obs::cause::econ_deferred;
   }
   if (r.demoted) why = obs::cause::cap_demoted;
@@ -352,16 +352,16 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
   const bool governed =
       config_.governor.enabled && config_.tag_nvgpufreq && !r.clock_set_failed;
   r.gpu_energy_j = governed ? 0.0 : cost.energy.value * qj.job.n_gpus;
-  if (!governed) busy_gpu_seconds_ += duration * qj.job.n_gpus;
+  if (!governed) run_.busy_gpu_seconds += duration * qj.job.n_gpus;
 
   std::set<std::size_t> nodes_used;
   for (const auto& slot : pl.gpus) {
-    slots_[slot.node][slot.gpu] = {true, now + duration};
+    run_.slots[slot.node][slot.gpu] = {true, now + duration};
     budget_->gpu_busy(slot.node, slot.gpu, cost.avg_power.value);
     nodes_used.insert(slot.node);
   }
   for (const std::size_t ni : nodes_used) ctl_->node_at(ni).add_job();
-  const std::uint64_t epoch = next_epoch_++;
+  const std::uint64_t epoch = run_.next_epoch++;
   {
     running_job rj;
     rj.id = qj.job.id;
@@ -375,10 +375,10 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
     rj.avg_power_w = cost.avg_power.value;
     rj.why = why;
     rj.node = ctl_->node_at(pl.gpus.front().node).name();
-    running_.push_back(std::move(rj));
+    run_.running.push_back(std::move(rj));
   }
   if (governed) {
-    auto& rj = running_.back();
+    auto& rj = run_.running.back();
     rj.gov = std::shared_ptr<governor::governor>(
         std::move(governor::make_governor(config_.governor.spec, spec_)).value());
     rj.gov->seed(config.core);
@@ -411,14 +411,14 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
   if (lose_device_here) {
     // The board dies partway through this job. Nodes are addressed by
     // ordinal because indices shift when earlier losses remove nodes.
-    const auto victim = node_ordinal(running_.back().node);
+    const auto victim = node_ordinal(run_.running.back().node);
     schedule(now + duration * lose_at_frac, event_kind::device_lost,
              static_cast<std::int64_t>(victim));
   }
 }
 
 void simulator::complete(int job_id, std::uint64_t epoch) {
-  const auto it = std::find_if(running_.begin(), running_.end(), [&](const running_job& rj) {
+  const auto it = std::find_if(run_.running.begin(), run_.running.end(), [&](const running_job& rj) {
     return rj.id == job_id && rj.epoch == epoch;
   });
   // Stale completion: the job was requeued by a device-lost/node-crash event
@@ -427,13 +427,13 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
   // any accounting so a stale event is a pure no-op: checkpoints then do not
   // need to carry stale events, and resumed runs integrate the facility
   // energy over the same spans as uninterrupted ones.
-  if (it == running_.end()) return;
-  last_live_t_ = engine_.now();
+  if (it == run_.running.end()) return;
+  run_.last_live_t = engine_.now();
   integrate_to_now();
 
   std::set<std::size_t> nodes_used;
   for (const auto& slot : it->gpus) {
-    slots_[slot.node][slot.gpu] = {false, 0.0};
+    run_.slots[slot.node][slot.gpu] = {false, 0.0};
     budget_->gpu_idle(slot.node, slot.gpu);
     nodes_used.insert(slot.node);
   }
@@ -451,17 +451,17 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
   const traced_job finished = it->job;
   [[maybe_unused]] const obs::cause attribution = it->why;
   [[maybe_unused]] const std::string obs_node = it->node;
-  running_.erase(it);
+  run_.running.erase(it);
 
   auto& r = result_of(job_id);
   r.state = sched::job_state::completed;
   r.end_s = engine_.now();
   if (config_.faults.enabled() &&
-      fault_rng_.uniform() < config_.faults.power_read_dropout_rate) {
+      run_.fault_rng.uniform() < config_.faults.power_read_dropout_rate) {
     // The end-of-job power read dropped out: the energy figure comes from
     // the model with no sensor corroboration. Keep it, but flag it.
     r.energy_degraded = true;
-    ++summary_.degraded_samples;
+    ++run_.summary.degraded_samples;
     SYNERGY_COUNTER_ADD("cluster.degraded_samples", 1);
   }
   SYNERGY_COUNTER_ADD("cluster.jobs_completed", 1);
@@ -519,7 +519,7 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
         {finished.kernel, features, {spec_.default_config().memory, core}, energy_per_item});
     const bool quarantined = recovery_guard_->quarantined();
     if (quarantined && !recovery_was_quarantined_) {
-      ++summary_.quarantines;
+      ++run_.summary.quarantines;
       recovery_was_quarantined_ = true;
       SYNERGY_COUNTER_ADD("cluster.model_quarantines", 1);
       SYNERGY_INSTANT(tel::category::sched, "cluster.model_quarantine",
@@ -535,10 +535,10 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
                                                   : nullptr);
       recovery_was_quarantined_ = false;
       if (action == lifecycle::lifecycle_action::promoted) {
-        ++summary_.promotions;
+        ++run_.summary.promotions;
         SYNERGY_COUNTER_ADD("cluster.model_promotions", 1);
       } else {
-        ++summary_.rollbacks;
+        ++run_.summary.rollbacks;
         SYNERGY_COUNTER_ADD("cluster.model_rollbacks", 1);
       }
       SYNERGY_INSTANT(tel::category::sched, "cluster.model_recovery",
@@ -568,23 +568,23 @@ void simulator::accrue_governed(running_job& rj, double now) {
     rj.gov_energy_j += joules;
   else
     rj.seed_energy_j += joules;
-  busy_gpu_seconds_ += elapsed * rj.job.n_gpus;
+  run_.busy_gpu_seconds += elapsed * rj.job.n_gpus;
   rj.last_tick_s = now;
 }
 
 void simulator::governor_tick(int job_id, std::uint64_t epoch) {
-  const auto it = std::find_if(running_.begin(), running_.end(), [&](const running_job& rj) {
+  const auto it = std::find_if(run_.running.begin(), run_.running.end(), [&](const running_job& rj) {
     return rj.id == job_id && rj.epoch == epoch;
   });
   // Stale tick: the job was requeued by a device-lost event after this tick
   // was scheduled; the restarted incarnation runs under a fresh epoch.
-  if (it == running_.end() || !it->gov) return;
-  last_live_t_ = engine_.now();
+  if (it == run_.running.end() || !it->gov) return;
+  run_.last_live_t = engine_.now();
   integrate_to_now();
   running_job& rj = *it;
   const double now = engine_.now();
   accrue_governed(rj, now);
-  ++summary_.governor_ticks;
+  ++run_.summary.governor_ticks;
   SYNERGY_COUNTER_ADD("cluster.governor_ticks", 1);
 
   // Drift may have switched on since the segment opened: refresh observed
@@ -595,7 +595,7 @@ void simulator::governor_tick(int job_id, std::uint64_t epoch) {
   const auto before = rj.gov->current();
   const auto decided = rj.gov->decide(sample);
   if (decided.value != before.value) {
-    ++summary_.governor_clock_changes;
+    ++run_.summary.governor_clock_changes;
     SYNERGY_COUNTER_ADD("cluster.governor_clock_changes", 1);
     // Re-price the rest of the job at the new clock. Work completed so far
     // is banked in frac_done; only the remaining fraction runs at the new
@@ -615,7 +615,7 @@ void simulator::governor_tick(int job_id, std::uint64_t epoch) {
 
   const double remaining =
       rj.cur_duration_full > 0.0 ? (1.0 - rj.frac_done) * rj.cur_duration_full : 0.0;
-  for (const auto& s : rj.gpus) slots_[s.node][s.gpu].busy_until = now + remaining;
+  for (const auto& s : rj.gpus) run_.slots[s.node][s.gpu].busy_until = now + remaining;
   const double tick = std::max(1e-3, config_.governor.tick_interval_s);
   if (remaining <= tick + 1e-9)
     schedule(now + std::max(0.0, remaining), event_kind::completion, job_id, epoch);
@@ -629,12 +629,12 @@ std::size_t simulator::drain_node(std::size_t ni) {
   // are never lost. Its partial execution is refunded from the pre-charged
   // accounting and booked as wasted work instead.
   std::vector<running_job> victims;
-  for (auto it = running_.begin(); it != running_.end();) {
+  for (auto it = run_.running.begin(); it != run_.running.end();) {
     const bool on_node = std::any_of(it->gpus.begin(), it->gpus.end(),
                                      [ni](const gpu_slot& s) { return s.node == ni; });
     if (on_node) {
       victims.push_back(*it);
-      it = running_.erase(it);
+      it = run_.running.erase(it);
     } else {
       ++it;
     }
@@ -643,7 +643,7 @@ std::size_t simulator::drain_node(std::size_t ni) {
   for (auto& rj : victims) {
     std::set<std::size_t> nodes_used;
     for (const auto& s : rj.gpus) {
-      slots_[s.node][s.gpu] = {false, 0.0};
+      run_.slots[s.node][s.gpu] = {false, 0.0};
       budget_->gpu_idle(s.node, s.gpu);
       nodes_used.insert(s.node);
     }
@@ -660,10 +660,10 @@ std::size_t simulator::drain_node(std::size_t ni) {
       wasted = rj.seed_energy_j + rj.gov_energy_j;
     } else {
       const double done = rj.duration > 0.0 ? std::min(1.0, elapsed / rj.duration) : 1.0;
-      busy_gpu_seconds_ -= (rj.duration - elapsed) * rj.job.n_gpus;
+      run_.busy_gpu_seconds -= (rj.duration - elapsed) * rj.job.n_gpus;
       wasted = rj.energy_j * done;
     }
-    summary_.wasted_gpu_energy_j += wasted;
+    run_.summary.wasted_gpu_energy_j += wasted;
     // The partial execution's joules were spent and bought nothing: book
     // them as fault-wasted so the watchdog's wasted_energy_j rule sees the
     // incident on the next scrape.
@@ -675,12 +675,12 @@ std::size_t simulator::drain_node(std::size_t ni) {
     r.start_s = -1.0;
     r.core_mhz = 0.0;
     ++r.requeues;
-    ++summary_.requeues;
+    ++run_.summary.requeues;
     SYNERGY_COUNTER_ADD("cluster.requeues", 1);
     SYNERGY_INSTANT(tel::category::sched, "cluster.requeue",
                     {"id", static_cast<double>(rj.id)},
                     {"node", static_cast<double>(ni)});
-    queue_.push_back(queued_job{rj.job, rj.est});
+    run_.queue.push_back(queued_job{rj.job, rj.est});
   }
   return victims.size();
 }
@@ -689,10 +689,10 @@ void simulator::rebuild_budget() {
   // The budget is sized to the inventory, so node removal/re-admission
   // rebuilds it from scratch; counters fold into the summary so run totals
   // survive the swap, and running jobs re-register their demand.
-  summary_.cap_rebalances += budget_->rebalances();
-  summary_.cap_demotions += budget_->demotions();
+  run_.summary.cap_rebalances += budget_->rebalances();
+  run_.summary.cap_demotions += budget_->demotions();
   budget_ = std::make_unique<power_budget>(*ctl_, config_.facility_cap_w);
-  for (const auto& rj : running_)
+  for (const auto& rj : run_.running)
     for (const auto& s : rj.gpus) budget_->gpu_busy(s.node, s.gpu, rj.avg_power_w);
 }
 
@@ -700,8 +700,8 @@ bool simulator::remove_node_and_rebuild(std::size_t ni) {
   // Drained of jobs, the node leaves the inventory through the controller's
   // normal removal path; slot and budget bookkeeping shift down with it.
   if (!ctl_->remove_node(ctl_->node_at(ni).name())) return false;
-  slots_.erase(slots_.begin() + static_cast<std::ptrdiff_t>(ni));
-  for (auto& rj : running_)
+  run_.slots.erase(run_.slots.begin() + static_cast<std::ptrdiff_t>(ni));
+  for (auto& rj : run_.running)
     for (auto& s : rj.gpus)
       if (s.node > ni) --s.node;
   rebuild_budget();
@@ -711,20 +711,20 @@ bool simulator::remove_node_and_rebuild(std::size_t ni) {
 void simulator::device_lost(const std::string& node_name) {
   // Resolve by name: earlier losses shift indices. A vanished name means the
   // node is already gone (double event) — nothing to do.
-  std::size_t ni = slots_.size();
+  std::size_t ni = run_.slots.size();
   for (std::size_t i = 0; i < ctl_->node_count(); ++i)
     if (ctl_->node_at(i).name() == node_name) {
       ni = i;
       break;
     }
-  if (ni >= slots_.size() || slots_.size() <= 1 ||
-      summary_.nodes_lost >= config_.faults.max_node_losses)
+  if (ni >= run_.slots.size() || run_.slots.size() <= 1 ||
+      run_.summary.nodes_lost >= config_.faults.max_node_losses)
     return;
   integrate_to_now();
 
   [[maybe_unused]] const std::size_t requeued = drain_node(ni);
   if (remove_node_and_rebuild(ni)) {
-    ++summary_.nodes_lost;
+    ++run_.summary.nodes_lost;
     SYNERGY_COUNTER_ADD("cluster.nodes_lost", 1);
     SYNERGY_INSTANT(tel::category::sched, "cluster.device_lost",
                     {"node", static_cast<double>(ni)},
@@ -739,15 +739,15 @@ void simulator::device_lost(const std::string& node_name) {
 void simulator::node_crash() {
   // At least one node always survives; a skipped crash consumes no RNG so
   // the victim stream stays aligned across replays regardless of timing.
-  if (slots_.size() <= 1) return;
+  if (run_.slots.size() <= 1) return;
   integrate_to_now();
 
   const auto ni = static_cast<std::size_t>(
-      chaos_rng_.bounded(static_cast<std::uint32_t>(slots_.size())));
+      run_.chaos_rng.bounded(static_cast<std::uint32_t>(run_.slots.size())));
   const std::string name = ctl_->node_at(ni).name();
   [[maybe_unused]] const std::size_t requeued = drain_node(ni);
   if (remove_node_and_rebuild(ni)) {
-    ++summary_.node_crashes;
+    ++run_.summary.node_crashes;
     SYNERGY_COUNTER_ADD("cluster.node_crashes", 1);
     SYNERGY_INSTANT(tel::category::sched, "cluster.node_crash",
                     {"node", static_cast<double>(ni)},
@@ -770,12 +770,12 @@ void simulator::node_restart(std::size_t ordinal) {
   // shifts existing indices — and the budget re-spreads over the grown
   // fleet before an immediate scheduling pass picks up deferred work.
   ctl_->add_node(make_node_config(node_name(ordinal)));
-  slots_.emplace_back(config_.gpus_per_node, slot_state{});
+  run_.slots.emplace_back(config_.gpus_per_node, slot_state{});
   rebuild_budget();
-  ++summary_.node_restarts;
+  ++run_.summary.node_restarts;
   SYNERGY_COUNTER_ADD("cluster.node_restarts", 1);
   SYNERGY_INSTANT(tel::category::sched, "cluster.node_restart",
-                  {"node", static_cast<double>(slots_.size() - 1)});
+                  {"node", static_cast<double>(run_.slots.size() - 1)});
 
   budget_->rebalance();
   try_schedule();
@@ -784,24 +784,24 @@ void simulator::node_restart(std::size_t ordinal) {
 
 void simulator::try_schedule() {
   bool progressed = true;
-  while (progressed && !queue_.empty()) {
+  while (progressed && !run_.queue.empty()) {
     progressed = false;
     auto view = make_view();
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
+    for (std::size_t i = 0; i < run_.queue.size(); ++i) {
       if (i > 0 && !policy_->backfills()) break;
       view.is_head = (i == 0);
-      view.head_reservation_s = (i == 0) ? inf : shadow_time(queue_[0].job.n_gpus);
-      if (econ_meter_.active() && policy_->defer(queue_[i], view)) {
+      view.head_reservation_s = (i == 0) ? inf : shadow_time(run_.queue[0].job.n_gpus);
+      if (econ_meter_.active() && policy_->defer(run_.queue[i], view)) {
         // The policy holds this job for a cheaper window; the econ tick
         // re-runs this scan at the next price boundary. Counted per
         // deferral episode (a requeued job may defer again).
-        if (econ_deferred_ids_.insert(queue_[i].job.id).second) {
-          ++summary_.econ_jobs_deferred;
+        if (run_.econ_deferred_ids.insert(run_.queue[i].job.id).second) {
+          ++run_.summary.econ_jobs_deferred;
           SYNERGY_COUNTER_ADD("cluster.econ_deferrals", 1);
         }
         continue;
       }
-      auto pl = policy_->place(queue_[i], view);
+      auto pl = policy_->place(run_.queue[i], view);
       if (!pl) continue;
       auto config = pl->config.value_or(spec_.default_config());
       // Price-threshold clock demotion: while the spot price sits above
@@ -821,15 +821,15 @@ void simulator::try_schedule() {
         }
       }
       bool demoted = false;
-      if (!admit(queue_[i].job, config, demoted)) continue;  // defer under the cap
+      if (!admit(run_.queue[i].job, config, demoted)) continue;  // defer under the cap
       if (demoted) {
         budget_->count_demotion();
         SYNERGY_COUNTER_ADD("cluster.cap_demotions", 1);
-        result_of(queue_[i].job.id).demoted = true;
+        result_of(run_.queue[i].job.id).demoted = true;
       }
       if (price_demoted) {
         pl->plan_cause = obs::cause::econ_price_demoted;
-        ++summary_.econ_price_demotions;
+        ++run_.summary.econ_price_demotions;
         SYNERGY_COUNTER_ADD("cluster.econ_price_demotions", 1);
       }
       pl->config = config;
@@ -849,27 +849,20 @@ run_summary simulator::run(const job_trace& trace) {
   trace_ = &trace;
   live_events_ = 0;
   budget_ = std::make_unique<power_budget>(*ctl_, config_.facility_cap_w);
-  slots_.assign(config_.n_nodes, std::vector<slot_state>(config_.gpus_per_node));
-  queue_.clear();
-  running_.clear();
-  results_.clear();
+  run_ = run_state{
+      .slots = std::vector(config_.n_nodes, std::vector<slot_state>(config_.gpus_per_node)),
+      // Spelled out: left defaulted, GCC 12 -O3 flags the summary's string
+      // as maybe-uninitialized in the temporary.
+      .summary = run_summary{},
+      .trace_crc = ckpt_enabled_ ? common::crc32(trace.to_csv()) : 0,
+      .fault_rng = common::pcg32{config_.faults.seed},
+      .chaos_rng = common::pcg32{config_.chaos.seed}};
   power_samples_.clear();
-  summary_ = run_summary{};
-  last_integrated_s_ = 0.0;
-  last_live_t_ = 0.0;
-  busy_gpu_seconds_ = 0.0;
-  fault_rng_ = common::pcg32{config_.faults.seed};
-  chaos_rng_ = common::pcg32{config_.chaos.seed};
   recovery_was_quarantined_ = false;
-  next_epoch_ = 0;
-  scrape_ticks_ = 0;
   econ_meter_ = econ::cost_meter{config_.econ, config_.n_nodes};
-  econ_deferred_ids_.clear();
-  ckpt_index_ = 0;
-  trace_crc_ = 0;
   restored_ = false;
 
-  results_.reserve(trace.jobs.size());
+  run_.results.reserve(trace.jobs.size());
   for (std::size_t i = 0; i < trace.jobs.size(); ++i) {
     const auto& job = trace.jobs[i];
     job_result r;
@@ -879,7 +872,7 @@ run_summary simulator::run(const job_trace& trace) {
     r.target = job.target;
     r.n_gpus = job.n_gpus;
     r.submit_s = job.submit_s;
-    results_.push_back(std::move(r));
+    run_.results.push_back(std::move(r));
     schedule(job.submit_s, event_kind::arrival, static_cast<std::int64_t>(i));
   }
   sample_power();
@@ -898,12 +891,11 @@ run_summary simulator::run(const job_trace& trace) {
     // the then-live inventory.
     double t = 0.0;
     for (std::size_t k = 0; k < config_.chaos.max_crashes; ++k) {
-      t += -config_.chaos.mtbf_s * std::log1p(-chaos_rng_.uniform());
+      t += -config_.chaos.mtbf_s * std::log1p(-run_.chaos_rng.uniform());
       schedule(t, event_kind::node_crash);
     }
   }
   if (ckpt_enabled_) {
-    trace_crc_ = common::crc32(trace.to_csv());
     if (ckpt_.interval_s > 0.0) schedule(ckpt_.interval_s, event_kind::checkpoint);
     if (ckpt_.crash_at_s >= 0.0) schedule(ckpt_.crash_at_s, event_kind::crash_injection);
   }
@@ -917,36 +909,36 @@ run_summary simulator::finish_run() {
   // before the work ran dry, or a stale completion of a requeued job) whose
   // presence depends on checkpointing/crash history — and the contract is
   // byte-identical output with checkpointing on or off.
-  if (last_live_t_ > last_integrated_s_) {
+  if (run_.last_live_t > run_.last_integrated_s) {
     const double w = budget_->facility_power_w();
-    summary_.facility_energy_j += w * (last_live_t_ - last_integrated_s_);
-    if (econ_meter_.active()) econ_meter_.integrate(w, last_integrated_s_, last_live_t_);
-    last_integrated_s_ = last_live_t_;
+    run_.summary.facility_energy_j += w * (run_.last_live_t - run_.last_integrated_s);
+    if (econ_meter_.active()) econ_meter_.integrate(w, run_.last_integrated_s, run_.last_live_t);
+    run_.last_integrated_s = run_.last_live_t;
   }
   if (config_.obs_scrape_interval_s > 0.0) {
     // Closing sample: a run shorter than one interval still gets a series
     // point, and the watchdog sees the final state.
-    obs::energy_ledger::instance().scrape(last_live_t_);
-    if (watchdog_) watchdog_->evaluate(last_live_t_);
-    if (scrape_hook_) scrape_hook_(last_live_t_);
+    obs::energy_ledger::instance().scrape(run_.last_live_t);
+    if (watchdog_) watchdog_->evaluate(run_.last_live_t);
+    if (scrape_hook_) scrape_hook_(run_.last_live_t);
   }
 
   // Anything still queued can never start (the queue only drains on
   // completions, and none are pending).
-  for (const auto& qj : queue_) {
+  for (const auto& qj : run_.queue) {
     auto& r = result_of(qj.job.id);
     r.state = sched::job_state::failed;
     r.failure_reason = "deferred by the power budget with nothing left to drain";
     SYNERGY_COUNTER_ADD("cluster.jobs_failed", 1);
   }
-  queue_.clear();
+  run_.queue.clear();
 
-  run_summary s = summary_;
+  run_summary s = run_.summary;
   s.seed = trace_->seed;
   s.policy = policy_->name();
-  s.jobs = results_.size();
+  s.jobs = run_.results.size();
   std::vector<double> waits;
-  for (const auto& r : results_) {
+  for (const auto& r : run_.results) {
     if (r.state == sched::job_state::completed) {
       ++s.completed;
       s.makespan_s = std::max(s.makespan_s, r.end_s);
@@ -964,7 +956,7 @@ run_summary simulator::finish_run() {
   }
   if (s.makespan_s > 0.0) {
     s.throughput_jobs_per_h = static_cast<double>(s.completed) / s.makespan_s * 3600.0;
-    s.gpu_utilization = busy_gpu_seconds_ /
+    s.gpu_utilization = run_.busy_gpu_seconds /
                         (static_cast<double>(config_.n_nodes * config_.gpus_per_node) *
                          s.makespan_s);
   }
@@ -981,15 +973,15 @@ run_summary simulator::finish_run() {
 void simulator::econ_tick() {
   // Price boundary: re-run the scheduling scan so jobs a defer() verdict
   // held back get another look under the new price. Inert firings (nothing
-  // deferred, nothing startable) deliberately do not touch last_live_t_ —
+  // deferred, nothing startable) deliberately do not touch run_.last_live_t —
   // econ-on/econ-off runs of a never-deferring policy stay byte-identical
   // in the energy columns.
   try_schedule();
   sample_power();
   bool waiting = false;
-  if (econ_meter_.active() && !queue_.empty()) {
+  if (econ_meter_.active() && !run_.queue.empty()) {
     const auto view = make_view();
-    for (const auto& qj : queue_)
+    for (const auto& qj : run_.queue)
       if (policy_->defer(qj, view)) {
         waiting = true;
         break;
@@ -1005,8 +997,8 @@ void simulator::econ_tick() {
 }
 
 void simulator::scrape_tick() {
-  last_live_t_ = engine_.now();
-  ++scrape_ticks_;
+  run_.last_live_t = engine_.now();
+  ++run_.scrape_ticks;
   obs::energy_ledger::instance().scrape(engine_.now());
   if (watchdog_) watchdog_->evaluate(engine_.now());
   if (scrape_hook_) scrape_hook_(engine_.now());
@@ -1030,6 +1022,7 @@ void simulator::set_scrape_hook(std::function<void(double)> hook) {
 void simulator::attach_recovery(std::shared_ptr<guarded_planner> guard,
                                 std::shared_ptr<lifecycle::model_registry> registry,
                                 std::shared_ptr<lifecycle::lifecycle_manager> manager) {
+  if (manager && ckpt_enabled_) throw std::invalid_argument(lifecycle_checkpointing_error);
   recovery_guard_ = std::move(guard);
   recovery_registry_ = std::move(registry);
   recovery_manager_ = std::move(manager);
@@ -1043,7 +1036,7 @@ void simulator::report(std::ostream& os) const {
   common::text_table table;
   table.header({"job", "kernel", "target", "state", "gpus", "wait (s)", "run (s)",
                 "core MHz", "GPU energy (J)"});
-  for (const auto& r : results_) {
+  for (const auto& r : run_.results) {
     const bool ran = r.start_s >= 0.0;
     table.row({std::to_string(r.id), r.kernel, r.target, to_string(r.state),
                std::to_string(r.n_gpus),

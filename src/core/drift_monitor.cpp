@@ -69,14 +69,15 @@ drift_state drift_monitor::export_state() const {
   return s;
 }
 
-bool drift_monitor::import_state(const drift_state& s) {
+bool drift_monitor::accepts(const drift_state& s) const {
   if (s.window.size() > opt_.window) return false;
-  if (s.window.size() == opt_.window) {
-    if (s.next >= opt_.window) return false;
-  } else if (s.next != 0) {
-    // While the ring is still filling, observe() appends; next_ stays 0.
-    return false;
-  }
+  if (s.window.size() == opt_.window) return s.next < opt_.window;
+  // While the ring is still filling, observe() appends; next_ stays 0.
+  return s.next == 0;
+}
+
+bool drift_monitor::import_state(const drift_state& s) {
+  if (!accepts(s)) return false;
   scale_ = s.scale;
   window_ = s.window;
   next_ = s.next;

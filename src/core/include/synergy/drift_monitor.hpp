@@ -83,9 +83,11 @@ class drift_monitor {
   /// monitor with the same options makes subsequent observe() calls behave
   /// bit-identically to the exporting monitor.
   [[nodiscard]] drift_state export_state() const;
+  /// True when `s` is consistent with this monitor's options (e.g. its
+  /// window is no larger than configured), i.e. import_state(s) succeeds.
+  [[nodiscard]] bool accepts(const drift_state& s) const;
   /// Replace the rolling state wholesale. Returns false (and leaves the
-  /// monitor untouched) when the snapshot is internally inconsistent with
-  /// this monitor's options (e.g. window larger than configured).
+  /// monitor untouched) unless accepts(s).
   bool import_state(const drift_state& s);
 
  private:

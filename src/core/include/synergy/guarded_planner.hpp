@@ -179,9 +179,12 @@ class guarded_planner {
   /// Not thread-safe against concurrent planning (callers serialise, as with
   /// install()).
   [[nodiscard]] guard_state export_state() const;
+  /// True when import_state(s) succeeds: the drift portion is consistent
+  /// with this guard's drift options.
+  [[nodiscard]] bool accepts(const guard_state& s) const { return drift_.accepts(s.drift); }
   /// Restore a snapshot taken by export_state(). Returns false (guard
-  /// untouched) when the drift portion is inconsistent with this guard's
-  /// drift options. Same serialisation requirements as install().
+  /// untouched) unless accepts(s). Same serialisation requirements as
+  /// install().
   bool import_state(const guard_state& s);
 
  private:

@@ -145,9 +145,10 @@ class plan_service {
   /// the cache contents to reproduce the exporting run's hit/miss (and
   /// therefore chain-counter) sequence byte-for-byte.
   [[nodiscard]] std::vector<cached_plan> export_cache();
-  /// Install exported entries, stamped at this service's *current*
-  /// generation. Callers are responsible for restoring guard state first so
-  /// the generations line up.
+  /// Replace the whole cache with exported entries, stamped at this
+  /// service's *current* generation. Callers are responsible for restoring
+  /// guard state first so the generations line up. Not safe against
+  /// concurrent planning (restore runs single-threaded).
   void import_cache(const std::vector<cached_plan>& entries);
 
  private:

@@ -170,7 +170,15 @@ std::vector<cached_plan> plan_service::export_cache() {
 }
 
 void plan_service::import_cache(const std::vector<cached_plan>& entries) {
+  // Replace, not merge: every shard is emptied and retagged at the current
+  // generation, even one tagged newer (a restored guard may have moved the
+  // chain generation back), so store() keeps every imported entry.
   const std::uint64_t gen = generation();
+  for (const auto& sp : shards_) {
+    std::lock_guard lk(sp->m);
+    sp->entries.clear();
+    sp->epoch = gen;
+  }
   for (const auto& e : entries) {
     std::string key;
     key.reserve(e.kernel.size() + e.target.size() + 1);

@@ -146,8 +146,13 @@ class slo_watchdog {
 
   /// Snapshot every latch, alert, and rolling observation.
   [[nodiscard]] watchdog_state export_state() const;
-  /// Restore a snapshot. Returns false (watchdog untouched) when the latch
-  /// count does not match this watchdog's installed rules. The alert sink
+  /// True when the snapshot's latch count matches this watchdog's
+  /// installed rules, i.e. import_state(s) succeeds.
+  [[nodiscard]] bool accepts(const watchdog_state& s) const {
+    return s.firing.size() == rules_.size();
+  }
+  /// Restore a snapshot. Returns false (watchdog untouched) unless
+  /// accepts(s). The alert sink
   /// is NOT invoked for restored alerts — callers re-emit them explicitly
   /// if their sink is a fresh output stream.
   bool import_state(const watchdog_state& s);

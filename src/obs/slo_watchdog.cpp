@@ -293,7 +293,7 @@ watchdog_state slo_watchdog::export_state() const {
 }
 
 bool slo_watchdog::import_state(const watchdog_state& s) {
-  if (s.firing.size() != rules_.size()) return false;
+  if (!accepts(s)) return false;
   states_.assign(rules_.size(), rule_state{});
   for (std::size_t i = 0; i < rules_.size(); ++i) states_[i].firing = s.firing[i];
   alerts_ = s.alerts;

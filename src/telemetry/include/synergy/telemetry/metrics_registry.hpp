@@ -181,12 +181,14 @@ class metrics_registry {
   /// Zero every instrument's value (handles stay valid) — test isolation.
   void reset_values();
 
+  /// True when restore(snaps) succeeds: every histogram entry has one
+  /// bucket more than the bounds of the instrument registered under its
+  /// name (its own bounds, for a name not yet registered).
+  [[nodiscard]] bool accepts(const std::vector<metric_snapshot>& snaps) const;
   /// Restore instrument values from a snapshot() taken earlier (checkpoint
   /// resume): every existing instrument is reset, snapshot instruments are
   /// get-or-created (histograms with the snapshot's bounds) and overwritten.
-  /// Returns false when any histogram entry is shaped inconsistently with
-  /// the instrument registered under that name; consistent entries are
-  /// still applied.
+  /// Returns false, and changes nothing, unless accepts(snaps).
   bool restore(const std::vector<metric_snapshot>& snaps);
 
   /// Render a "metric | value | ..." summary table of the current snapshot.

@@ -196,9 +196,24 @@ void metrics_registry::reset_values() {
   for (auto& [name, h] : histograms_) h->reset();
 }
 
+bool metrics_registry::accepts(const std::vector<metric_snapshot>& snaps) const {
+  std::scoped_lock lock(mutex_);
+  // Bound counts of the histograms the snapshot itself registers first.
+  std::map<std::string_view, std::size_t> registered;
+  for (const auto& s : snaps) {
+    if (s.type != metric_snapshot::kind::histogram) continue;
+    const auto it = histograms_.find(s.name);
+    const std::size_t n_bounds = it != histograms_.end()
+                                     ? it->second->bounds().size()
+                                     : registered.try_emplace(s.name, s.bounds.size()).first->second;
+    if (s.buckets.size() != n_bounds + 1) return false;
+  }
+  return true;
+}
+
 bool metrics_registry::restore(const std::vector<metric_snapshot>& snaps) {
+  if (!accepts(snaps)) return false;
   reset_values();
-  bool ok = true;
   for (const auto& s : snaps) {
     switch (s.type) {
       case metric_snapshot::kind::counter:
@@ -208,12 +223,11 @@ bool metrics_registry::restore(const std::vector<metric_snapshot>& snaps) {
         get_gauge(s.name).set(s.value);
         break;
       case metric_snapshot::kind::histogram:
-        if (!get_histogram(s.name, s.bounds).restore(s.count, s.sum, s.min, s.max, s.buckets))
-          ok = false;
+        get_histogram(s.name, s.bounds).restore(s.count, s.sum, s.min, s.max, s.buckets);
         break;
     }
   }
-  return ok;
+  return true;
 }
 
 void metrics_registry::summary_table(std::ostream& os) const {

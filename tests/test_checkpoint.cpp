@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,7 +22,9 @@
 #include "synergy/cluster/simulator.hpp"
 #include "synergy/common/envelope.hpp"
 #include "synergy/common/rng.hpp"
+#include "synergy/guarded_planner.hpp"
 #include "synergy/obs/energy_ledger.hpp"
+#include "synergy/obs/slo_watchdog.hpp"
 #include "synergy/obs/snapshot.hpp"
 #include "synergy/telemetry/metrics_registry.hpp"
 
@@ -127,24 +130,65 @@ sc::job_trace chaotic_trace(double deferrable_fraction = 0.0) {
   return sc::generate_trace(tc);
 }
 
+/// A simulator with what the test inspects beside it: the guard chain and
+/// watchdog (null unless the replay attaches them).
+struct replay_rig {
+  std::unique_ptr<sc::simulator> sim;
+  std::shared_ptr<synergy::guarded_planner> guard;
+  std::shared_ptr<obs::slo_watchdog> watchdog;
+};
+
 /// A replay the resume sweep checkpoints, by name:
 ///  - "chaotic": chaotic_config() under the energy policy;
 ///  - "econ_capped": the same faults and chaos under the cost policy, with a
 ///    periodic two-step tariff, deferrable jobs and a binding facility cap,
-///    so econ ticks, deferrals and cap demotions are in flight throughout.
+///    so econ ticks, deferrals and cap demotions are in flight throughout;
+///  - "guarded": chaotic_config() planned through make_guarded_suite_planner
+///    over a model directory that does not exist (every plan is a table
+///    fallback),
+///    with a watchdog attached, so the guard, plan-cache and watchdog
+///    sections ride every artefact.
 struct replay_case {
   sc::cluster_config cc;
   sc::job_trace trace;
-  /// A fresh policy for this case. The cost policy reads `cc.econ`, so the
-  /// case must outlive every simulator built on it.
-  std::unique_ptr<sc::scheduling_policy> policy() const {
-    const auto plan = sc::make_suite_planner(cc.device);
-    return cc.econ.enabled ? sc::make_cost_aware(&cc.econ, plan) : sc::make_energy_aware(plan);
+  bool guarded{false};
+  /// The guarded replay's watchdog rules: both fire once (the table tier
+  /// plans everything; chaos wastes energy).
+  std::string rules{"fallback_ratio > 0.5 window 4\nwasted_energy_j > 0\n"};
+
+  /// A fresh simulator for this case; `opts` turns checkpointing on (the
+  /// guarded replay adds its guard and plan service to them). The cost
+  /// policy reads `cc.econ`, so the case must outlive every simulator built
+  /// on it.
+  replay_rig rig(std::optional<sc::checkpoint_options> opts = std::nullopt) const {
+    replay_rig r;
+    if (!guarded) {
+      const auto plan = sc::make_suite_planner(cc.device);
+      r.sim = std::make_unique<sc::simulator>(
+          cc, cc.econ.enabled ? sc::make_cost_aware(&cc.econ, plan) : sc::make_energy_aware(plan));
+    } else {
+      const auto no_models = std::filesystem::temp_directory_path() / "synergy_ckpt_no_models";
+      auto planner = sc::make_guarded_suite_planner(cc.device, no_models);
+      r.guard = planner.guard;
+      r.sim = std::make_unique<sc::simulator>(cc, sc::make_energy_aware(planner.plan));
+      auto parsed = obs::parse_rules(rules);
+      EXPECT_TRUE(parsed.has_value());
+      r.watchdog = std::make_shared<obs::slo_watchdog>(std::move(parsed).value(),
+                                                       &obs::energy_ledger::instance());
+      r.sim->attach_observability(r.watchdog, r.guard);
+      if (opts) {
+        opts->guard = planner.guard;
+        opts->service = planner.service;
+      }
+    }
+    if (opts) r.sim->set_checkpointing(std::move(*opts));
+    return r;
   }
 };
 
 replay_case replay_named(const std::string& name) {
   replay_case rc{chaotic_config(), chaotic_trace()};
+  rc.guarded = name == "guarded";
   if (name == "econ_capped") {
     const auto two_step = [](double high, double low) {
       return synergy::econ::step_trace{{{0.0, high}, {100.0, low}}, 200.0};
@@ -179,6 +223,20 @@ std::string ledger_json() {
 /// Arm a fresh simulator for restore_checkpoint() without periodic
 /// checkpointing (interval 0: restore/resume only).
 void enable_restore(sc::simulator& sim) { sim.set_checkpointing(sc::checkpoint_options{}); }
+
+/// Periodic checkpointing into `dir` every 20 virtual seconds.
+sc::checkpoint_options every_20s(const std::filesystem::path& dir) {
+  sc::checkpoint_options opts;
+  opts.interval_s = 20.0;
+  opts.dir = dir;
+  return opts;
+}
+
+std::string alerts_jsonl(const obs::slo_watchdog& watchdog) {
+  std::string out;
+  for (const auto& a : watchdog.alerts()) out += a.to_json_line() + "\n";
+  return out;
+}
 
 void reset_globals() {
   obs::energy_ledger::instance().reset();
@@ -242,8 +300,8 @@ TEST_P(resume_sweep, EveryMidRunCheckpointResumesByteIdentical) {
   const auto& trace = rc.trace;
   const auto& cc = rc.cc;
 
-  sc::simulator ref{cc, rc.policy()};
-  const auto summary_ref = ref.run(trace);
+  const auto ref = rc.rig();
+  const auto summary_ref = ref.sim->run(trace);
   const auto csv_ref = csv_of(summary_ref);
   const auto json_ref = ledger_json();
   ASSERT_EQ(summary_ref.completed + summary_ref.failed, trace.jobs.size());
@@ -252,17 +310,14 @@ TEST_P(resume_sweep, EveryMidRunCheckpointResumesByteIdentical) {
     ASSERT_GT(summary_ref.econ_price_demotions, 0u);
     ASSERT_GT(summary_ref.cap_demotions, 0u);
   }
+  if (rc.guarded) {
+    ASSERT_GT(ref.guard->table_fallbacks(), 0u);
+    ASSERT_EQ(ref.watchdog->alerts().size(), 2u);
+  }
 
   const auto dir = temp_dir(("synergy_ckpt_resume_" + GetParam()).c_str());
   reset_globals();
-  {
-    sc::simulator sim{cc, rc.policy()};
-    sc::checkpoint_options opts;
-    opts.interval_s = 20.0;
-    opts.dir = dir;
-    sim.set_checkpointing(std::move(opts));
-    ASSERT_EQ(csv_of(sim.run(trace)), csv_ref);
-  }
+  ASSERT_EQ(csv_of(rc.rig(every_20s(dir)).sim->run(trace)), csv_ref);
   const auto files = checkpoint_files(dir);
   ASSERT_GE(files.size(), 3u);
 
@@ -275,29 +330,39 @@ TEST_P(resume_sweep, EveryMidRunCheckpointResumesByteIdentical) {
     obs::energy_ledger::instance().charge({"stale", "V100", "job", "k"},
                                           obs::cause::idle, 1234.5);
 
-    sc::simulator resumed{cc, rc.policy()};
-    enable_restore(resumed);
+    const auto rig = rc.rig(sc::checkpoint_options{});
+    auto& resumed = *rig.sim;
     const auto st = resumed.restore_checkpoint(payload.value(), trace);
     ASSERT_TRUE(st.ok()) << file << ": " << st.err().message;
+    // Round trip: the restored state writes the artefact it was read from.
+    // (No crash injection is pending here, so the written events are the
+    // whole heap.)
+    EXPECT_EQ(resumed.serialize_checkpoint(), payload.value()) << "round trip of " << file;
     const auto summary = resumed.resume(trace);
 
     // Byte-identical summary CSV and ledger snapshot from any resume point.
     EXPECT_EQ(csv_of(summary), csv_ref) << "resumed from " << file;
     EXPECT_EQ(ledger_json(), json_ref) << "resumed from " << file;
-    ASSERT_EQ(resumed.results().size(), ref.results().size());
-    for (std::size_t i = 0; i < ref.results().size(); ++i) {
-      EXPECT_EQ(resumed.results()[i].id, ref.results()[i].id);
+    const auto& ref_results = ref.sim->results();
+    ASSERT_EQ(resumed.results().size(), ref_results.size());
+    for (std::size_t i = 0; i < ref_results.size(); ++i) {
+      EXPECT_EQ(resumed.results()[i].id, ref_results[i].id);
       // Exact double equality on purpose: the contract is bit-identity.
-      EXPECT_EQ(resumed.results()[i].gpu_energy_j, ref.results()[i].gpu_energy_j);
-      EXPECT_EQ(resumed.results()[i].end_s, ref.results()[i].end_s);
-      EXPECT_EQ(resumed.results()[i].requeues, ref.results()[i].requeues);
+      EXPECT_EQ(resumed.results()[i].gpu_energy_j, ref_results[i].gpu_energy_j);
+      EXPECT_EQ(resumed.results()[i].end_s, ref_results[i].end_s);
+      EXPECT_EQ(resumed.results()[i].requeues, ref_results[i].requeues);
+    }
+    if (rc.guarded) {
+      EXPECT_EQ(rig.guard->table_fallbacks(), ref.guard->table_fallbacks()) << file;
+      EXPECT_EQ(alerts_jsonl(*rig.watchdog), alerts_jsonl(*ref.watchdog)) << file;
     }
   }
 
   std::filesystem::remove_all(dir);
 }
 
-INSTANTIATE_TEST_SUITE_P(Replays, resume_sweep, ::testing::Values("chaotic", "econ_capped"),
+INSTANTIATE_TEST_SUITE_P(Replays, resume_sweep,
+                         ::testing::Values("chaotic", "econ_capped", "guarded"),
                          [](const auto& info) { return info.param; });
 
 // ------------------------------------------------ repeated runs ----
@@ -465,6 +530,137 @@ TEST_F(checkpoint_test, RestoreRejectsJobIdsThatAreNotInTheTrace) {
     const std::string named = section == "q" ? "queue" : "running";
     EXPECT_NE(st.err().message.find(named), std::string::npos) << st.err().message;
   }
+
+  std::filesystem::remove_all(dir);
+}
+
+namespace {
+
+std::vector<std::string> split(const std::string& text, char sep) {
+  std::vector<std::string> parts;
+  std::string part;
+  std::istringstream in{text};
+  while (std::getline(in, part, sep)) parts.push_back(part);
+  return parts;
+}
+
+std::string join(const std::vector<std::string>& parts, char sep) {
+  std::string out;
+  for (std::size_t i = 0; i < parts.size(); ++i) out += (i ? std::string(1, sep) : "") + parts[i];
+  return out;
+}
+
+}  // namespace
+
+TEST_F(checkpoint_test, RestoreRejectsSlotTablesThatDisagreeWithRunningJobs) {
+  const auto trace = chaotic_trace();
+  const auto cc = chaotic_config();
+  const auto dir = temp_dir("synergy_ckpt_slots");
+  {
+    sc::simulator sim{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+    sim.set_checkpointing(every_20s(dir));
+    (void)sim.run(trace);
+  }
+
+  // An artefact with two running jobs and an idle GPU, as lines of tokens:
+  // `runj <id> <epoch> <n> (<node> <gpu>)... <job>... <node name>` and, per
+  // node in inventory order, `srow <width> (<busy> <busy_until>)...`.
+  using rows_t = std::vector<std::vector<std::string>>;
+  rows_t rows;
+  std::vector<std::size_t> runj, srow;
+  const auto busy_flag = [&](rows_t& r, std::size_t node, std::size_t gpu) -> std::string& {
+    return r[srow[node]][2 + 2 * gpu];
+  };
+  const auto idle_gpu = [&](rows_t& r) -> std::string* {
+    for (std::size_t n = 0; n < srow.size(); ++n)
+      for (std::size_t g = 0; g < cc.gpus_per_node; ++g)
+        if (busy_flag(r, n, g) == "0") return &busy_flag(r, n, g);
+    return nullptr;
+  };
+  for (const auto& file : checkpoint_files(dir)) {
+    const auto p = sc::read_checkpoint_payload(file);
+    ASSERT_TRUE(p.has_value());
+    rows.clear();
+    runj.clear();
+    srow.clear();
+    for (const auto& line : split(p.value(), '\n')) {
+      rows.push_back(split(line, ' '));
+      if (rows.back()[0] == "runj") runj.push_back(rows.size() - 1);
+      if (rows.back()[0] == "srow") srow.push_back(rows.size() - 1);
+    }
+    if (runj.size() >= 2 && idle_gpu(rows)) break;
+  }
+  ASSERT_GE(runj.size(), 2u) << "no artefact with two running jobs";
+  ASSERT_NE(idle_gpu(rows), nullptr) << "no artefact with an idle GPU";
+  const auto first_gpu = [&](std::size_t job) {
+    return std::pair{std::stoul(rows[runj[job]][4]), std::stoul(rows[runj[job]][5])};
+  };
+
+  const auto expect_rejected = [&](const char* what, const auto& mutate, const char* named) {
+    auto bad = rows;
+    mutate(bad);
+    std::vector<std::string> lines;
+    for (const auto& r : bad) lines.push_back(join(r, ' '));
+    reset_globals();
+    sc::simulator fresh{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+    enable_restore(fresh);
+    const auto st = fresh.restore_checkpoint(join(lines, '\n'), trace);
+    ASSERT_FALSE(st.ok()) << what;
+    EXPECT_NE(st.err().message.find(named), std::string::npos) << what << ": " << st.err().message;
+  };
+  // A running job's GPU marked idle: the scheduler would place a second job
+  // on it.
+  expect_rejected("idle GPU under a running job", [&](rows_t& r) {
+    const auto [node, gpu] = first_gpu(0);
+    busy_flag(r, node, gpu) = "0";
+  }, "running");
+  // Two running jobs on one GPU.
+  expect_rejected("GPU held twice", [&](rows_t& r) {
+    r[runj[1]][4] = r[runj[0]][4];
+    r[runj[1]][5] = r[runj[0]][5];
+  }, "running");
+  // A busy GPU no running job holds.
+  expect_rejected("orphaned busy GPU", [&](rows_t& r) { *idle_gpu(r) = "1"; }, "slots");
+  // A job whose node name is not the node of its first GPU.
+  expect_rejected("wrong node name", [&](rows_t& r) {
+    auto& name = r[runj[0]].back();
+    name = name == "cn000" ? "cn001" : "cn000";
+  }, "running");
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(checkpoint_test, RejectedRestoreLeavesEverySubsystemUntouched) {
+  auto rc = replay_named("guarded");
+  const auto dir = temp_dir("synergy_ckpt_untouched");
+  (void)rc.rig(every_20s(dir)).sim->run(rc.trace);
+  const auto latest = sc::latest_checkpoint(dir);
+  ASSERT_TRUE(latest.has_value());
+  const auto payload = sc::read_checkpoint_payload(latest.value());
+  ASSERT_TRUE(payload.has_value());
+
+  // The resuming side installed one rule fewer, so the payload is rejected
+  // for its watchdog rule count — after it parsed, and after the metrics
+  // and guard sections would have been importable.
+  rc.rules = "wasted_energy_j > 0\n";
+  reset_globals();
+  const auto victim = rc.rig(sc::checkpoint_options{});
+  auto& registry = tel::metrics_registry::instance();
+  registry.get_counter("test.sentinel").add(777);
+  obs::energy_ledger::instance().charge({"stale", "V100", "job", "k"}, obs::cause::idle, 1234.5);
+  const auto guard_before = victim.guard->export_state();
+
+  const auto st = victim.sim->restore_checkpoint(payload.value(), rc.trace);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.err().message.find("watchdog"), std::string::npos) << st.err().message;
+  EXPECT_EQ(registry.get_counter("test.sentinel").value(), 777u);
+  EXPECT_EQ(registry.get_counter("cluster.placements").value(), 0u);
+  EXPECT_EQ(obs::energy_ledger::instance().total_j(), 1234.5);
+  const auto guard_after = victim.guard->export_state();
+  EXPECT_EQ(guard_after.generation, guard_before.generation);
+  EXPECT_EQ(guard_after.table_fallbacks, guard_before.table_fallbacks);
+  EXPECT_EQ(guard_after.drift.total, guard_before.drift.total);
+  EXPECT_TRUE(victim.watchdog->alerts().empty());
 
   std::filesystem::remove_all(dir);
 }

@@ -13,7 +13,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -590,4 +592,37 @@ TEST(ClusterLifecycle, MidRunPromotionRecoversQuarantinedFleetDeterministically)
   }
 
   std::filesystem::remove_all(dir);
+}
+
+// A checkpoint carries no lifecycle state, so the simulator refuses a
+// checkpointed run with a recovery loop whichever of the two is wired
+// second, with the one error.
+TEST(ClusterLifecycle, CheckpointingAndRecoveryLoopExcludeEachOtherInEitherOrder) {
+  const auto guard = std::make_shared<synergy::guarded_planner>(gs::make_v100());
+  const auto manager = [] {
+    return std::make_shared<lc::lifecycle_manager>(
+        std::make_shared<lc::model_registry>(), gs::make_v100(),
+        [](std::uint64_t) { return synergy::trained_models{}; });
+  };
+  const auto rejection = [](const auto& wire) -> std::string {
+    try {
+      wire();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+
+  sc::simulator checkpointed{sc::cluster_config{}, sc::make_fifo()};
+  checkpointed.set_checkpointing({});
+  const auto recovery_second =
+      rejection([&] { checkpointed.attach_recovery(guard, nullptr, manager()); });
+
+  sc::simulator recovering{sc::cluster_config{}, sc::make_fifo()};
+  recovering.attach_recovery(guard, nullptr, manager());
+  const auto checkpointing_second = rejection([&] { recovering.set_checkpointing({}); });
+
+  EXPECT_NE(checkpointing_second.find("lifecycle recovery loop"), std::string::npos)
+      << checkpointing_second;
+  EXPECT_EQ(recovery_second, checkpointing_second);
 }

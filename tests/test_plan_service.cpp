@@ -254,6 +254,45 @@ TEST(PlanService, InvalidateDropsEveryCachedDecision) {
     EXPECT_FALSE(service.plan(req.kernel, req.features, req.target).cache_hit);
 }
 
+// Regression: import_cache merged the imported entries into whatever the
+// service had cached since the export, and a shard stamped at a newer
+// generation than the restored chain's dropped them.
+TEST(PlanService, ImportCacheReplacesTheWholeCache) {
+  const auto spec = gs::make_v100();
+  auto chain = make_chain(spec);
+  plan_service_options one_shard;  // every key shares the one shard's generation
+  one_shard.shards = 1;
+  plan_service service{chain, one_shard};
+  const auto& features = sw::find("mat_mul").info.features;
+  const auto expect_cache = [&](const std::vector<synergy::cached_plan>& want) {
+    const auto got = service.export_cache();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].kernel, want[i].kernel);
+      EXPECT_EQ(got[i].target, want[i].target);
+      expect_same_decision(got[i].decision, want[i].decision, want[i].kernel);
+    }
+  };
+
+  (void)service.plan("mat_mul", features, sm::ES_50);
+  const auto exported = service.export_cache();
+  ASSERT_EQ(exported.size(), 1u);
+  const auto chain_state = chain->export_state();
+
+  (void)service.plan("vec_add", features, sm::ES_50);
+  (void)service.plan("reduction", features, sm::ES_50);
+  ASSERT_EQ(service.export_cache().size(), 3u);
+  service.import_cache(exported);
+  expect_cache(exported);
+
+  // A restore that moves the chain generation back.
+  chain->install(constant_planner(spec, 2.0));
+  (void)service.plan("vec_add", features, sm::ES_50);
+  ASSERT_TRUE(chain->import_state(chain_state));
+  service.import_cache(exported);
+  expect_cache(exported);
+}
+
 // -------------------------------------------------------------- quarantine ----
 
 TEST(PlanService, QuarantineOnsetInvalidatesCachedModelDecisions) {
