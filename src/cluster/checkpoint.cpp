@@ -740,6 +740,12 @@ common::status simulator::restore_checkpoint(const std::string& payload,
   // --- cross-validation: every check that can reject the payload ---
   if (x.fingerprint != common::crc32(config_fingerprint()))
     return reject("config fingerprint mismatch (different cluster/policy/fault setup)");
+  job_index rows;
+  try {
+    rows = job_index{trace};
+  } catch (const std::invalid_argument& e) {
+    return reject(e.what());
+  }
   if (st.trace_crc != common::crc32(trace.to_csv()) || x.n_jobs != trace.jobs.size())
     return reject("trace mismatch (checkpoint was taken replaying a different trace)");
   if (x.guard.has_value() != (ckpt_.guard != nullptr) ||
@@ -758,15 +764,19 @@ common::status simulator::restore_checkpoint(const std::string& payload,
     if (st.results[i].id != trace.jobs[i].id) return reject("job id order mismatch");
   // Queued and running jobs are copies of trace rows, and job events name
   // trace job ids: anything else would fault mid-resume.
-  std::map<std::int64_t, const traced_job*> by_id;
-  for (const auto& j : trace.jobs) by_id.emplace(j.id, &j);
-  const auto in_trace = [&by_id](const traced_job& j) {
-    const auto it = by_id.find(j.id);
-    return it != by_id.end() && *it->second == j;
+  const auto in_trace = [&](const traced_job& j) {
+    const std::size_t row = rows.row(j.id);
+    return row != job_index::npos && trace.jobs[row] == j;
   };
   for (const auto& qj : st.queue)
     if (!in_trace(qj.job))
       return reject("queue: job " + std::to_string(qj.job.id) + " does not match the trace");
+  // complete() and governor_tick() binary-search the running jobs by epoch.
+  if (std::adjacent_find(st.running.begin(), st.running.end(),
+                         [](const running_job& a, const running_job& b) {
+                           return a.epoch >= b.epoch;
+                         }) != st.running.end())
+    return reject("running: jobs out of epoch order");
   // The slot table and the running jobs describe one occupancy: each running
   // job holds busy GPUs that no other job holds, every busy GPU belongs to a
   // running job, and a job's node is the node of its first GPU. Otherwise
@@ -801,7 +811,7 @@ common::status simulator::restore_checkpoint(const std::string& payload,
         break;
       case event_kind::completion:
       case event_kind::governor_tick:
-        ok = ok && by_id.contains(id) && e.event.epoch < st.next_epoch;
+        ok = ok && rows.row(id) != job_index::npos && e.event.epoch < st.next_epoch;
         break;
       case event_kind::device_lost:
       case event_kind::node_restart:
@@ -842,6 +852,7 @@ common::status simulator::restore_checkpoint(const std::string& payload,
   ctl_ = std::make_unique<sched::controller>(std::move(nodes));
 
   run_ = std::move(st);
+  job_rows_ = std::move(rows);
 
   // Fresh budget over the restored inventory; running jobs re-register their
   // demand and node occupancy. No restore-time rebalance — the summary

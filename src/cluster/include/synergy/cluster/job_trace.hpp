@@ -11,8 +11,10 @@
 /// regenerated or replayed bit-identically from either the config or the
 /// file.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace synergy::cluster {
@@ -48,10 +50,29 @@ struct job_trace {
   /// a column-header row, then one row per job.
   [[nodiscard]] std::string to_csv() const;
 
-  /// Inverse of to_csv(); throws std::invalid_argument on malformed input.
+  /// Inverse of to_csv(); throws std::invalid_argument on malformed input,
+  /// including a repeated job id.
   [[nodiscard]] static job_trace from_csv(const std::string& text);
 
   friend bool operator==(const job_trace&, const job_trace&) = default;
+};
+
+/// The rows of a trace by job id: (id, row) pairs sorted by id, so a lookup
+/// is a binary search. Replays key every per-job record by id, so an index
+/// exists only for a trace whose ids are unique.
+class job_index {
+ public:
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  job_index() = default;
+  /// Throws std::invalid_argument naming a repeated id (the smallest).
+  explicit job_index(const job_trace& trace);
+
+  /// Row of job `id` in the indexed trace; npos when no job has it.
+  [[nodiscard]] std::size_t row(std::int64_t id) const;
+
+ private:
+  std::vector<std::pair<int, std::size_t>> rows_;
 };
 
 /// Mix knobs of the synthetic generator. Arrivals are Poisson

@@ -19,6 +19,7 @@
 ///     bounds on each node so no application clock can exceed its share.
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "synergy/sched/power_manager.hpp"
@@ -35,7 +36,9 @@ class power_budget {
   [[nodiscard]] double cap_w() const { return cap_w_; }
 
   /// Modelled facility draw right now (hosts + busy GPU job power + idle
-  /// GPU floor).
+  /// GPU floor). The sum is kept until the next gpu_busy()/gpu_idle(); the
+  /// inventory cannot change under a budget (the simulator builds a fresh
+  /// one for every node removal or restart).
   [[nodiscard]] double facility_power_w() const;
 
   /// Watts still available under the cap (+inf when uncapped).
@@ -66,6 +69,8 @@ class power_budget {
   sched::power_manager pm_;
   /// Modelled per-GPU draw, indexed [node][gpu]; idle floor when no job.
   std::vector<std::vector<double>> gpu_power_w_;
+  /// facility_power_w() since the last draw change; empty when stale.
+  mutable std::optional<double> facility_w_;
   std::size_t rebalances_{0};
   std::size_t demotions_{0};
 };

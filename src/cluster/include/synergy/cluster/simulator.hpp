@@ -271,7 +271,8 @@ class simulator {
   ~simulator();
 
   /// Replay `trace` to completion; resets all per-run state first, so one
-  /// simulator can replay several traces.
+  /// simulator can replay several traces. Throws std::invalid_argument,
+  /// before resetting anything, when two jobs share an id.
   run_summary run(const job_trace& trace);
 
   [[nodiscard]] const std::vector<job_result>& results() const { return run_.results; }
@@ -329,7 +330,8 @@ class simulator {
 
   /// Restore state from a checkpoint payload (already opened fail-closed
   /// through the envelope). `trace` must be the same trace the exporting
-  /// run replayed — identity is verified by CRC over its CSV rendering.
+  /// run replayed — identity is verified by CRC over its CSV rendering —
+  /// and must not repeat a job id.
   /// On any parse/consistency error the simulator is left untouched and
   /// the status names the offending section. Call set_checkpointing() and
   /// attach_observability() (when the exporting run had them) first.
@@ -463,6 +465,9 @@ class simulator {
   sim_engine engine_;
   /// The trace the current run()/resume() replays (arrivals index it).
   const job_trace* trace_{nullptr};
+  /// Row of each job id in the trace, which is also its run_.results row;
+  /// result_of() searches it.
+  job_index job_rows_;
   /// Pending events for which is_live() holds.
   std::size_t live_events_{0};
   std::unique_ptr<power_budget> budget_;
@@ -496,6 +501,11 @@ class simulator {
     double cur_util{0.0};          ///< modelled compute utilisation at it
     double target_w{0.0};          ///< hybrid watt target (predicted power)
   };
+  /// The running incarnation `epoch` of job `job_id`, or run_.running.end()
+  /// when it is no longer running (a stale event). A binary search:
+  /// run_.running is in epoch order, because start() appends each new epoch,
+  /// erasing keeps the order, and restore_checkpoint() rejects any other.
+  std::vector<running_job>::iterator find_running(int job_id, std::uint64_t epoch);
   /// Close `rj`'s open accrual segment at `now`: advance work fraction,
   /// book the segment's joules into the seed/governor bucket, and advance
   /// busy GPU-seconds.

@@ -1,5 +1,6 @@
 #include "synergy/cluster/job_trace.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -92,7 +93,24 @@ job_trace job_trace::from_csv(const std::string& text) {
       throw std::invalid_argument("job_trace: invalid job row for id " + f[0]);
     trace.jobs.push_back(std::move(j));
   }
+  static_cast<void>(job_index{trace});  // rejects a repeated id
   return trace;
+}
+
+job_index::job_index(const job_trace& trace) {
+  rows_.reserve(trace.jobs.size());
+  for (std::size_t i = 0; i < trace.jobs.size(); ++i) rows_.emplace_back(trace.jobs[i].id, i);
+  std::sort(rows_.begin(), rows_.end());
+  const auto repeat = std::adjacent_find(
+      rows_.begin(), rows_.end(), [](const auto& a, const auto& b) { return a.first == b.first; });
+  if (repeat != rows_.end())
+    throw std::invalid_argument("job_trace: repeated job id " + std::to_string(repeat->first));
+}
+
+std::size_t job_index::row(std::int64_t id) const {
+  const auto it = std::lower_bound(rows_.begin(), rows_.end(), id,
+                                   [](const auto& r, std::int64_t v) { return r.first < v; });
+  return it != rows_.end() && it->first == id ? it->second : npos;
 }
 
 job_trace generate_trace(const trace_config& config) {

@@ -18,12 +18,15 @@ power_budget::power_budget(sched::controller& ctl, double facility_cap_w)
 }
 
 double power_budget::facility_power_w() const {
-  double total = 0.0;
-  for (std::size_t i = 0; i < ctl_->node_count(); ++i) {
-    total += ctl_->node_at(i).config().host_power_w;
-    for (const double w : gpu_power_w_[i]) total += w;
+  if (!facility_w_) {
+    double total = 0.0;
+    for (std::size_t i = 0; i < ctl_->node_count(); ++i) {
+      total += ctl_->node_at(i).config().host_power_w;
+      for (const double w : gpu_power_w_[i]) total += w;
+    }
+    facility_w_ = total;
   }
-  return total;
+  return *facility_w_;
 }
 
 double power_budget::headroom_w() const {
@@ -33,11 +36,13 @@ double power_budget::headroom_w() const {
 
 void power_budget::gpu_busy(std::size_t node, std::size_t gpu, double busy_power_w) {
   gpu_power_w_.at(node).at(gpu) = busy_power_w;
+  facility_w_.reset();
 }
 
 void power_budget::gpu_idle(std::size_t node, std::size_t gpu) {
   gpu_power_w_.at(node).at(gpu) =
       ctl_->node_at(node).devices().at(gpu).spec().idle_power_w;
+  facility_w_.reset();
 }
 
 void power_budget::rebalance() {

@@ -116,11 +116,19 @@ void simulator::rebuild_controller() {
 simulator::~simulator() = default;
 
 job_result& simulator::result_of(int job_id) {
-  const auto it =
-      std::find_if(run_.results.begin(), run_.results.end(),
-                   [job_id](const job_result& r) { return r.id == job_id; });
-  if (it == run_.results.end()) throw std::out_of_range("simulator: unknown job id");
-  return *it;
+  const std::size_t row = job_rows_.row(job_id);
+  if (row == job_index::npos) throw std::out_of_range("simulator: unknown job id");
+  return run_.results[row];
+}
+
+std::vector<simulator::running_job>::iterator simulator::find_running(int job_id,
+                                                                     std::uint64_t epoch) {
+  const auto it = std::lower_bound(
+      run_.running.begin(), run_.running.end(), epoch,
+      [](const running_job& rj, std::uint64_t e) { return rj.epoch < e; });
+  if (it == run_.running.end() || it->epoch != epoch || it->id != job_id)
+    return run_.running.end();
+  return it;
 }
 
 cluster_view simulator::make_view() const {
@@ -418,9 +426,7 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
 }
 
 void simulator::complete(int job_id, std::uint64_t epoch) {
-  const auto it = std::find_if(run_.running.begin(), run_.running.end(), [&](const running_job& rj) {
-    return rj.id == job_id && rj.epoch == epoch;
-  });
+  const auto it = find_running(job_id, epoch);
   // Stale completion: the job was requeued by a device-lost/node-crash event
   // after this event was scheduled (the engine cannot cancel). Ignore it —
   // the restarted incarnation carries a fresh epoch. The check runs before
@@ -573,9 +579,7 @@ void simulator::accrue_governed(running_job& rj, double now) {
 }
 
 void simulator::governor_tick(int job_id, std::uint64_t epoch) {
-  const auto it = std::find_if(run_.running.begin(), run_.running.end(), [&](const running_job& rj) {
-    return rj.id == job_id && rj.epoch == epoch;
-  });
+  const auto it = find_running(job_id, epoch);
   // Stale tick: the job was requeued by a device-lost event after this tick
   // was scheduled; the restarted incarnation runs under a fresh epoch.
   if (it == run_.running.end() || !it->gov) return;
@@ -844,6 +848,9 @@ run_summary simulator::run(const job_trace& trace) {
   // Reset per-run state so one simulator can replay several traces. The
   // inventory is rebuilt too: a previous run may have removed nodes, or
   // re-admitted restarted ones at the end, which permutes the node order.
+  // Results are keyed by job id, so a trace that repeats one is rejected
+  // before anything is reset.
+  job_rows_ = job_index{trace};
   rebuild_controller();
   engine_ = sim_engine{};
   trace_ = &trace;

@@ -121,10 +121,11 @@ double worst_case_power(const device_spec& spec, common::megahertz core_clock) {
 }
 
 common::megahertz max_core_clock_under_cap(const device_spec& spec, double budget_w) {
-  common::megahertz best = spec.min_core_clock();
-  for (const auto f : spec.core_clocks)
-    if (worst_case_power(spec, f) <= budget_w) best = f;
-  return best;
+  // Worst-case power never falls as the clock rises (see the header), so the
+  // clocks that fit are a prefix of the table and the answer is its last entry.
+  const auto fits = [&](megahertz f) { return worst_case_power(spec, f) <= budget_w; };
+  const auto end = std::partition_point(spec.core_clocks.begin(), spec.core_clocks.end(), fits);
+  return end == spec.core_clocks.begin() ? spec.min_core_clock() : *(end - 1);
 }
 
 watts dvfs_model::idle_power(const device_spec& spec, frequency_config config) const {

@@ -100,7 +100,11 @@ class dvfs_model {
 [[nodiscard]] double worst_case_power(const device_spec& spec, common::megahertz core_clock);
 
 /// Largest supported core clock whose worst-case board power stays within
-/// `budget_w`; the lowest clock if none qualifies.
+/// `budget_w`; the lowest clock if none qualifies. A binary search over the
+/// clock table, so it requires that worst_case_power never decreases along
+/// `spec.core_clocks`. Every spec make_device_spec returns meets this: its
+/// clocks ascend from a positive value, 0 <= v_min <= v_max, f_max > 0,
+/// TDP >= idle power and the memory share lies in [0, 1].
 [[nodiscard]] common::megahertz max_core_clock_under_cap(const device_spec& spec,
                                                          double budget_w);
 

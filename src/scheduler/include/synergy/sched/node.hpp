@@ -38,7 +38,8 @@ class node {
     return config_.gres.count(tag) > 0;
   }
 
-  /// The node's devices (one simulated board per GPU).
+  /// The node's devices: one simulated board per GPU, devices()[i] built
+  /// from the spec named config().gpus[i].
   [[nodiscard]] const std::vector<simsycl::device>& devices() const;
 
   /// The node's management session. Plugins act through it as root; job

@@ -55,14 +55,20 @@ void power_manager::rebalance_with_demand(const std::vector<double>& demand_w) {
   for (std::size_t i = 0; i < n_nodes; ++i) {
     node& n = ctl_->node_at(i);
     const double gpu_budget_total = std::max(0.0, node_caps_[i] - n.config().host_power_w);
-    const auto n_gpus = static_cast<double>(n.devices().size());
-    if (n_gpus == 0) continue;
-    const double per_gpu = gpu_budget_total / n_gpus;
-    for (const auto& dev : n.devices()) {
-      const auto binding = n.ctx()->bind(dev);
-      const auto cap_clock = max_core_clock_under_cap(dev.spec(), per_gpu);
-      (void)binding.library->set_clock_bounds(root, binding.index, dev.spec().min_core_clock(),
-                                              cap_clock);
+    const auto& devices = n.devices();
+    if (devices.empty()) continue;
+    const double per_gpu = gpu_budget_total / static_cast<double>(devices.size());
+    // Every board of a node gets the same budget, and a node builds each
+    // board from its name, so a board named like the one before it shares
+    // that board's cap clock.
+    const auto& names = n.config().gpus;
+    common::megahertz cap_clock{};
+    for (std::size_t g = 0; g < devices.size(); ++g) {
+      if (g == 0 || names[g] != names[g - 1])
+        cap_clock = max_core_clock_under_cap(devices[g].spec(), per_gpu);
+      const auto binding = n.ctx()->bind(devices[g]);
+      (void)binding.library->set_clock_bounds(root, binding.index,
+                                              devices[g].spec().min_core_clock(), cap_clock);
     }
   }
 }

@@ -630,6 +630,51 @@ TEST_F(checkpoint_test, RestoreRejectsSlotTablesThatDisagreeWithRunningJobs) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_F(checkpoint_test, RestoreRejectsRunningJobsOutOfEpochOrder) {
+  const auto trace = chaotic_trace();
+  const auto cc = chaotic_config();
+  const auto dir = temp_dir("synergy_ckpt_epochs");
+  {
+    sc::simulator sim{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+    sim.set_checkpointing(every_20s(dir));
+    (void)sim.run(trace);
+  }
+
+  // A mid-run artefact with two running jobs, one `runj` line each.
+  std::vector<std::string> lines;
+  std::vector<std::size_t> runj;
+  for (const auto& file : checkpoint_files(dir)) {
+    const auto p = sc::read_checkpoint_payload(file);
+    ASSERT_TRUE(p.has_value());
+    lines = split(p.value(), '\n');
+    runj.clear();
+    for (std::size_t i = 0; i < lines.size(); ++i)
+      if (lines[i].starts_with("runj ")) runj.push_back(i);
+    if (runj.size() >= 2) break;
+  }
+  ASSERT_GE(runj.size(), 2u) << "no artefact with two running jobs";
+  const auto restore = [&](const std::string& payload) {
+    reset_globals();
+    sc::simulator fresh{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+    enable_restore(fresh);
+    return fresh.restore_checkpoint(payload, trace);
+  };
+  ASSERT_TRUE(restore(join(lines, '\n')).ok());
+
+  // The same jobs in the other order, sealed again as a tool would: the slot
+  // table still agrees, but the epoch search would miss their completions.
+  std::swap(lines[runj[0]], lines[runj[1]]);
+  const auto resealed = dir / "swapped.ckpt";
+  ASSERT_TRUE(sc::write_checkpoint_file(resealed, join(lines, '\n')).ok());
+  const auto payload = sc::read_checkpoint_payload(resealed);
+  ASSERT_TRUE(payload.has_value());
+  const auto st = restore(payload.value());
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.err().message.find("epoch order"), std::string::npos) << st.err().message;
+
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(checkpoint_test, RejectedRestoreLeavesEverySubsystemUntouched) {
   auto rc = replay_named("guarded");
   const auto dir = temp_dir("synergy_ckpt_untouched");

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "synergy/cluster/simulator.hpp"
+#include "synergy/common/rng.hpp"
 #include "synergy/gpusim/dvfs_model.hpp"
 #include "synergy/workloads/benchmark.hpp"
 
@@ -184,6 +185,17 @@ TEST(JobTrace, LoaderRejectsMalformedInput) {
                std::invalid_argument);  // short row
 }
 
+TEST(JobTrace, LoaderRejectsRepeatedJobIds) {
+  auto trace = sc::generate_trace({.n_jobs = 3});
+  trace.jobs[2].id = 1;  // ids 1, 2, 1
+  try {
+    (void)sc::job_trace::from_csv(trace.to_csv());
+    FAIL() << "a trace with a repeated job id parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("repeated job id 1"), std::string::npos) << e.what();
+  }
+}
+
 TEST(JobTrace, DrawsKernelsFromTheRequestedPool) {
   sc::trace_config cfg;
   cfg.n_jobs = 40;
@@ -337,6 +349,50 @@ TEST(PowerBudget, ImpossibleJobsFailInsteadOfStarvingTheQueue) {
   EXPECT_FALSE(result_for(capped, 1).failure_reason.empty());
 }
 
+TEST(PowerBudget, CachedDrawEqualsFreshSum) {
+  std::vector<ss::node_config> nodes(8);
+  for (std::size_t i = 0; i < nodes.size(); ++i) nodes[i].name = "n" + std::to_string(i);
+  ss::controller ctl{nodes};
+  sc::power_budget budget{ctl, 5000.0};  // idle draw is ~4.1 kW: binding
+  ASSERT_TRUE(budget.capped());
+
+  // The draw as the test tracks it, summed hosts-then-GPUs node by node.
+  std::vector<std::vector<double>> gpu_w(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i)
+    for (const auto& dev : ctl.node_at(i).devices()) gpu_w[i].push_back(dev.spec().idle_power_w);
+  const auto fresh_sum = [&] {
+    double total = 0.0;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      total += nodes[i].host_power_w;
+      for (const double w : gpu_w[i]) total += w;
+    }
+    return total;
+  };
+
+  synergy::common::pcg32 rng{2024};
+  EXPECT_EQ(budget.facility_power_w(), fresh_sum());
+  for (int step = 0; step < 2000; ++step) {
+    const auto node = rng.bounded(static_cast<std::uint32_t>(nodes.size()));
+    const auto gpu = rng.bounded(static_cast<std::uint32_t>(gpu_w[node].size()));
+    switch (rng.bounded(4)) {
+      case 0: {
+        const double w = rng.uniform(60.0, 300.0);
+        budget.gpu_busy(node, gpu, w);
+        gpu_w[node][gpu] = w;
+        break;
+      }
+      case 1:
+        budget.gpu_idle(node, gpu);
+        gpu_w[node][gpu] = ctl.node_at(node).devices()[gpu].spec().idle_power_w;
+        break;
+      case 2: budget.rebalance(); break;
+      case 3: EXPECT_EQ(budget.headroom_w(), budget.cap_w() - fresh_sum()); break;
+    }
+    ASSERT_EQ(budget.facility_power_w(), fresh_sum()) << "after step " << step;
+  }
+  EXPECT_GT(budget.rebalances(), 0u);
+}
+
 // ----------------------------------------------------------- reproducibility ----
 
 TEST(Simulator, SummaryCsvIsBitIdenticalAcrossRuns) {
@@ -383,6 +439,26 @@ TEST(Simulator, ChargesEnergyThroughTheGpusimModel) {
       spec, profile, {spec.default_config().memory, synergy::common::megahertz{r.core_mhz}});
   EXPECT_NEAR(r.gpu_energy_j, cost.energy.value * r.n_gpus, 1e-9 * r.gpu_energy_j);
   EXPECT_NEAR(r.end_s - r.start_s, cost.time.value, 1e-12);
+}
+
+TEST(Simulator, RunRejectsRepeatedJobIds) {
+  sc::cluster_config cc;
+  cc.n_nodes = 1;
+  cc.gpus_per_node = 2;
+  sc::simulator sim{cc, sc::make_fifo()};
+  sc::job_trace good;
+  good.jobs = {make_job(1, 0.0, 1, 10), make_job(2, 1.0, 1, 10)};
+  const auto first = sim.run(good);
+  ASSERT_EQ(first.completed, 2u);
+
+  // Results are keyed by id: a replay would book both id-1 jobs on one row
+  // and leave the other pending forever.
+  sc::job_trace repeated;
+  repeated.jobs = {make_job(1, 0.0, 1, 10), make_job(2, 1.0, 1, 10), make_job(1, 2.0, 1, 10)};
+  EXPECT_THROW((void)sim.run(repeated), std::invalid_argument);
+  // Rejected before the previous run's state was reset.
+  ASSERT_EQ(sim.results().size(), 2u);
+  EXPECT_EQ(result_for(sim, 2).state, ss::job_state::completed);
 }
 
 TEST(Simulator, ReplaysALoadedTraceIdentically) {

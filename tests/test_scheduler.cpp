@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "simsycl/kernel_info.hpp"
 #include "synergy/sched/controller.hpp"
 #include "synergy/sched/power_manager.hpp"
@@ -395,6 +400,79 @@ TEST(PowerManager, MaxClockUnderCapRespectsBudget) {
   // Generous budget -> maximum clock.
   EXPECT_DOUBLE_EQ(ss::max_core_clock_under_cap(spec, 1e6).value,
                    spec.max_core_clock().value);
+}
+
+namespace {
+
+/// The cap clock as a plain scan of the whole clock table: the reference
+/// that max_core_clock_under_cap must match on every spec.
+megahertz scanned_cap_clock(const gs::device_spec& spec, double budget_w) {
+  megahertz best = spec.min_core_clock();
+  for (const auto f : spec.core_clocks)
+    if (ss::worst_case_power(spec, f) <= budget_w) best = f;
+  return best;
+}
+
+/// Every clock's worst-case power and one ulp either side of it, plus 0, a
+/// negative budget, NaN and +inf. Appends with push_back on purpose: gtest
+/// names the CheckMatrix/PrologueChecks cases by a byte dump of
+/// prologue_case, which starts with the address of its label literal, and a
+/// vector::insert instantiation here put its error string in .rodata ahead
+/// of the labels and renamed two of those cases. Until prologue_case has a
+/// printer, a change that adds string constants here must check that
+/// --gtest_list_tests still prints those six cases unchanged.
+std::vector<double> cap_budgets(const gs::device_spec& spec) {
+  std::vector<double> budgets{0.0, -50.0, std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()};
+  for (const auto f : spec.core_clocks) {
+    const double p = ss::worst_case_power(spec, f);
+    for (const double b : {std::nextafter(p, -HUGE_VAL), p, std::nextafter(p, HUGE_VAL)})
+      budgets.push_back(b);
+  }
+  return budgets;
+}
+
+}  // namespace
+
+TEST(PowerManager, CapClockMatchesTheTableScanOnEveryShippedSpec) {
+  // The binary search relies on worst-case power never falling along the
+  // clock table; the other names make_device_spec accepts are aliases.
+  for (const char* name : {"V100", "A100", "MI100", "PVC", "TITANX"}) {
+    const auto spec = gs::make_device_spec(name);
+    for (const double budget : cap_budgets(spec))
+      EXPECT_EQ(ss::max_core_clock_under_cap(spec, budget).value,
+                scanned_cap_clock(spec, budget).value)
+          << spec.name << " at " << budget << " W";
+  }
+}
+
+TEST(PowerManager, MixedNodeLocksEachBoardAtItsOwnCapClock) {
+  // One node with V100 and A100 boards interleaved: each board is locked at
+  // the cap clock of its own spec. A single hungry node keeps the whole cap:
+  // (950 W - 350 W host) / 3 GPUs = 200 W per GPU, mid-table on both parts.
+  ss::node_config cfg = capable_node("mixed");
+  cfg.gpus = {"V100", "A100", "V100"};
+  ss::controller ctl({cfg});
+  ss::power_manager pm{ctl, 950.0};
+  pm.rebalance_with_demand({2000.0});
+  ASSERT_EQ(pm.node_caps().size(), 1u);
+  const double per_gpu = (pm.node_caps()[0] - cfg.host_power_w) / 3.0;
+
+  auto& n = ctl.node_at(0);
+  for (const auto& dev : n.devices()) {
+    const auto& spec = dev.spec();
+    const auto cap = scanned_cap_clock(spec, per_gpu);
+    const auto next = std::upper_bound(spec.core_clocks.begin(), spec.core_clocks.end(), cap,
+                                       [](megahertz a, megahertz b) { return a.value < b.value; });
+    ASSERT_NE(next, spec.core_clocks.end()) << spec.name << ": 200 W should not fit every clock";
+    const auto binding = n.ctx()->bind(dev);
+    const auto set = [&](megahertz core) {
+      return binding.library->set_application_clocks(sv::user_context::root(), binding.index,
+                                                     {spec.default_config().memory, core});
+    };
+    EXPECT_TRUE(set(cap).ok()) << spec.name << " at " << cap.value << " MHz";
+    EXPECT_FALSE(set(*next).ok()) << spec.name << " at " << next->value << " MHz";
+  }
 }
 
 TEST(PowerManager, RebalanceLocksClockBoundsAndReleaseClears) {
