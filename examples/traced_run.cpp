@@ -57,8 +57,8 @@ int main() {
   std::printf("\ntrace ring: %zu events (capacity %zu, dropped %zu)\n", rec.size(),
               rec.capacity(), rec.dropped());
   for (const auto& e : rec.snapshot())
-    std::printf("  [%c] pid=%u tid=%u ts=%10.1fus dur=%10.1fus %s\n", e.phase, e.pid, e.tid,
-                e.ts_us, e.dur_us, e.name.c_str());
+    std::printf("  [%c] pid=%u tid=%u ts=%10.1fus dur=%10.1fus %.*s\n", e.phase, e.pid, e.tid,
+                e.ts_us, e.dur_us, static_cast<int>(e.name.size()), e.name.data());
 
   // Surface 3: Chrome trace-event JSON.
   const char* out = "traced_run.trace.json";

@@ -44,7 +44,9 @@ struct gpu_slot {
   friend bool operator==(const gpu_slot&, const gpu_slot&) = default;
 };
 
-/// Occupancy snapshot a policy sees (built by the simulator each round).
+/// Occupancy snapshot a policy sees. The simulator refills one view in place
+/// for every scheduling pass, so a policy must not keep a reference to it
+/// past the call it was passed to.
 struct cluster_view {
   struct node_view {
     std::string name;
@@ -95,7 +97,9 @@ class scheduling_policy {
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Decide whether `job` may start now and where. Empty optional leaves
-  /// it queued for the next round.
+  /// it queued for the next round. Precondition: the job fits the view's
+  /// free GPUs (`job.job.n_gpus <= view.free_gpus()`); the simulator never
+  /// offers a job that does not.
   [[nodiscard]] virtual std::optional<placement> place(const queued_job& job,
                                                        const cluster_view& view) = 0;
 

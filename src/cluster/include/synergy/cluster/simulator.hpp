@@ -272,7 +272,8 @@ class simulator {
 
   /// Replay `trace` to completion; resets all per-run state first, so one
   /// simulator can replay several traces. Throws std::invalid_argument,
-  /// before resetting anything, when two jobs share an id.
+  /// before resetting anything, when two jobs share an id or a row breaks
+  /// a row rule of job_index.
   run_summary run(const job_trace& trace);
 
   [[nodiscard]] const std::vector<job_result>& results() const { return run_.results; }
@@ -331,7 +332,7 @@ class simulator {
   /// Restore state from a checkpoint payload (already opened fail-closed
   /// through the envelope). `trace` must be the same trace the exporting
   /// run replayed — identity is verified by CRC over its CSV rendering —
-  /// and must not repeat a job id.
+  /// and must not repeat a job id or break a row rule of job_index.
   /// On any parse/consistency error the simulator is left untouched and
   /// the status names the offending section. Call set_checkpointing() and
   /// attach_observability() (when the exporting run had them) first.
@@ -442,7 +443,10 @@ class simulator {
   /// restores into a simulator whose digest matches.
   [[nodiscard]] std::string config_fingerprint() const;
   void try_schedule();
-  [[nodiscard]] cluster_view make_view() const;
+  /// Refill view_ from the live inventory and return it (is_head set,
+  /// head_reservation_s 0).
+  cluster_view& make_view();
+  /// EASY shadow time: when `n_gpus` GPUs are free at the earliest.
   [[nodiscard]] double shadow_time(int n_gpus) const;
   /// Facility-cap admission: demote `config` down the clock table until
   /// the job fits the headroom; false = defer (or can never fit).
@@ -543,6 +547,9 @@ class simulator {
     common::pcg32 chaos_rng{0};
   };
   run_state run_;
+  /// The occupancy view the scheduling passes and the econ tick hand the
+  /// policy; make_view() refills it in place.
+  cluster_view view_;
   std::vector<std::pair<double, double>> power_samples_;
   // --- observability (optional) ---
   /// Scrape tick: ledger sample + watchdog evaluation + hook, rescheduled

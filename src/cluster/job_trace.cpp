@@ -25,6 +25,15 @@ std::string exact(double v) {
 
 constexpr const char* header_magic = "# synergy-cluster-trace v1";
 
+/// The row rules job_index enforces (job_trace.hpp).
+void check_job_row(const traced_job& job) {
+  if (std::isnan(job.deadline_s) || (job.deadline_s >= 0.0 && !(job.deadline_s >= job.submit_s)))
+    throw std::invalid_argument("job_trace: deadline before submit for id " +
+                                std::to_string(job.id));
+  if (job.n_gpus < 1 || job.iterations < 1 || !(job.work_items > 0.0) || !(job.submit_s >= 0.0))
+    throw std::invalid_argument("job_trace: invalid job row for id " + std::to_string(job.id));
+}
+
 }  // namespace
 
 std::string job_trace::to_csv() const {
@@ -84,22 +93,19 @@ job_trace job_trace::from_csv(const std::string& text) {
         throw std::invalid_argument("job_trace: deferrable must be 0 or 1 for id " + f[0]);
       j.deferrable = f[8] == "1";
       j.deadline_s = std::stod(f[9]);
-      if (std::isnan(j.deadline_s) ||
-          (j.deadline_s >= 0.0 && !(j.deadline_s >= j.submit_s)))
-        throw std::invalid_argument("job_trace: deadline before submit for id " + f[0]);
     }
-    if (j.n_gpus < 1 || j.iterations < 1 || !(j.work_items > 0.0) ||
-        !(j.submit_s >= 0.0))
-      throw std::invalid_argument("job_trace: invalid job row for id " + f[0]);
     trace.jobs.push_back(std::move(j));
   }
-  static_cast<void>(job_index{trace});  // rejects a repeated id
+  static_cast<void>(job_index{trace});  // rejects a bad row or a repeated id
   return trace;
 }
 
 job_index::job_index(const job_trace& trace) {
   rows_.reserve(trace.jobs.size());
-  for (std::size_t i = 0; i < trace.jobs.size(); ++i) rows_.emplace_back(trace.jobs[i].id, i);
+  for (std::size_t i = 0; i < trace.jobs.size(); ++i) {
+    check_job_row(trace.jobs[i]);
+    rows_.emplace_back(trace.jobs[i].id, i);
+  }
   std::sort(rows_.begin(), rows_.end());
   const auto repeat = std::adjacent_find(
       rows_.begin(), rows_.end(), [](const auto& a, const auto& b) { return a.first == b.first; });

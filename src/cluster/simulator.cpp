@@ -131,30 +131,32 @@ std::vector<simulator::running_job>::iterator simulator::find_running(int job_id
   return it;
 }
 
-cluster_view simulator::make_view() const {
+cluster_view& simulator::make_view() {
   // Sized off the *live* inventory: device-lost events shrink the cluster
   // mid-run, and run_.slots / the controller stay index-aligned throughout.
-  cluster_view view;
-  view.now = engine_.now();
-  view.nodes.reserve(run_.slots.size());
+  // Refilled in place, so after the first pass a refill allocates nothing.
+  view_.now = engine_.now();
+  view_.is_head = true;
+  view_.head_reservation_s = 0.0;
+  view_.nodes.resize(run_.slots.size());
   for (std::size_t i = 0; i < run_.slots.size(); ++i) {
     const auto& n = ctl_->node_at(i);
-    cluster_view::node_view nv;
+    auto& nv = view_.nodes[i];
     nv.name = n.name();
     // The Sec. 7.2 prologue chain, evaluated for this simulated node: the
     // controller is reachable (we are it), jobs own their GPUs exclusively
     // by construction, so capability reduces to the node-side checks.
     nv.freq_capable =
         n.has_gres(sched::nvgpufreq_plugin::gres_tag) && n.config().nvml_available;
-    nv.gpu_busy.reserve(config_.gpus_per_node);
-    nv.busy_until.reserve(config_.gpus_per_node);
-    for (const auto& s : run_.slots[i]) {
-      nv.gpu_busy.push_back(s.busy);
-      nv.busy_until.push_back(s.busy ? s.busy_until : view.now);
+    const auto& slots = run_.slots[i];
+    nv.gpu_busy.resize(slots.size());
+    nv.busy_until.resize(slots.size());
+    for (std::size_t g = 0; g < slots.size(); ++g) {
+      nv.gpu_busy[g] = slots[g].busy;
+      nv.busy_until[g] = slots[g].busy ? slots[g].busy_until : view_.now;
     }
-    view.nodes.push_back(std::move(nv));
   }
-  return view;
+  return view_;
 }
 
 double simulator::shadow_time(int n_gpus) const {
@@ -790,11 +792,15 @@ void simulator::try_schedule() {
   bool progressed = true;
   while (progressed && !run_.queue.empty()) {
     progressed = false;
-    auto view = make_view();
+    // Nothing the pass looks at changes until it starts a job, so the view,
+    // its free GPUs and the head's EASY reservation are priced once per pass.
+    cluster_view& view = make_view();
+    view.head_reservation_s = inf;  // until the first backfill candidate
+    const std::size_t free_gpus = view.free_gpus();
     for (std::size_t i = 0; i < run_.queue.size(); ++i) {
       if (i > 0 && !policy_->backfills()) break;
       view.is_head = (i == 0);
-      view.head_reservation_s = (i == 0) ? inf : shadow_time(run_.queue[0].job.n_gpus);
+      if (i == 1) view.head_reservation_s = shadow_time(run_.queue[0].job.n_gpus);
       if (econ_meter_.active() && policy_->defer(run_.queue[i], view)) {
         // The policy holds this job for a cheaper window; the econ tick
         // re-runs this scan at the next price boundary. Counted per
@@ -805,6 +811,8 @@ void simulator::try_schedule() {
         }
         continue;
       }
+      // place()'s precondition: the job fits the view's free GPUs.
+      if (static_cast<std::size_t>(run_.queue[i].job.n_gpus) > free_gpus) continue;
       auto pl = policy_->place(run_.queue[i], view);
       if (!pl) continue;
       auto config = pl->config.value_or(spec_.default_config());
@@ -839,7 +847,7 @@ void simulator::try_schedule() {
       pl->config = config;
       start(i, *pl);
       progressed = true;
-      break;  // occupancy changed: rebuild the view and restart the scan
+      break;  // occupancy changed: refill the view and restart the scan
     }
   }
 }
@@ -849,7 +857,7 @@ run_summary simulator::run(const job_trace& trace) {
   // inventory is rebuilt too: a previous run may have removed nodes, or
   // re-admitted restarted ones at the end, which permutes the node order.
   // Results are keyed by job id, so a trace that repeats one is rejected
-  // before anything is reset.
+  // before anything is reset, as is a row the loader would reject.
   job_rows_ = job_index{trace};
   rebuild_controller();
   engine_ = sim_engine{};
@@ -987,7 +995,7 @@ void simulator::econ_tick() {
   sample_power();
   bool waiting = false;
   if (econ_meter_.active() && !run_.queue.empty()) {
-    const auto view = make_view();
+    const cluster_view& view = make_view();
     for (const auto& qj : run_.queue)
       if (policy_->defer(qj, view)) {
         waiting = true;

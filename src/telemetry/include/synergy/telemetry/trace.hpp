@@ -17,12 +17,15 @@
 ///   pid 2 — the simulated device timeline (gpusim virtual seconds).
 /// Chrome's trace viewer renders them as two process lanes.
 ///
-/// The buffer is a bounded ring: recording never allocates beyond the fixed
-/// capacity and never blocks progress for longer than one mutex-protected
-/// slot write; once full, the oldest events are overwritten and counted in
-/// dropped(). Capacity defaults to 65536 events and can be set via the
+/// The buffer is a bounded ring: recording never blocks progress for longer
+/// than one mutex-protected slot write; once full, the oldest events are
+/// overwritten and counted in dropped(). Event names are stored inline
+/// (trace_name), so a slot owns no heap memory for its name and the ring
+/// costs capacity() x sizeof(trace_event) however many events pass through
+/// it. Capacity defaults to 65536 events and can be set via the
 /// SYNERGY_TRACE_CAPACITY environment variable or set_capacity().
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <initializer_list>
@@ -54,6 +57,33 @@ struct trace_arg {
   double value{0.0};
 };
 
+/// An event name held in fixed inline storage. Names longer than `capacity`
+/// bytes keep their first `capacity` bytes; every literal span/instant name
+/// in the code base and every generated job name fits.
+class trace_name {
+ public:
+  static constexpr std::size_t capacity = 47;
+
+  trace_name& operator=(std::string_view s) noexcept {
+    size_ = static_cast<std::uint8_t>(std::min(s.size(), capacity));
+    std::copy_n(s.data(), size_, data_);
+    return *this;
+  }
+
+  // NOLINTNEXTLINE(google-explicit-constructor): reads like a string_view
+  operator std::string_view() const noexcept { return {data_, size_}; }
+  [[nodiscard]] const char* data() const noexcept { return data_; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  friend bool operator==(const trace_name& a, std::string_view b) noexcept {
+    return std::string_view(a) == b;
+  }
+
+ private:
+  char data_[capacity]{};
+  std::uint8_t size_{0};
+};
+
 struct trace_event {
   static constexpr std::size_t max_args = 4;
   static constexpr std::uint32_t host_pid = 1;
@@ -62,15 +92,16 @@ struct trace_event {
   /// lifetimes and power-budget decisions render as a third process lane.
   static constexpr std::uint32_t cluster_pid = 3;
 
-  std::string name;
+  // The one-byte members sit next to the name so they share its padding.
+  trace_name name;
   category cat{category::other};
   char phase{'X'};  ///< 'X' complete (has dur), 'i' instant
-  double ts_us{0.0};
-  double dur_us{0.0};
+  std::uint8_t n_args{0};
   std::uint32_t pid{host_pid};
   std::uint32_t tid{0};
+  double ts_us{0.0};
+  double dur_us{0.0};
   std::array<trace_arg, max_args> args{};
-  std::uint8_t n_args{0};
   const char* str_key{nullptr};  ///< optional string arg (literal key)
   std::string str_value;
 

@@ -26,9 +26,12 @@ bool install_log_tap() {
         e.ts_us = trace_recorder::now_us();
         e.str_key = "level";
         // Structured fields ride along in the string arg so the exported
-        // trace preserves them without risking dangling key pointers.
+        // trace preserves them without risking dangling key pointers; so
+        // does the full text of a message too long for the inline name.
         e.str_value = common::to_string(level);
         if (!fields.empty()) e.str_value += common::format_fields(fields);
+        if (message.size() > trace_name::capacity)
+          e.str_value += common::format_fields({{"message", message}});
         trace_recorder::instance().record(std::move(e));
       });
   return true;

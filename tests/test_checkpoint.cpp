@@ -474,6 +474,18 @@ TEST_F(checkpoint_test, RestoreRejectsWrongTraceAndWrongCluster) {
     EXPECT_NE(st.err().message.find("trace"), std::string::npos) << st.err().message;
   }
 
+  // A row the loader rejects is rejected as such, before the trace CRC.
+  auto bad_row = chaotic_trace();
+  bad_row.jobs[0].n_gpus = 0;
+  {
+    reset_globals();
+    sc::simulator fresh{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+    enable_restore(fresh);
+    const auto st = fresh.restore_checkpoint(payload.value(), bad_row);
+    ASSERT_FALSE(st.ok());
+    EXPECT_NE(st.err().message.find("invalid job row"), std::string::npos) << st.err().message;
+  }
+
   // Different cluster shape: the config fingerprint must not match.
   auto other_cc = cc;
   other_cc.n_nodes += 1;

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -42,6 +45,65 @@ const sc::job_result& result_for(const sc::simulator& sim, int id) {
     if (r.id == id) return r;
   throw std::out_of_range("no such job");
 }
+
+/// Wraps a policy and checks the view the simulator hands to every place()
+/// call: the job fits the view's free GPUs, the view has as many busy GPUs
+/// as the running jobs hold, and a backfill candidate sees the EASY shadow
+/// time of the oldest pending job. Each check counts its violations.
+class view_checking_policy final : public sc::scheduling_policy {
+ public:
+  explicit view_checking_policy(std::unique_ptr<sc::scheduling_policy> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] bool backfills() const override { return inner_->backfills(); }
+  [[nodiscard]] bool defer(const sc::queued_job& job, const sc::cluster_view& view) const override {
+    return inner_->defer(job, view);
+  }
+
+  std::optional<sc::placement> place(const sc::queued_job& job,
+                                     const sc::cluster_view& view) override {
+    ++calls;
+    if (static_cast<std::size_t>(job.job.n_gpus) > view.free_gpus()) ++misfits;
+
+    std::size_t busy = 0;
+    std::vector<double> until;
+    for (const auto& node : view.nodes) {
+      busy += static_cast<std::size_t>(std::count(node.gpu_busy.begin(), node.gpu_busy.end(),
+                                                  true));
+      until.insert(until.end(), node.busy_until.begin(), node.busy_until.end());
+    }
+    std::size_t held = 0;
+    const sc::job_result* head = nullptr;
+    for (const auto& r : sim->results()) {
+      if (r.state == ss::job_state::running) held += static_cast<std::size_t>(r.n_gpus);
+      // Results are in trace order, which is arrival order here.
+      if (!head && r.state == ss::job_state::pending && r.submit_s <= view.now) head = &r;
+    }
+    if (busy != held) ++stale_views;
+
+    if (!view.is_head) {
+      ++backfill_calls;
+      std::sort(until.begin(), until.end());
+      const auto n = head ? static_cast<std::size_t>(head->n_gpus) : 0;
+      const double shadow = n >= 1 && n <= until.size()
+                                ? until[n - 1]
+                                : std::numeric_limits<double>::infinity();
+      if (!head || view.head_reservation_s != shadow) ++wrong_reservations;
+    }
+    return inner_->place(job, view);
+  }
+
+  const sc::simulator* sim{nullptr};
+  std::size_t calls{0};
+  std::size_t backfill_calls{0};
+  std::size_t misfits{0};
+  std::size_t stale_views{0};
+  std::size_t wrong_reservations{0};
+
+ private:
+  std::unique_ptr<sc::scheduling_policy> inner_;
+};
 
 }  // namespace
 
@@ -280,6 +342,34 @@ TEST(Policies, UncapablenodesRunDefaultClocks) {
   for (const auto& r : sim.results()) EXPECT_DOUBLE_EQ(r.core_mhz, default_mhz);
 }
 
+TEST(Policies, PlaceIsOfferedFittingJobsOnACurrentView) {
+  sc::trace_config tc;
+  tc.n_jobs = 300;
+  tc.mean_interarrival_s = 0.01;  // a burst: the queue runs hundreds deep
+  tc.seed = 31;
+  const auto trace = sc::generate_trace(tc);
+  sc::cluster_config cc;
+  cc.n_nodes = 4;
+  cc.gpus_per_node = 4;
+
+  for (const bool energy : {false, true}) {
+    auto wrapped = std::make_unique<view_checking_policy>(
+        energy ? sc::make_energy_aware(sc::make_suite_planner(cc.device))
+               : sc::make_easy_backfill());
+    auto& checker = *wrapped;
+    sc::simulator sim{cc, std::move(wrapped)};
+    checker.sim = &sim;
+    const auto summary = sim.run(trace);
+    SCOPED_TRACE(summary.policy);
+
+    EXPECT_EQ(summary.completed, trace.jobs.size());
+    EXPECT_GT(checker.backfill_calls, 0u);
+    EXPECT_EQ(checker.misfits, 0u) << "of " << checker.calls << " place() calls";
+    EXPECT_EQ(checker.stale_views, 0u);
+    EXPECT_EQ(checker.wrong_reservations, 0u) << "of " << checker.backfill_calls;
+  }
+}
+
 TEST(Policies, RegistryResolvesNamesAndRejectsUnknown) {
   EXPECT_EQ(sc::make_policy("fifo")->name(), "fifo");
   EXPECT_EQ(sc::make_policy("backfill")->name(), "backfill");
@@ -459,6 +549,39 @@ TEST(Simulator, RunRejectsRepeatedJobIds) {
   // Rejected before the previous run's state was reset.
   ASSERT_EQ(sim.results().size(), 2u);
   EXPECT_EQ(result_for(sim, 2).state, ss::job_state::completed);
+}
+
+TEST(Simulator, RunRejectsRowsTheLoaderRejects) {
+  // Uncapped EASY on 2 x 2 GPUs. A 0-GPU row can never start: it blocked
+  // the queue head for good, and pricing its EASY reservation read out of
+  // bounds, so the valid 1-GPU job behind it failed as never scheduled.
+  sc::cluster_config cc;
+  cc.n_nodes = 2;
+  cc.gpus_per_node = 2;
+  sc::simulator sim{cc, sc::make_easy_backfill()};
+  sc::job_trace trace;
+  trace.jobs = {make_job(1, 0.0, 4, 10), make_job(2, 0.1, 0, 10), make_job(3, 0.2, 1, 10)};
+  EXPECT_THROW((void)sc::job_trace::from_csv(trace.to_csv()), std::invalid_argument);
+  EXPECT_THROW((void)sim.run(trace), std::invalid_argument);
+
+  const std::vector<void (*)(sc::traced_job&)> breaks = {
+      [](sc::traced_job& j) { j.n_gpus = 0; },
+      [](sc::traced_job& j) { j.iterations = 0; },
+      [](sc::traced_job& j) { j.work_items = 0.0; },
+      [](sc::traced_job& j) { j.submit_s = -1.0; },
+      [](sc::traced_job& j) { j.deadline_s = j.submit_s / 2.0; },
+  };
+  for (std::size_t k = 0; k < breaks.size(); ++k) {
+    SCOPED_TRACE("row check " + std::to_string(k));
+    auto bad = trace;
+    bad.jobs[1].n_gpus = 1;
+    breaks[k](bad.jobs[1]);
+    EXPECT_THROW((void)sc::job_trace::from_csv(bad.to_csv()), std::invalid_argument);
+    EXPECT_THROW((void)sim.run(bad), std::invalid_argument);
+  }
+
+  trace.jobs[1].n_gpus = 1;
+  EXPECT_EQ(sim.run(trace).completed, 3u);
 }
 
 TEST(Simulator, ReplaysALoadedTraceIdentically) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <vector>
 
 #include "simsycl/kernel_info.hpp"
@@ -79,6 +80,11 @@ struct prologue_case {
   bool expect_granted;
   const char* failing_check;  // "" when granted
 };
+
+// gtest puts the printed parameter into the test names ctest lists. Without
+// a printer it dumps the struct's bytes -- the label's address and padding
+// -- which differ between builds and even between runs.
+void PrintTo(const prologue_case& c, std::ostream* os) { *os << c.label; }
 
 class PrologueChecks : public ::testing::TestWithParam<prologue_case> {};
 
@@ -414,13 +420,7 @@ megahertz scanned_cap_clock(const gs::device_spec& spec, double budget_w) {
 }
 
 /// Every clock's worst-case power and one ulp either side of it, plus 0, a
-/// negative budget, NaN and +inf. Appends with push_back on purpose: gtest
-/// names the CheckMatrix/PrologueChecks cases by a byte dump of
-/// prologue_case, which starts with the address of its label literal, and a
-/// vector::insert instantiation here put its error string in .rodata ahead
-/// of the labels and renamed two of those cases. Until prologue_case has a
-/// printer, a change that adds string constants here must check that
-/// --gtest_list_tests still prints those six cases unchanged.
+/// negative budget, NaN and +inf.
 std::vector<double> cap_budgets(const gs::device_spec& spec) {
   std::vector<double> budgets{0.0, -50.0, std::numeric_limits<double>::quiet_NaN(),
                               std::numeric_limits<double>::infinity()};

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -396,6 +398,79 @@ TEST_F(telemetry_test, clear_and_set_capacity_reset_state) {
   EXPECT_EQ(rec.size(), 0u);
 }
 
+TEST_F(telemetry_test, ring_names_round_trip_up_to_the_inline_capacity) {
+  constexpr std::size_t cap = tel::trace_name::capacity;
+  tel::trace_recorder rec{32};
+  std::vector<std::string> names;
+  for (const std::size_t len : {std::size_t{0}, std::size_t{1}, cap - 1, cap, cap + 1, 3 * cap}) {
+    std::string name;
+    for (std::size_t i = 0; i < len; ++i) name += static_cast<char>('a' + i % 26);
+    names.push_back(name);
+    rec.instant(tel::category::other, name);
+    rec.complete(tel::category::other, name, 0.0, 1.0, tel::trace_event::device_pid);
+    tel::trace_event e;
+    e.name = name;
+    rec.record(std::move(e));
+  }
+  const auto events = rec.snapshot();
+  ASSERT_EQ(events.size(), 3 * names.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const std::string& name = names[i / 3];
+    EXPECT_EQ(events[i].name, std::string_view(name).substr(0, cap)) << "length " << name.size();
+    EXPECT_EQ(events[i].name.size(), std::min(name.size(), cap));
+  }
+}
+
+TEST_F(telemetry_test, ring_concurrent_record_and_snapshot_keep_names_whole) {
+  // Writers record mixed-length names (some past the inline capacity) into a
+  // ring small enough to wrap many times while a reader takes snapshots.
+  // Every event is either held or counted as dropped, and every name read
+  // back is one a writer recorded (cut at the capacity) -- never a mix of
+  // two slot writes.
+  constexpr int writers = 8;
+  constexpr int per_writer = 2000;
+  constexpr std::size_t cap = tel::trace_name::capacity;
+  tel::trace_recorder rec{64};
+  const auto name_of = [](int w, int i) {
+    return std::to_string(w) + ':' + std::string(static_cast<std::size_t>(i % 70), 'a' + w);
+  };
+  std::set<std::string, std::less<>> allowed;
+  for (int w = 0; w < writers; ++w)
+    for (int i = 0; i < 70; ++i) allowed.insert(name_of(w, i).substr(0, cap));
+
+  std::atomic<bool> done{false};
+  std::size_t torn = 0;
+  std::size_t snapshots = 0;
+  std::thread reader([&] {
+    while (!done.load()) {
+      for (const auto& e : rec.snapshot())
+        if (!allowed.contains(std::string_view(e.name))) ++torn;
+      ++snapshots;
+    }
+  });
+  std::vector<std::thread> pool;
+  for (int w = 0; w < writers; ++w)
+    pool.emplace_back([&, w] {
+      for (int i = 0; i < per_writer; ++i) {
+        const std::string name = name_of(w, i);
+        if (i % 2 == 0)
+          rec.instant(tel::category::other, name, {{"i", static_cast<double>(i)}});
+        else
+          rec.complete(tel::category::other, name, 0.0, 1.0, tel::trace_event::host_pid);
+      }
+    });
+  for (auto& t : pool) t.join();
+  done.store(true);
+  reader.join();
+
+  EXPECT_EQ(rec.size() + rec.dropped(), static_cast<std::size_t>(writers * per_writer));
+  EXPECT_EQ(rec.size(), rec.capacity());
+  EXPECT_EQ(torn, 0u);
+  EXPECT_GT(snapshots, 0u);
+  for (const auto& e : rec.snapshot())
+    EXPECT_TRUE(allowed.contains(std::string_view(e.name))) << std::string_view(e.name);
+}
+
 TEST_F(telemetry_test, span_nesting_is_contained_and_ordered) {
   auto& rec = tel::trace_recorder::instance();
   {
@@ -657,6 +732,26 @@ TEST_F(telemetry_test, log_tap_mirrors_records_into_trace) {
   EXPECT_EQ(events[0].name, "clock rejected");
   EXPECT_NE(events[0].str_value.find("WARN"), std::string::npos);
   EXPECT_NE(events[0].str_value.find("device=0"), std::string::npos);
+}
+
+TEST_F(telemetry_test, log_tap_keeps_a_long_message_in_the_string_arg) {
+  namespace sc = synergy::common;
+  auto& lg = sc::logger::instance();
+  auto previous_sink = lg.set_sink(nullptr);
+  const std::string message(tel::trace_name::capacity + 20, 'm');
+
+  ASSERT_TRUE(tel::install_log_tap());
+  sc::log_warn("short");
+  sc::log_warn(message);
+  tel::remove_log_tap();
+  lg.set_sink(previous_sink);
+
+  const auto events = tel::trace_recorder::instance().snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].name, "short");
+  EXPECT_EQ(events[0].str_value, "WARN");
+  EXPECT_EQ(events[1].name, message.substr(0, tel::trace_name::capacity));
+  EXPECT_EQ(events[1].str_value, "WARN message=" + message);
 }
 
 #endif  // SYNERGY_TELEMETRY_ENABLED
