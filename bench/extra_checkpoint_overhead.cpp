@@ -3,8 +3,8 @@
 /// Replays one fixed-seed faulted + node-chaos trace three ways — bare,
 /// checkpointing every 60 virtual seconds, and checkpointing every 15 —
 /// and reports the wall-clock overhead of serializing the full simulator
-/// state (event registries, per-slot state, results, budget, RNG streams,
-/// ledger, metrics) through the sealed envelope + atomic-write stack.
+/// state (event heap, queued and running jobs, results, counters, RNG
+/// streams, ledger, metrics) through the sealed envelope + atomic-write stack.
 ///
 /// Acceptance gates (checked, nonzero exit on violation):
 ///  - correctness: every checkpointed replay's summary CSV is byte-identical

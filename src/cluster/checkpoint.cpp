@@ -12,7 +12,6 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -51,7 +50,7 @@ struct parse_fail : std::runtime_error {
 constexpr std::uint64_t max_count = 1ull << 24;
 
 /// The payload schema, named on the payload's first line.
-constexpr std::uint64_t payload_schema = 2;
+constexpr std::uint64_t payload_schema = 3;
 
 constexpr char hex_digits[] = "0123456789abcdef";
 
@@ -416,7 +415,6 @@ common::status write_checkpoint_file(const fs::path& file, std::string_view payl
 /// Where the payload's layout lives. A friend of simulator, so the
 /// transfer()s below can name its private records.
 struct checkpoint_layout {
-  using slot_state = simulator::slot_state;
   using running_job = simulator::running_job;
   using event_kind = simulator::event_kind;
   using entry = simulator::sim_engine::entry;
@@ -479,11 +477,6 @@ void transfer(Ar& ar, R& rng) {
   if constexpr (Ar::reading) rng.set_state(s);
 }
 
-template <class Ar, record<checkpoint_layout::slot_state> S>
-void transfer(Ar& ar, S& s) {
-  ar(s.busy, s.busy_until);
-}
-
 template <class Ar, record<gpu_slot> S>
 void transfer(Ar& ar, S& s) {
   ar(s.node, s.gpu);
@@ -508,13 +501,12 @@ void transfer(Ar& ar, Q& q) {
 }
 
 /// A running job without its governor state: serialize_checkpoint() refuses
-/// governed jobs.
+/// governed jobs. Its id, start time, energy and node name are read from
+/// its trace row, its result row and the inventory.
 template <class Ar, record<checkpoint_layout::running_job> J>
 void transfer(Ar& ar, J& rj) {
-  ar(rj.id, rj.epoch, rj.gpus, rj.job, rj.est, rj.start_s, rj.duration, rj.energy_j,
-     rj.avg_power_w)
+  ar(rj.epoch, rj.gpus, rj.job, rj.est, rj.busy_until, rj.duration, rj.avg_power_w)
       .en(rj.why, static_cast<obs::cause>(obs::n_causes - 1), "attribution cause");
-  ar(rj.node);
 }
 
 template <class Ar, record<checkpoint_layout::entry> E>
@@ -631,7 +623,6 @@ void checkpoint_layout::payload(Ar& ar, const simulator& sim, State& st, section
       .line("rng_fault", st.fault_rng)
       .line("rng_chaos", st.chaos_rng)
       .rows("nodes", "node", x.nodes)
-      .rows("slots", "srow", st.slots)
       .rows("results", "res", st.results)
       .rows("queue", "q", st.queue)
       .rows("running", "runj", st.running)
@@ -753,54 +744,63 @@ common::status simulator::restore_checkpoint(const std::string& payload,
     return reject("planner guard/service presence differs from the exporting run");
   if (x.watchdog.has_value() != (watchdog_ != nullptr))
     return reject("watchdog presence differs from the exporting run");
-  if (x.nodes.empty() || st.slots.size() != x.nodes.size())
-    return reject("node/slot tables inconsistent");
+  if (x.nodes.empty()) return reject("nodes: empty inventory");
   for (const auto& name : x.nodes)
     if (node_ordinal(name) >= config_.n_nodes) return reject("nodes: not an inventory node name");
-  for (const auto& row : st.slots)
-    if (row.size() != config_.gpus_per_node) return reject("GPU slot row width mismatch");
   if (st.results.size() != trace.jobs.size()) return reject("per-job result count mismatch");
   for (std::size_t i = 0; i < st.results.size(); ++i)
     if (st.results[i].id != trace.jobs[i].id) return reject("job id order mismatch");
-  // Queued and running jobs are copies of trace rows, and job events name
-  // trace job ids: anything else would fault mid-resume.
-  const auto in_trace = [&](const traced_job& j) {
-    const std::size_t row = rows.row(j.id);
-    return row != job_index::npos && trace.jobs[row] == j;
-  };
-  for (const auto& qj : st.queue)
-    if (!in_trace(qj.job))
-      return reject("queue: job " + std::to_string(qj.job.id) + " does not match the trace");
   // complete() and governor_tick() binary-search the running jobs by epoch.
   if (std::adjacent_find(st.running.begin(), st.running.end(),
                          [](const running_job& a, const running_job& b) {
                            return a.epoch >= b.epoch;
                          }) != st.running.end())
     return reject("running: jobs out of epoch order");
-  // The slot table and the running jobs describe one occupancy: each running
-  // job holds busy GPUs that no other job holds, every busy GPU belongs to a
-  // running job, and a job's node is the node of its first GPU. Otherwise
-  // the scheduler could place a second job on a GPU that is still in use.
-  std::vector<std::vector<bool>> held(st.slots.size(),
+  // Queued and running jobs are copies of trace rows, and job events name
+  // trace job ids: anything else would fault mid-resume.
+  const auto in_trace = [&](const traced_job& j) {
+    const std::size_t row = rows.row(j.id);
+    return row != job_index::npos && trace.jobs[row] == j;
+  };
+  // A job's phase is recorded twice, by its result row's state and by where
+  // the job sits: each queued job is pending, each running job is running,
+  // neither appears twice, and every running row has its running job.
+  std::vector<bool> placed(st.results.size(), false);
+  const auto misplaced = [&](int id, sched::job_state phase) {
+    const std::size_t row = rows.row(id);
+    const bool bad = placed[row] || st.results[row].state != phase;
+    placed[row] = true;
+    return bad;
+  };
+  for (const auto& qj : st.queue) {
+    const std::string job = "queue: job " + std::to_string(qj.job.id);
+    if (!in_trace(qj.job)) return reject(job + " does not match the trace");
+    if (misplaced(qj.job.id, sched::job_state::pending))
+      return reject(job + " appears twice or its result row is not pending");
+  }
+  // The running jobs are the occupancy: each holds GPUs of the inventory
+  // that no other running job holds. Otherwise the scheduler could place a
+  // second job on a GPU that is still in use.
+  std::vector<std::vector<bool>> held(x.nodes.size(),
                                       std::vector<bool>(config_.gpus_per_node, false));
   for (const auto& rj : st.running) {
-    const std::string job = "running: job " + std::to_string(rj.id);
-    if (rj.id != rj.job.id || !in_trace(rj.job)) return reject(job + " does not match the trace");
+    const std::string job = "running: job " + std::to_string(rj.job.id);
+    if (!in_trace(rj.job)) return reject(job + " does not match the trace");
+    if (misplaced(rj.job.id, sched::job_state::running))
+      return reject(job + " appears twice or its result row is not running");
     if (rj.epoch >= st.next_epoch) return reject("running-job epoch out of range");
     if (rj.gpus.empty()) return reject(job + " holds no GPUs");
     for (const auto& s : rj.gpus) {
-      if (s.node >= st.slots.size() || s.gpu >= config_.gpus_per_node)
+      if (s.node >= held.size() || s.gpu >= config_.gpus_per_node)
         return reject("running-job GPU slot out of range");
-      if (!st.slots[s.node][s.gpu].busy || held[s.node][s.gpu])
-        return reject(job + " holds a GPU that is idle or held by another job");
+      if (held[s.node][s.gpu]) return reject(job + " holds a GPU another running job holds");
       held[s.node][s.gpu] = true;
     }
-    if (rj.node != x.nodes[rj.gpus.front().node])
-      return reject(job + " is not on the node of its first GPU");
   }
-  for (std::size_t n = 0; n < st.slots.size(); ++n)
-    for (std::size_t g = 0; g < config_.gpus_per_node; ++g)
-      if (st.slots[n][g].busy && !held[n][g]) return reject("slots: busy GPU with no running job");
+  for (std::size_t i = 0; i < st.results.size(); ++i)
+    if (st.results[i].state == sched::job_state::running && !placed[i])
+      return reject("results: job " + std::to_string(st.results[i].id) +
+                    " is running without a running job");
   if (!std::isfinite(x.now) || x.now < 0.0) return reject("events: engine clock out of range");
   for (const auto& e : x.events) {
     const std::int64_t id = e.event.id;
@@ -854,19 +854,14 @@ common::status simulator::restore_checkpoint(const std::string& payload,
   run_ = std::move(st);
   job_rows_ = std::move(rows);
 
-  // Fresh budget over the restored inventory; running jobs re-register their
-  // demand and node occupancy. No restore-time rebalance — the summary
-  // carries the exporting run's counters, and a gratuitous rebalance here
-  // would put the resumed summary one count ahead.
+  // Fresh budget and view over the restored inventory; the running jobs
+  // re-register their demand, node occupancy and GPUs. No restore-time
+  // rebalance — the summary carries the exporting run's counters, and a
+  // gratuitous rebalance here would put the resumed summary one count ahead.
   budget_ = std::make_unique<power_budget>(*ctl_, config_.facility_cap_w);
-  for (const auto& rj : run_.running) {
-    std::set<std::size_t> nodes_used;
-    for (const auto& s : rj.gpus) {
-      budget_->gpu_busy(s.node, s.gpu, rj.avg_power_w);
-      nodes_used.insert(s.node);
-    }
-    for (const std::size_t n : nodes_used) ctl_->node_at(n).add_job();
-  }
+  view_.nodes.clear();
+  extend_view();
+  for (const auto& rj : run_.running) occupy(rj);
 
   power_samples_.clear();  // diagnostics only; not part of any output artefact
   recovery_was_quarantined_ = false;

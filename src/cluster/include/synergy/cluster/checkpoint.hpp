@@ -8,7 +8,8 @@
 /// away. The simulator therefore serializes its *complete* state on a
 /// periodic virtual-time cadence: the event heap itself (flat
 /// {t, seq, kind, id, epoch} records, written as they stand and restored
-/// verbatim), per-node/per-slot state, per-job results, the run counters
+/// verbatim), the node inventory, the queued and running jobs (the running
+/// jobs are the GPU occupancy), per-job results, the run counters
 /// (the run_summary field table), both RNG streams mid-draw, the
 /// drift/quarantine and plan-cache state of the guard chain, the obs energy
 /// ledger, the SLO watchdog, and the metrics registry.
@@ -19,9 +20,10 @@
 /// leaves the previous checkpoint intact and any corruption is detected at
 /// open time. Loads are fail-closed: a checkpoint that does not parse and
 /// cross-validate completely (config fingerprint, trace CRC, structural
-/// consistency, slot table against running jobs, each subsystem's
-/// acceptance of its section) restores nothing, neither in the simulator
-/// nor in the ledger, metrics registry, guard or watchdog.
+/// consistency, no GPU held twice, each job's phase agreeing with where it
+/// sits, each subsystem's acceptance of its section) restores nothing,
+/// neither in the simulator nor in the ledger, metrics registry, guard or
+/// watchdog.
 ///
 /// The payload layout is written once, in checkpoint.cpp: one
 /// transfer(archive, record) per record type, instantiated by both the
@@ -56,7 +58,7 @@ namespace synergy::cluster {
 /// Envelope kind sealing every checkpoint artefact.
 inline constexpr std::string_view checkpoint_kind = "cluster_checkpoint";
 /// Envelope version (enforced as an upper bound on open). The payload names
-/// its own schema on its first line, `synergy_ckpt 2`; the parser rejects
+/// its own schema on its first line, `synergy_ckpt 3`; the parser rejects
 /// any other schema as "unknown payload schema version".
 inline constexpr unsigned checkpoint_version = 1;
 /// Exit code of the crash-injection harness (checkpoint_options::crash_at_s)

@@ -44,9 +44,9 @@ struct gpu_slot {
   friend bool operator==(const gpu_slot&, const gpu_slot&) = default;
 };
 
-/// Occupancy snapshot a policy sees. The simulator refills one view in place
-/// for every scheduling pass, so a policy must not keep a reference to it
-/// past the call it was passed to.
+/// Occupancy snapshot a policy sees. The simulator keeps one view current as
+/// jobs start and end and hands it to every scheduling pass, so a policy
+/// must not keep a reference to it past the call it was passed to.
 struct cluster_view {
   struct node_view {
     std::string name;

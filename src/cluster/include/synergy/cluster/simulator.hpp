@@ -367,11 +367,6 @@ class simulator {
       "simulator: checkpointing is incompatible with the lifecycle recovery loop "
       "(in-memory retrain state is not serialisable; see ARCHITECTURE Sec. 17)";
 
-  struct slot_state {
-    bool busy{false};
-    double busy_until{0.0};
-  };
-
   /// What a pending event does when it fires. The values are the
   /// checkpoint's `ev` kind column: append, never renumber. Kinds from
   /// `checkpoint` on are never written; resume() re-arms them itself.
@@ -443,16 +438,20 @@ class simulator {
   /// restores into a simulator whose digest matches.
   [[nodiscard]] std::string config_fingerprint() const;
   void try_schedule();
-  /// Refill view_ from the live inventory and return it (is_head set,
-  /// head_reservation_s 0).
+  /// Stamp view_'s free GPUs with the current time and return it (is_head
+  /// set, head_reservation_s 0).
   cluster_view& make_view();
-  /// EASY shadow time: when `n_gpus` GPUs are free at the earliest.
-  [[nodiscard]] double shadow_time(int n_gpus) const;
+  /// Append to view_ every inventory node past its end, all GPUs free: the
+  /// whole inventory after view_.nodes.clear(), or a node that just joined.
+  void extend_view();
   /// Facility-cap admission: demote `config` down the clock table until
   /// the job fits the headroom; false = defer (or can never fit).
   bool admit(const traced_job& job, common::frequency_config& config, bool& demoted) const;
   void start(std::size_t queue_index, const placement& pl);
-  void integrate_to_now();
+  /// Close the facility energy (and cost) integral at `t`.
+  void integrate_to(double t);
+  /// Ledger sample, watchdog evaluation and scrape hook at `t`.
+  void scrape(double t);
   /// Governor poll for one governed job (epoch-guarded like complete()).
   void governor_tick(int job_id, std::uint64_t epoch);
   /// Drift multiplier on modelled power at `core_mhz`, as of now.
@@ -475,24 +474,26 @@ class simulator {
   /// Pending events for which is_live() holds.
   std::size_t live_events_{0};
   std::unique_ptr<power_budget> budget_;
+  /// A job holding GPUs. The running jobs are the only record of which GPUs
+  /// are busy until when, and view_ indexes them per GPU. Nothing another
+  /// record holds is copied here: the id is job.id, the start time and the
+  /// pre-charged energy are in the job's result row, and node_of() names
+  /// the node from the inventory.
   struct running_job {
-    int id{0};
     /// Generation counter: a requeued job's stale completion event (which
     /// the engine cannot cancel) no longer matches and is ignored.
     std::uint64_t epoch{0};
     std::vector<gpu_slot> gpus;
     traced_job job;          ///< original submission, for requeueing
     double est{0.0};         ///< default-clock runtime estimate (queue entry)
-    double start_s{0.0};
+    double busy_until{0.0};  ///< modelled end; governor ticks move it
     double duration{0.0};
-    double energy_j{0.0};    ///< total pre-charged GPU energy (0 when governed)
     double avg_power_w{0.0};  ///< per-GPU busy power (budget re-registration)
     obs::cause why{obs::cause::unattributed};  ///< attribution of this job's joules
-    std::string node;        ///< primary node name (multi-node gangs charge here)
     // --- reactive-governor state (null/zero on ungoverned jobs). Governed
     // jobs are not pre-charged: energy accrues segment by segment at each
     // tick, split into the seed-attributed and governor-attributed buckets.
-    std::shared_ptr<governor::governor> gov;  ///< shared: running_job is copied
+    std::unique_ptr<governor::governor> gov;
     common::megahertz seed_clock{0.0};  ///< clock the planner/default seeded
     bool deviated{false};          ///< governor has left the seeded clock
     double seed_energy_j{0.0};     ///< accrued before the first deviation
@@ -510,6 +511,13 @@ class simulator {
   /// run_.running is in epoch order, because start() appends each new epoch,
   /// erasing keeps the order, and restore_checkpoint() rejects any other.
   std::vector<running_job>::iterator find_running(int job_id, std::uint64_t epoch);
+  /// Name of the node of `rj`'s first GPU, where its joules are charged.
+  [[nodiscard]] const std::string& node_of(const running_job& rj) const;
+  /// Mark `rj`'s GPUs busy until rj.busy_until in view_, register their
+  /// draw with the budget and count the job on each node it spans.
+  /// release() undoes all three.
+  void occupy(const running_job& rj);
+  void release(const running_job& rj);
   /// Close `rj`'s open accrual segment at `now`: advance work fraction,
   /// book the segment's joules into the seed/governor bucket, and advance
   /// busy GPU-seconds.
@@ -518,9 +526,10 @@ class simulator {
   /// it with one assignment; restore_checkpoint() reads a payload into a
   /// local one, validates it, and installs it with one move. A new per-run
   /// field is a member here plus, when it must survive a resume, one line
-  /// in checkpoint.cpp's layout.
+  /// in checkpoint.cpp's layout. What is derived from it is not a member:
+  /// restore rebuilds view_, the budget's draw and the node job counts by
+  /// occupying each running job.
   struct run_state {
-    std::vector<std::vector<slot_state>> slots{};
     std::vector<queued_job> queue{};
     std::vector<job_result> results{};
     std::vector<running_job> running{};
@@ -547,13 +556,15 @@ class simulator {
     common::pcg32 chaos_rng{0};
   };
   run_state run_;
-  /// The occupancy view the scheduling passes and the econ tick hand the
-  /// policy; make_view() refills it in place.
+  /// The per-GPU index of the running jobs, node for node with the
+  /// inventory: occupy()/release() and governor ticks keep each GPU's
+  /// busyness and busy_until current, and inventory changes add or drop one
+  /// node_view. The scheduling passes and the econ tick hand it to the
+  /// policy after make_view() stamps the free GPUs with the current time.
   cluster_view view_;
   std::vector<std::pair<double, double>> power_samples_;
   // --- observability (optional) ---
-  /// Scrape tick: ledger sample + watchdog evaluation + hook, rescheduled
-  /// while the run has live work.
+  /// Scrape tick: scrape() now, rescheduled while the run has live work.
   void scrape_tick();
   std::shared_ptr<obs::slo_watchdog> watchdog_;
   std::shared_ptr<guarded_planner> attribution_guard_;

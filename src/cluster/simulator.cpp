@@ -5,9 +5,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <ostream>
-#include <set>
 #include <stdexcept>
 
 #include "synergy/common/checksum.hpp"
@@ -48,6 +48,23 @@ gpusim::kernel_profile folded_profile(const traced_job& job) {
   p.compute_efficiency = info.compute_efficiency;
   p.work_items = job.work_items * job.iterations;
   return p;
+}
+
+/// EASY shadow time over a view whose free GPUs carry `view.now`: when
+/// `n_gpus` GPUs are free at the earliest.
+double shadow_time(const cluster_view& view, int n_gpus) {
+  std::vector<double> avail;
+  for (const auto& nv : view.nodes) avail.insert(avail.end(), nv.busy_until.begin(), nv.busy_until.end());
+  if (static_cast<std::size_t>(n_gpus) > avail.size()) return inf;
+  std::nth_element(avail.begin(), avail.begin() + (n_gpus - 1), avail.end());
+  return avail[static_cast<std::size_t>(n_gpus) - 1];
+}
+
+/// Whether `gpus[k]` is the first of a gang's GPUs on its node: a gang
+/// counts once on every node it spans.
+bool first_on_its_node(const std::vector<gpu_slot>& gpus, std::size_t k) {
+  return std::none_of(gpus.begin(), gpus.begin() + static_cast<std::ptrdiff_t>(k),
+                      [&](const gpu_slot& s) { return s.node == gpus[k].node; });
 }
 
 }  // namespace
@@ -126,48 +143,57 @@ std::vector<simulator::running_job>::iterator simulator::find_running(int job_id
   const auto it = std::lower_bound(
       run_.running.begin(), run_.running.end(), epoch,
       [](const running_job& rj, std::uint64_t e) { return rj.epoch < e; });
-  if (it == run_.running.end() || it->epoch != epoch || it->id != job_id)
+  if (it == run_.running.end() || it->epoch != epoch || it->job.id != job_id)
     return run_.running.end();
   return it;
 }
 
+const std::string& simulator::node_of(const running_job& rj) const {
+  return ctl_->node_at(rj.gpus.front().node).name();
+}
+
+void simulator::occupy(const running_job& rj) {
+  for (std::size_t k = 0; k < rj.gpus.size(); ++k) {
+    const gpu_slot s = rj.gpus[k];
+    view_.nodes[s.node].gpu_busy[s.gpu] = true;
+    view_.nodes[s.node].busy_until[s.gpu] = rj.busy_until;
+    budget_->gpu_busy(s.node, s.gpu, rj.avg_power_w);
+    if (first_on_its_node(rj.gpus, k)) ctl_->node_at(s.node).add_job();
+  }
+}
+
+void simulator::release(const running_job& rj) {
+  for (std::size_t k = 0; k < rj.gpus.size(); ++k) {
+    const gpu_slot s = rj.gpus[k];
+    view_.nodes[s.node].gpu_busy[s.gpu] = false;
+    budget_->gpu_idle(s.node, s.gpu);
+    if (first_on_its_node(rj.gpus, k)) ctl_->node_at(s.node).remove_job();
+  }
+}
+
 cluster_view& simulator::make_view() {
-  // Sized off the *live* inventory: device-lost events shrink the cluster
-  // mid-run, and run_.slots / the controller stay index-aligned throughout.
-  // Refilled in place, so after the first pass a refill allocates nothing.
+  // The busy GPUs are current already; only a free GPU's busy_until (the
+  // time it is free from) moves with the clock.
   view_.now = engine_.now();
   view_.is_head = true;
   view_.head_reservation_s = 0.0;
-  view_.nodes.resize(run_.slots.size());
-  for (std::size_t i = 0; i < run_.slots.size(); ++i) {
-    const auto& n = ctl_->node_at(i);
-    auto& nv = view_.nodes[i];
-    nv.name = n.name();
-    // The Sec. 7.2 prologue chain, evaluated for this simulated node: the
-    // controller is reachable (we are it), jobs own their GPUs exclusively
-    // by construction, so capability reduces to the node-side checks.
-    nv.freq_capable =
-        n.has_gres(sched::nvgpufreq_plugin::gres_tag) && n.config().nvml_available;
-    const auto& slots = run_.slots[i];
-    nv.gpu_busy.resize(slots.size());
-    nv.busy_until.resize(slots.size());
-    for (std::size_t g = 0; g < slots.size(); ++g) {
-      nv.gpu_busy[g] = slots[g].busy;
-      nv.busy_until[g] = slots[g].busy ? slots[g].busy_until : view_.now;
-    }
-  }
+  for (auto& nv : view_.nodes)
+    for (std::size_t g = 0; g < nv.gpu_busy.size(); ++g)
+      if (!nv.gpu_busy[g]) nv.busy_until[g] = view_.now;
   return view_;
 }
 
-double simulator::shadow_time(int n_gpus) const {
-  std::vector<double> avail;
-  avail.reserve(run_.slots.size() * config_.gpus_per_node);
-  for (const auto& node_slots : run_.slots)
-    for (const auto& s : node_slots)
-      avail.push_back(s.busy ? s.busy_until : engine_.now());
-  if (static_cast<std::size_t>(n_gpus) > avail.size()) return inf;
-  std::nth_element(avail.begin(), avail.begin() + (n_gpus - 1), avail.end());
-  return avail[static_cast<std::size_t>(n_gpus) - 1];
+void simulator::extend_view() {
+  for (std::size_t i = view_.nodes.size(); i < ctl_->node_count(); ++i) {
+    const auto& n = ctl_->node_at(i);
+    const std::size_t gpus = n.config().gpus.size();
+    // The Sec. 7.2 prologue chain, evaluated for this simulated node: the
+    // controller is reachable (we are it), jobs own their GPUs exclusively
+    // by construction, so capability reduces to the node-side checks.
+    view_.nodes.push_back(
+        {n.name(), n.has_gres(sched::nvgpufreq_plugin::gres_tag) && n.config().nvml_available,
+         std::vector<bool>(gpus, false), std::vector<double>(gpus, 0.0)});
+  }
 }
 
 bool simulator::admit(const traced_job& job, common::frequency_config& config,
@@ -194,8 +220,7 @@ bool simulator::admit(const traced_job& job, common::frequency_config& config,
   return false;
 }
 
-void simulator::integrate_to_now() {
-  const double t = engine_.now();
+void simulator::integrate_to(double t) {
   if (t > run_.last_integrated_s) {
     const double w = budget_->facility_power_w();
     run_.summary.facility_energy_j += w * (t - run_.last_integrated_s);
@@ -242,14 +267,14 @@ void simulator::dispatch(const sim_event& e) {
 }
 
 void simulator::arrive(const traced_job& job) {
-  integrate_to_now();
+  integrate_to(engine_.now());
   SYNERGY_COUNTER_ADD("cluster.arrivals", 1);
   SYNERGY_INSTANT(tel::category::sched, "cluster.arrival",
                   {"id", static_cast<double>(job.id)},
                   {"n_gpus", static_cast<double>(job.n_gpus)});
 
   auto& r = result_of(job.id);
-  const std::size_t total_gpus = run_.slots.size() * config_.gpus_per_node;
+  const std::size_t total_gpus = ctl_->node_count() * config_.gpus_per_node;
   if (static_cast<std::size_t>(job.n_gpus) > total_gpus) {
     r.state = sched::job_state::failed;
     r.failure_reason = "requests more GPUs than the cluster has";
@@ -261,7 +286,7 @@ void simulator::arrive(const traced_job& job) {
     const auto cost = model_.evaluate(
         spec_, folded_profile(job), {spec_.default_config().memory, spec_.min_core_clock()});
     const double idle_facility =
-        static_cast<double>(run_.slots.size()) *
+        static_cast<double>(ctl_->node_count()) *
         (config_.host_power_w +
          static_cast<double>(config_.gpus_per_node) * spec_.idle_power_w);
     const double min_draw =
@@ -288,8 +313,8 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
   // move the accounting clock but whose job starts must close the facility
   // integral before the budget registers new draw.
   run_.last_live_t = engine_.now();
-  integrate_to_now();
-  const queued_job qj = run_.queue[queue_index];
+  integrate_to(engine_.now());
+  const queued_job qj = std::move(run_.queue[queue_index]);
   run_.queue.erase(run_.queue.begin() + static_cast<std::ptrdiff_t>(queue_index));
   const double now = engine_.now();
 
@@ -319,7 +344,7 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
     }
     lose_device_here = u_lost < config_.faults.device_lost_rate &&
                        run_.summary.nodes_lost < config_.faults.max_node_losses &&
-                       run_.slots.size() > 1;
+                       ctl_->node_count() > 1;
   }
   r.core_mhz = config.core.value;
 
@@ -364,33 +389,18 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
   r.gpu_energy_j = governed ? 0.0 : cost.energy.value * qj.job.n_gpus;
   if (!governed) run_.busy_gpu_seconds += duration * qj.job.n_gpus;
 
-  std::set<std::size_t> nodes_used;
-  for (const auto& slot : pl.gpus) {
-    run_.slots[slot.node][slot.gpu] = {true, now + duration};
-    budget_->gpu_busy(slot.node, slot.gpu, cost.avg_power.value);
-    nodes_used.insert(slot.node);
-  }
-  for (const std::size_t ni : nodes_used) ctl_->node_at(ni).add_job();
   const std::uint64_t epoch = run_.next_epoch++;
-  {
-    running_job rj;
-    rj.id = qj.job.id;
-    rj.epoch = epoch;
-    rj.gpus = pl.gpus;
-    rj.job = qj.job;
-    rj.est = qj.est_runtime_s;
-    rj.start_s = now;
-    rj.duration = duration;
-    rj.energy_j = r.gpu_energy_j;
-    rj.avg_power_w = cost.avg_power.value;
-    rj.why = why;
-    rj.node = ctl_->node_at(pl.gpus.front().node).name();
-    run_.running.push_back(std::move(rj));
-  }
+  running_job rj;
+  rj.epoch = epoch;
+  rj.gpus = pl.gpus;
+  rj.job = qj.job;
+  rj.est = qj.est_runtime_s;
+  rj.busy_until = now + duration;
+  rj.duration = duration;
+  rj.avg_power_w = cost.avg_power.value;
+  rj.why = why;
   if (governed) {
-    auto& rj = run_.running.back();
-    rj.gov = std::shared_ptr<governor::governor>(
-        std::move(governor::make_governor(config_.governor.spec, spec_)).value());
+    rj.gov = std::move(governor::make_governor(config_.governor.spec, spec_)).value();
     rj.gov->seed(config.core);
     // Under a facility cap the admitted clock is the ceiling: the governor
     // may save energy below it but must not undo the cap demotion.
@@ -403,6 +413,8 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
     rj.cur_util = cost.compute_utilization;
     if (config_.governor.spec.hybrid) rj.target_w = predicted_power_w;
   }
+  occupy(rj);
+  run_.running.push_back(std::move(rj));
 
   SYNERGY_COUNTER_ADD("cluster.placements", 1);
   SYNERGY_HISTOGRAM_OBSERVE("cluster.queue_wait_s", r.queue_wait_s, 0.0, 1.0, 10.0, 60.0,
@@ -421,7 +433,7 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
   if (lose_device_here) {
     // The board dies partway through this job. Nodes are addressed by
     // ordinal because indices shift when earlier losses remove nodes.
-    const auto victim = node_ordinal(run_.running.back().node);
+    const auto victim = node_ordinal(node_of(run_.running.back()));
     schedule(now + duration * lose_at_frac, event_kind::device_lost,
              static_cast<std::int64_t>(victim));
   }
@@ -437,31 +449,21 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
   // energy over the same spans as uninterrupted ones.
   if (it == run_.running.end()) return;
   run_.last_live_t = engine_.now();
-  integrate_to_now();
-
-  std::set<std::size_t> nodes_used;
-  for (const auto& slot : it->gpus) {
-    run_.slots[slot.node][slot.gpu] = {false, 0.0};
-    budget_->gpu_idle(slot.node, slot.gpu);
-    nodes_used.insert(slot.node);
-  }
-  for (const std::size_t ni : nodes_used) ctl_->node_at(ni).remove_job();
-  [[maybe_unused]] double governor_j = 0.0;
-  if (it->gov) {
-    // Close the final accrual segment and settle the job's energy from the
-    // per-segment buckets (governed jobs were never pre-charged).
-    accrue_governed(*it, engine_.now());
-    auto& gr = result_of(job_id);
-    gr.gpu_energy_j = it->seed_energy_j + it->gov_energy_j;
-    gr.core_mhz = it->gov->current().value;
-    governor_j = it->gov_energy_j;
-  }
-  const traced_job finished = it->job;
-  [[maybe_unused]] const obs::cause attribution = it->why;
-  [[maybe_unused]] const std::string obs_node = it->node;
+  integrate_to(engine_.now());
+  running_job rj = std::move(*it);
   run_.running.erase(it);
+  release(rj);
 
   auto& r = result_of(job_id);
+  [[maybe_unused]] double governor_j = 0.0;
+  if (rj.gov) {
+    // Close the final accrual segment and settle the job's energy from the
+    // per-segment buckets (governed jobs were never pre-charged).
+    accrue_governed(rj, engine_.now());
+    r.gpu_energy_j = rj.seed_energy_j + rj.gov_energy_j;
+    r.core_mhz = rj.gov->current().value;
+    governor_j = rj.gov_energy_j;
+  }
   r.state = sched::job_state::completed;
   r.end_s = engine_.now();
   if (config_.faults.enabled() &&
@@ -479,10 +481,10 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
   // total == busy GPU energy + wasted energy. Governed jobs split the
   // charge: joules accrued before the governor first left the seeded clock
   // stay with the tier that seeded it, everything after is the governor's.
-  SYNERGY_OBS_CHARGE((obs::charge_key{obs_node, config_.device, r.name, r.kernel}),
-                     attribution, r.gpu_energy_j - governor_j);
+  SYNERGY_OBS_CHARGE((obs::charge_key{node_of(rj), config_.device, r.name, r.kernel}),
+                     rj.why, r.gpu_energy_j - governor_j);
   if (governor_j > 0.0)
-    SYNERGY_OBS_CHARGE((obs::charge_key{obs_node, config_.device, r.name, r.kernel}),
+    SYNERGY_OBS_CHARGE((obs::charge_key{node_of(rj), config_.device, r.name, r.kernel}),
                        obs::cause::governor, governor_j);
   if (watchdog_ && r.n_gpus > 0) watchdog_->observe_job(r.gpu_energy_j / r.n_gpus);
   if (econ_meter_.active()) {
@@ -491,7 +493,7 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
     // SYNERGY_OBS_CHARGE macro). Both buckets price at completion time, the
     // instant the joules are booked.
     const double now_s = engine_.now();
-    econ_meter_.charge(attribution, r.gpu_energy_j - governor_j, now_s);
+    econ_meter_.charge(rj.why, r.gpu_energy_j - governor_j, now_s);
     if (governor_j > 0.0) econ_meter_.charge(obs::cause::governor, governor_j, now_s);
     econ_meter_.complete_job();
     if (watchdog_ && r.n_gpus > 0) {
@@ -517,14 +519,13 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
     // size cancels out of the comparison by normalising to per-item,
     // per-GPU energy — jobs of one kernel differ in iterations and gang
     // size, and the models predict per-item metrics.
-    const double items = finished.work_items * finished.iterations;
-    const double energy_per_item =
-        items > 0.0 ? r.gpu_energy_j / finished.n_gpus / items : 0.0;
-    const auto& features = workloads::find(finished.kernel).info.features;
+    const double items = rj.job.work_items * rj.job.iterations;
+    const double energy_per_item = items > 0.0 ? r.gpu_energy_j / rj.job.n_gpus / items : 0.0;
+    const auto& features = workloads::find(rj.job.kernel).info.features;
     const common::megahertz core{r.core_mhz};
-    recovery_guard_->observe(finished.kernel, features, core, energy_per_item);
+    recovery_guard_->observe(rj.job.kernel, features, core, energy_per_item);
     recovery_manager_->record(
-        {finished.kernel, features, {spec_.default_config().memory, core}, energy_per_item});
+        {rj.job.kernel, features, {spec_.default_config().memory, core}, energy_per_item});
     const bool quarantined = recovery_guard_->quarantined();
     if (quarantined && !recovery_was_quarantined_) {
       ++run_.summary.quarantines;
@@ -586,7 +587,7 @@ void simulator::governor_tick(int job_id, std::uint64_t epoch) {
   // was scheduled; the restarted incarnation runs under a fresh epoch.
   if (it == run_.running.end() || !it->gov) return;
   run_.last_live_t = engine_.now();
-  integrate_to_now();
+  integrate_to(engine_.now());
   running_job& rj = *it;
   const double now = engine_.now();
   accrue_governed(rj, now);
@@ -621,7 +622,8 @@ void simulator::governor_tick(int job_id, std::uint64_t epoch) {
 
   const double remaining =
       rj.cur_duration_full > 0.0 ? (1.0 - rj.frac_done) * rj.cur_duration_full : 0.0;
-  for (const auto& s : rj.gpus) run_.slots[s.node][s.gpu].busy_until = now + remaining;
+  rj.busy_until = now + remaining;
+  for (const auto& s : rj.gpus) view_.nodes[s.node].busy_until[s.gpu] = rj.busy_until;
   const double tick = std::max(1e-3, config_.governor.tick_interval_s);
   if (remaining <= tick + 1e-9)
     schedule(now + std::max(0.0, remaining), event_kind::completion, job_id, epoch);
@@ -633,30 +635,21 @@ void simulator::governor_tick(int job_id, std::uint64_t epoch) {
 std::size_t simulator::drain_node(std::size_t ni) {
   // Every job with a GPU on the dying node is preempted and requeued — jobs
   // are never lost. Its partial execution is refunded from the pre-charged
-  // accounting and booked as wasted work instead.
-  std::vector<running_job> victims;
-  for (auto it = run_.running.begin(); it != run_.running.end();) {
-    const bool on_node = std::any_of(it->gpus.begin(), it->gpus.end(),
-                                     [ni](const gpu_slot& s) { return s.node == ni; });
-    if (on_node) {
-      victims.push_back(*it);
-      it = run_.running.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // accounting and booked as wasted work instead. The victims move out in
+  // epoch order, and the survivors keep theirs.
+  const auto survivors_end = std::stable_partition(
+      run_.running.begin(), run_.running.end(), [ni](const running_job& rj) {
+        return std::none_of(rj.gpus.begin(), rj.gpus.end(),
+                            [ni](const gpu_slot& s) { return s.node == ni; });
+      });
+  std::vector<running_job> victims(std::make_move_iterator(survivors_end),
+                                   std::make_move_iterator(run_.running.end()));
+  run_.running.erase(survivors_end, run_.running.end());
   const double now = engine_.now();
   for (auto& rj : victims) {
-    std::set<std::size_t> nodes_used;
-    for (const auto& s : rj.gpus) {
-      run_.slots[s.node][s.gpu] = {false, 0.0};
-      budget_->gpu_idle(s.node, s.gpu);
-      nodes_used.insert(s.node);
-    }
-    for (const std::size_t n : nodes_used) ctl_->node_at(n).remove_job();
-
-    auto& r = result_of(rj.id);
-    const double elapsed = std::max(0.0, now - rj.start_s);
+    release(rj);
+    auto& r = result_of(rj.job.id);
+    const double elapsed = std::max(0.0, now - r.start_s);
     double wasted = 0.0;
     if (rj.gov) {
       // Governed jobs accrued joules and busy-seconds per segment: close
@@ -667,13 +660,13 @@ std::size_t simulator::drain_node(std::size_t ni) {
     } else {
       const double done = rj.duration > 0.0 ? std::min(1.0, elapsed / rj.duration) : 1.0;
       run_.busy_gpu_seconds -= (rj.duration - elapsed) * rj.job.n_gpus;
-      wasted = rj.energy_j * done;
+      wasted = r.gpu_energy_j * done;
     }
     run_.summary.wasted_gpu_energy_j += wasted;
     // The partial execution's joules were spent and bought nothing: book
     // them as fault-wasted so the watchdog's wasted_energy_j rule sees the
     // incident on the next scrape.
-    SYNERGY_OBS_CHARGE((obs::charge_key{rj.node, config_.device, r.name, r.kernel}),
+    SYNERGY_OBS_CHARGE((obs::charge_key{node_of(rj), config_.device, r.name, r.kernel}),
                        obs::cause::fault_wasted, wasted);
     if (econ_meter_.active()) econ_meter_.charge(obs::cause::fault_wasted, wasted, now);
     r.gpu_energy_j = 0.0;
@@ -684,9 +677,9 @@ std::size_t simulator::drain_node(std::size_t ni) {
     ++run_.summary.requeues;
     SYNERGY_COUNTER_ADD("cluster.requeues", 1);
     SYNERGY_INSTANT(tel::category::sched, "cluster.requeue",
-                    {"id", static_cast<double>(rj.id)},
+                    {"id", static_cast<double>(r.id)},
                     {"node", static_cast<double>(ni)});
-    run_.queue.push_back(queued_job{rj.job, rj.est});
+    run_.queue.push_back(queued_job{std::move(rj.job), rj.est});
   }
   return victims.size();
 }
@@ -704,9 +697,10 @@ void simulator::rebuild_budget() {
 
 bool simulator::remove_node_and_rebuild(std::size_t ni) {
   // Drained of jobs, the node leaves the inventory through the controller's
-  // normal removal path; slot and budget bookkeeping shift down with it.
+  // normal removal path; the view and the running jobs' GPU indices shift
+  // down with it.
   if (!ctl_->remove_node(ctl_->node_at(ni).name())) return false;
-  run_.slots.erase(run_.slots.begin() + static_cast<std::ptrdiff_t>(ni));
+  view_.nodes.erase(view_.nodes.begin() + static_cast<std::ptrdiff_t>(ni));
   for (auto& rj : run_.running)
     for (auto& s : rj.gpus)
       if (s.node > ni) --s.node;
@@ -717,16 +711,12 @@ bool simulator::remove_node_and_rebuild(std::size_t ni) {
 void simulator::device_lost(const std::string& node_name) {
   // Resolve by name: earlier losses shift indices. A vanished name means the
   // node is already gone (double event) — nothing to do.
-  std::size_t ni = run_.slots.size();
-  for (std::size_t i = 0; i < ctl_->node_count(); ++i)
-    if (ctl_->node_at(i).name() == node_name) {
-      ni = i;
-      break;
-    }
-  if (ni >= run_.slots.size() || run_.slots.size() <= 1 ||
+  std::size_t ni = 0;
+  while (ni < ctl_->node_count() && ctl_->node_at(ni).name() != node_name) ++ni;
+  if (ni >= ctl_->node_count() || ctl_->node_count() <= 1 ||
       run_.summary.nodes_lost >= config_.faults.max_node_losses)
     return;
-  integrate_to_now();
+  integrate_to(engine_.now());
 
   [[maybe_unused]] const std::size_t requeued = drain_node(ni);
   if (remove_node_and_rebuild(ni)) {
@@ -745,11 +735,11 @@ void simulator::device_lost(const std::string& node_name) {
 void simulator::node_crash() {
   // At least one node always survives; a skipped crash consumes no RNG so
   // the victim stream stays aligned across replays regardless of timing.
-  if (run_.slots.size() <= 1) return;
-  integrate_to_now();
+  if (ctl_->node_count() <= 1) return;
+  integrate_to(engine_.now());
 
   const auto ni = static_cast<std::size_t>(
-      run_.chaos_rng.bounded(static_cast<std::uint32_t>(run_.slots.size())));
+      run_.chaos_rng.bounded(static_cast<std::uint32_t>(ctl_->node_count())));
   const std::string name = ctl_->node_at(ni).name();
   [[maybe_unused]] const std::size_t requeued = drain_node(ni);
   if (remove_node_and_rebuild(ni)) {
@@ -769,19 +759,19 @@ void simulator::node_crash() {
 }
 
 void simulator::node_restart(std::size_t ordinal) {
-  integrate_to_now();
+  integrate_to(engine_.now());
 
   // Warm restart: the node returns with fresh idle slots (whatever ran there
   // was requeued at crash time), is appended to the inventory — append never
   // shifts existing indices — and the budget re-spreads over the grown
   // fleet before an immediate scheduling pass picks up deferred work.
   ctl_->add_node(make_node_config(node_name(ordinal)));
-  run_.slots.emplace_back(config_.gpus_per_node, slot_state{});
+  extend_view();
   rebuild_budget();
   ++run_.summary.node_restarts;
   SYNERGY_COUNTER_ADD("cluster.node_restarts", 1);
   SYNERGY_INSTANT(tel::category::sched, "cluster.node_restart",
-                  {"node", static_cast<double>(run_.slots.size() - 1)});
+                  {"node", static_cast<double>(ctl_->node_count() - 1)});
 
   budget_->rebalance();
   try_schedule();
@@ -800,7 +790,7 @@ void simulator::try_schedule() {
     for (std::size_t i = 0; i < run_.queue.size(); ++i) {
       if (i > 0 && !policy_->backfills()) break;
       view.is_head = (i == 0);
-      if (i == 1) view.head_reservation_s = shadow_time(run_.queue[0].job.n_gpus);
+      if (i == 1) view.head_reservation_s = shadow_time(view, run_.queue[0].job.n_gpus);
       if (econ_meter_.active() && policy_->defer(run_.queue[i], view)) {
         // The policy holds this job for a cheaper window; the econ tick
         // re-runs this scan at the next price boundary. Counted per
@@ -864,8 +854,9 @@ run_summary simulator::run(const job_trace& trace) {
   trace_ = &trace;
   live_events_ = 0;
   budget_ = std::make_unique<power_budget>(*ctl_, config_.facility_cap_w);
+  view_.nodes.clear();
+  extend_view();
   run_ = run_state{
-      .slots = std::vector(config_.n_nodes, std::vector<slot_state>(config_.gpus_per_node)),
       // Spelled out: left defaulted, GCC 12 -O3 flags the summary's string
       // as maybe-uninitialized in the temporary.
       .summary = run_summary{},
@@ -924,19 +915,10 @@ run_summary simulator::finish_run() {
   // before the work ran dry, or a stale completion of a requeued job) whose
   // presence depends on checkpointing/crash history — and the contract is
   // byte-identical output with checkpointing on or off.
-  if (run_.last_live_t > run_.last_integrated_s) {
-    const double w = budget_->facility_power_w();
-    run_.summary.facility_energy_j += w * (run_.last_live_t - run_.last_integrated_s);
-    if (econ_meter_.active()) econ_meter_.integrate(w, run_.last_integrated_s, run_.last_live_t);
-    run_.last_integrated_s = run_.last_live_t;
-  }
-  if (config_.obs_scrape_interval_s > 0.0) {
-    // Closing sample: a run shorter than one interval still gets a series
-    // point, and the watchdog sees the final state.
-    obs::energy_ledger::instance().scrape(run_.last_live_t);
-    if (watchdog_) watchdog_->evaluate(run_.last_live_t);
-    if (scrape_hook_) scrape_hook_(run_.last_live_t);
-  }
+  integrate_to(run_.last_live_t);
+  // Closing sample: a run shorter than one interval still gets a series
+  // point, and the watchdog sees the final state.
+  if (config_.obs_scrape_interval_s > 0.0) scrape(run_.last_live_t);
 
   // Anything still queued can never start (the queue only drains on
   // completions, and none are pending).
@@ -1014,14 +996,18 @@ void simulator::econ_tick() {
 void simulator::scrape_tick() {
   run_.last_live_t = engine_.now();
   ++run_.scrape_ticks;
-  obs::energy_ledger::instance().scrape(engine_.now());
-  if (watchdog_) watchdog_->evaluate(engine_.now());
-  if (scrape_hook_) scrape_hook_(engine_.now());
+  scrape(engine_.now());
   // Reschedule only while the run still has live work: keying off engine
   // emptiness would let the scrape and checkpoint tick streams keep each
   // other alive forever.
   if (has_live_work())
     schedule(engine_.now() + config_.obs_scrape_interval_s, event_kind::scrape);
+}
+
+void simulator::scrape(double t) {
+  obs::energy_ledger::instance().scrape(t);
+  if (watchdog_) watchdog_->evaluate(t);
+  if (scrape_hook_) scrape_hook_(t);
 }
 
 void simulator::attach_observability(std::shared_ptr<obs::slo_watchdog> watchdog,

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "synergy/common/error.hpp"
@@ -65,9 +64,6 @@ struct snapshot_options {
 /// deterministic across platforms with IEEE-754 doubles. Non-finite values
 /// render as 0 (JSON has no inf/nan).
 [[nodiscard]] std::string format_double(double v);
-
-/// Escape `s` for embedding in a JSON (or Prometheus label) string literal.
-[[nodiscard]] std::string json_escape(std::string_view s);
 
 /// The snapshot as one JSON document (schema "synergy.obs.snapshot/v1").
 [[nodiscard]] std::string render_json(const energy_ledger& ledger,

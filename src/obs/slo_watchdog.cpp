@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "synergy/obs/snapshot.hpp"
+#include "synergy/telemetry/export.hpp"
 #include "synergy/telemetry/telemetry.hpp"
 
 namespace synergy::obs {
@@ -113,15 +114,15 @@ std::string alert::to_json_line() const {
   std::string out = "{\"t_s\":";
   out += format_double(t_s);
   out += ",\"rule\":\"";
-  out += json_escape(rule);
+  out += tel::json_escape(rule);
   out += "\",\"kind\":\"";
-  out += json_escape(kind_name);
+  out += tel::json_escape(kind_name);
   out += "\",\"value\":";
   out += format_double(value);
   out += ",\"threshold\":";
   out += format_double(threshold);
   out += ",\"detail\":\"";
-  out += json_escape(detail);
+  out += tel::json_escape(detail);
   out += "\"}";
   return out;
 }

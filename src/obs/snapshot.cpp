@@ -4,9 +4,9 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "synergy/common/envelope.hpp"
+#include "synergy/telemetry/export.hpp"
 
 namespace synergy::obs {
 
@@ -18,29 +18,6 @@ std::string format_double(double v) {
   const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
   if (ec != std::errc{}) return "0";
   return std::string(buf, end);
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 namespace {
@@ -85,7 +62,7 @@ void append_metrics_json(std::string& out, const snapshot_options& options) {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"";
-    out += json_escape(m.name);
+    out += tel::json_escape(m.name);
     out += "\",\"kind\":\"";
     switch (m.type) {
       case tel::metric_snapshot::kind::counter:
@@ -117,7 +94,7 @@ std::string render_json(const energy_ledger& ledger, const slo_watchdog* watchdo
   std::string out;
   out.reserve(4096);
   out += "{\"schema\":\"synergy.obs.snapshot/v1\",\"source\":\"";
-  out += json_escape(options.source);
+  out += tel::json_escape(options.source);
   out += "\",\"sequence\":" + std::to_string(options.sequence);
   out += ",\"time_s\":" + format_double(options.time_s);
 
@@ -131,10 +108,10 @@ std::string render_json(const energy_ledger& ledger, const slo_watchdog* watchdo
   for (const auto& e : ledger.entries()) {
     if (!first) out += ',';
     first = false;
-    out += "{\"node\":\"" + json_escape(e.key.node);
-    out += "\",\"device\":\"" + json_escape(e.key.device);
-    out += "\",\"job\":\"" + json_escape(e.key.job);
-    out += "\",\"kernel\":\"" + json_escape(e.key.kernel);
+    out += "{\"node\":\"" + tel::json_escape(e.key.node);
+    out += "\",\"device\":\"" + tel::json_escape(e.key.device);
+    out += "\",\"job\":\"" + tel::json_escape(e.key.job);
+    out += "\",\"kernel\":\"" + tel::json_escape(e.key.kernel);
     out += "\",\"total_j\":" + format_double(e.total_j);
     out += ",\"by_cause\":";
     append_cause_object(out, e.by_cause, /*nonzero_only=*/true);
@@ -199,10 +176,10 @@ std::string render_prometheus(const energy_ledger& ledger,
   for (const auto& e : ledger.entries()) {
     for (std::size_t c = 0; c < n_causes; ++c) {
       if (e.by_cause[c] == 0.0) continue;
-      out += "synergy_energy_joules{node=\"" + json_escape(e.key.node);
-      out += "\",device=\"" + json_escape(e.key.device);
-      out += "\",job=\"" + json_escape(e.key.job);
-      out += "\",kernel=\"" + json_escape(e.key.kernel);
+      out += "synergy_energy_joules{node=\"" + tel::json_escape(e.key.node);
+      out += "\",device=\"" + tel::json_escape(e.key.device);
+      out += "\",job=\"" + tel::json_escape(e.key.job);
+      out += "\",kernel=\"" + tel::json_escape(e.key.kernel);
       out += "\",cause=\"";
       out += to_string(static_cast<cause>(c));
       out += "\"} " + format_double(e.by_cause[c]) + "\n";

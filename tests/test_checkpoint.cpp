@@ -259,6 +259,66 @@ std::vector<std::filesystem::path> checkpoint_files(const std::filesystem::path&
   return files;
 }
 
+std::vector<std::string> split(const std::string& text, char sep) {
+  std::vector<std::string> parts;
+  std::string part;
+  std::istringstream in{text};
+  while (std::getline(in, part, sep)) parts.push_back(part);
+  return parts;
+}
+
+std::string join(const std::vector<std::string>& parts, char sep) {
+  std::string out;
+  for (std::size_t i = 0; i < parts.size(); ++i) out += (i ? std::string(1, sep) : "") + parts[i];
+  return out;
+}
+
+/// A payload as lines of space-separated tokens, and back.
+using rows_t = std::vector<std::vector<std::string>>;
+
+rows_t tokens_of(const std::string& payload) {
+  rows_t rows;
+  for (const auto& line : split(payload, '\n')) rows.push_back(split(line, ' '));
+  return rows;
+}
+
+std::string payload_of(const rows_t& rows) {
+  std::vector<std::string> lines;
+  for (const auto& r : rows) lines.push_back(join(r, ' '));
+  return join(lines, '\n');
+}
+
+/// Index of the first row tagged `tag`, or rows.size().
+std::size_t first_row(const rows_t& rows, const std::string& tag) {
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    if (!rows[i].empty() && rows[i][0] == tag) return i;
+  return rows.size();
+}
+
+/// Index of the job id token in a `runj` row: after the tag, the epoch and
+/// the counted GPU list (`<n> (<node> <gpu>)...`).
+std::size_t runj_job_token(const std::vector<std::string>& runj) {
+  return 3 + 2 * std::stoul(runj[2]);
+}
+
+/// Run the chaotic replay with a checkpoint every 20 virtual seconds into
+/// `dir`.
+void checkpoint_chaotic_replay(const std::filesystem::path& dir) {
+  const auto cc = chaotic_config();
+  sc::simulator sim{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+  sim.set_checkpointing(every_20s(dir));
+  (void)sim.run(chaotic_trace());
+}
+
+/// Restore `payload` of the chaotic replay into a fresh simulator.
+synergy::common::status restore_chaotic(const std::string& payload) {
+  reset_globals();
+  const auto cc = chaotic_config();
+  sc::simulator fresh{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+  enable_restore(fresh);
+  return fresh.restore_checkpoint(payload, chaotic_trace());
+}
+
 }  // namespace
 
 // ------------------------------------------------- checkpointing is inert ----
@@ -498,146 +558,154 @@ TEST_F(checkpoint_test, RestoreRejectsWrongTraceAndWrongCluster) {
     EXPECT_NE(st.err().message.find("fingerprint"), std::string::npos) << st.err().message;
   }
 
+  // Another payload schema fails closed: a schema-2 artefact holds a slot
+  // table and running-job fields this layout does not read.
+  {
+    auto rows = tokens_of(payload.value());
+    ASSERT_EQ(rows[0], (std::vector<std::string>{"synergy_ckpt", "3"}));
+    rows[0][1] = "2";
+    const auto st = restore_chaotic(payload_of(rows));
+    ASSERT_FALSE(st.ok());
+    EXPECT_NE(st.err().message.find("unknown payload schema version"), std::string::npos)
+        << st.err().message;
+  }
+
   std::filesystem::remove_all(dir);
 }
 
 TEST_F(checkpoint_test, RestoreRejectsJobIdsThatAreNotInTheTrace) {
-  const auto trace = chaotic_trace();
-  const auto cc = chaotic_config();
   const auto dir = temp_dir("synergy_ckpt_ids");
-  sc::simulator sim{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
-  sc::checkpoint_options opts;
-  opts.interval_s = 20.0;
-  opts.dir = dir;
-  sim.set_checkpointing(std::move(opts));
-  (void)sim.run(trace);
+  checkpoint_chaotic_replay(dir);
 
   // An artefact with both a running and a queued job.
-  std::string payload;
+  rows_t rows;
   for (const auto& file : checkpoint_files(dir)) {
     const auto p = sc::read_checkpoint_payload(file);
     ASSERT_TRUE(p.has_value());
-    if (p.value().find("\nrunj ") != std::string::npos &&
-        p.value().find("\nq ") != std::string::npos) {
-      payload = p.value();
-      break;
-    }
+    rows = tokens_of(p.value());
+    if (first_row(rows, "runj") < rows.size() && first_row(rows, "q") < rows.size()) break;
   }
-  ASSERT_FALSE(payload.empty()) << "no artefact with running and queued jobs";
+  ASSERT_LT(first_row(rows, "runj"), rows.size()) << "no artefact with a running job";
+  ASSERT_LT(first_row(rows, "q"), rows.size()) << "no artefact with a queued job";
 
-  // Swap the job id leading the first row of `tag` for one the trace lacks:
-  // still a well-formed payload, as a re-sealed artefact would be.
-  const auto with_foreign_id = [&payload](const std::string& tag) {
-    std::string bad = payload;
-    const auto row = bad.find("\n" + tag + " ") + tag.size() + 2;
-    bad.replace(row, bad.find(' ', row) - row, "999999");
-    return bad;
-  };
-  for (const std::string section : {"runj", "q"}) {
-    reset_globals();
-    sc::simulator fresh{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
-    enable_restore(fresh);
-    const auto st = fresh.restore_checkpoint(with_foreign_id(section), trace);
-    ASSERT_FALSE(st.ok()) << section;
-    const std::string named = section == "q" ? "queue" : "running";
-    EXPECT_NE(st.err().message.find(named), std::string::npos) << st.err().message;
+  // Swap the job id of the first row of `tag` for one the trace lacks: still
+  // a well-formed payload, as a re-sealed artefact would be. A queue row
+  // starts with its job; a running job's follows its epoch and GPUs.
+  for (const std::string tag : {"runj", "q"}) {
+    auto bad = rows;
+    auto& row = bad[first_row(bad, tag)];
+    row[tag == "q" ? 1 : runj_job_token(row)] = "999999";
+    const auto st = restore_chaotic(payload_of(bad));
+    ASSERT_FALSE(st.ok()) << tag;
+    const std::string named = tag == "q" ? "queue: job 999999" : "running: job 999999";
+    EXPECT_NE(st.err().message.find(named + " does not match the trace"), std::string::npos)
+        << st.err().message;
   }
 
   std::filesystem::remove_all(dir);
 }
 
-namespace {
+TEST_F(checkpoint_test, RestoreRejectsGpusHeldTwiceOrPastTheInventory) {
+  const auto dir = temp_dir("synergy_ckpt_gpus");
+  checkpoint_chaotic_replay(dir);
 
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::string part;
-  std::istringstream in{text};
-  while (std::getline(in, part, sep)) parts.push_back(part);
-  return parts;
-}
-
-std::string join(const std::vector<std::string>& parts, char sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) out += (i ? std::string(1, sep) : "") + parts[i];
-  return out;
-}
-
-}  // namespace
-
-TEST_F(checkpoint_test, RestoreRejectsSlotTablesThatDisagreeWithRunningJobs) {
-  const auto trace = chaotic_trace();
-  const auto cc = chaotic_config();
-  const auto dir = temp_dir("synergy_ckpt_slots");
-  {
-    sc::simulator sim{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
-    sim.set_checkpointing(every_20s(dir));
-    (void)sim.run(trace);
-  }
-
-  // An artefact with two running jobs and an idle GPU, as lines of tokens:
-  // `runj <id> <epoch> <n> (<node> <gpu>)... <job>... <node name>` and, per
-  // node in inventory order, `srow <width> (<busy> <busy_until>)...`.
-  using rows_t = std::vector<std::vector<std::string>>;
+  // An artefact with two running jobs, as lines of tokens:
+  // `runj <epoch> <n> (<node> <gpu>)... <job>...`.
   rows_t rows;
-  std::vector<std::size_t> runj, srow;
-  const auto busy_flag = [&](rows_t& r, std::size_t node, std::size_t gpu) -> std::string& {
-    return r[srow[node]][2 + 2 * gpu];
-  };
-  const auto idle_gpu = [&](rows_t& r) -> std::string* {
-    for (std::size_t n = 0; n < srow.size(); ++n)
-      for (std::size_t g = 0; g < cc.gpus_per_node; ++g)
-        if (busy_flag(r, n, g) == "0") return &busy_flag(r, n, g);
-    return nullptr;
-  };
+  std::vector<std::size_t> runj;
   for (const auto& file : checkpoint_files(dir)) {
     const auto p = sc::read_checkpoint_payload(file);
     ASSERT_TRUE(p.has_value());
-    rows.clear();
+    rows = tokens_of(p.value());
     runj.clear();
-    srow.clear();
-    for (const auto& line : split(p.value(), '\n')) {
-      rows.push_back(split(line, ' '));
-      if (rows.back()[0] == "runj") runj.push_back(rows.size() - 1);
-      if (rows.back()[0] == "srow") srow.push_back(rows.size() - 1);
-    }
-    if (runj.size() >= 2 && idle_gpu(rows)) break;
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      if (rows[i][0] == "runj") runj.push_back(i);
+    if (runj.size() >= 2) break;
   }
   ASSERT_GE(runj.size(), 2u) << "no artefact with two running jobs";
-  ASSERT_NE(idle_gpu(rows), nullptr) << "no artefact with an idle GPU";
-  const auto first_gpu = [&](std::size_t job) {
-    return std::pair{std::stoul(rows[runj[job]][4]), std::stoul(rows[runj[job]][5])};
-  };
+  const std::string nodes = rows[first_row(rows, "nodes")][1];
+  const std::string gpus_per_node = std::to_string(chaotic_config().gpus_per_node);
 
   const auto expect_rejected = [&](const char* what, const auto& mutate, const char* named) {
     auto bad = rows;
     mutate(bad);
-    std::vector<std::string> lines;
-    for (const auto& r : bad) lines.push_back(join(r, ' '));
-    reset_globals();
-    sc::simulator fresh{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
-    enable_restore(fresh);
-    const auto st = fresh.restore_checkpoint(join(lines, '\n'), trace);
+    const auto st = restore_chaotic(payload_of(bad));
     ASSERT_FALSE(st.ok()) << what;
     EXPECT_NE(st.err().message.find(named), std::string::npos) << what << ": " << st.err().message;
   };
-  // A running job's GPU marked idle: the scheduler would place a second job
-  // on it.
-  expect_rejected("idle GPU under a running job", [&](rows_t& r) {
-    const auto [node, gpu] = first_gpu(0);
-    busy_flag(r, node, gpu) = "0";
-  }, "running");
-  // Two running jobs on one GPU.
+  // Two running jobs on one GPU: the scheduler would believe it free once
+  // either completes.
   expect_rejected("GPU held twice", [&](rows_t& r) {
+    r[runj[1]][3] = r[runj[0]][3];
     r[runj[1]][4] = r[runj[0]][4];
-    r[runj[1]][5] = r[runj[0]][5];
-  }, "running");
-  // A busy GPU no running job holds.
-  expect_rejected("orphaned busy GPU", [&](rows_t& r) { *idle_gpu(r) = "1"; }, "slots");
-  // A job whose node name is not the node of its first GPU.
-  expect_rejected("wrong node name", [&](rows_t& r) {
-    auto& name = r[runj[0]].back();
-    name = name == "cn000" ? "cn001" : "cn000";
-  }, "running");
+  }, "another running job holds");
+  // A GPU on a node past the inventory, and one past its node's GPUs.
+  expect_rejected("node past the inventory", [&](rows_t& r) { r[runj[0]][3] = nodes; },
+                  "GPU slot out of range");
+  expect_rejected("GPU past the node", [&](rows_t& r) { r[runj[0]][4] = gpus_per_node; },
+                  "GPU slot out of range");
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(checkpoint_test, RestoreRejectsJobsWhosePhaseDisagrees) {
+  const auto dir = temp_dir("synergy_ckpt_phase");
+  checkpoint_chaotic_replay(dir);
+
+  // A job's phase is its result row's state (`res <id> <name> <kernel>
+  // <target> <state> ...`, 0 pending, 1 running, 2 completed) and where it
+  // sits: in the queue or among the running jobs. Take an artefact with a
+  // queued, a running and a completed job.
+  const auto completed_row = [](const rows_t& r) {
+    for (std::size_t i = 0; i < r.size(); ++i)
+      if (r[i][0] == "res" && r[i][5] == "2") return i;
+    return r.size();
+  };
+  rows_t rows;
+  for (const auto& file : checkpoint_files(dir)) {
+    const auto p = sc::read_checkpoint_payload(file);
+    ASSERT_TRUE(p.has_value());
+    rows = tokens_of(p.value());
+    if (first_row(rows, "q") < rows.size() && first_row(rows, "runj") < rows.size() &&
+        completed_row(rows) < rows.size())
+      break;
+  }
+  ASSERT_LT(first_row(rows, "q"), rows.size()) << "no artefact with a queued job";
+  ASSERT_LT(first_row(rows, "runj"), rows.size()) << "no artefact with a running job";
+  ASSERT_LT(completed_row(rows), rows.size()) << "no artefact with a completed job";
+  ASSERT_TRUE(restore_chaotic(payload_of(rows)).ok());
+
+  // Append `row` to the queue, counting it in the section header.
+  const auto enqueue = [](rows_t& r, std::vector<std::string> row) {
+    const std::size_t header = first_row(r, "queue");
+    const std::size_t n = std::stoul(r[header][1]);
+    r[header][1] = std::to_string(n + 1);
+    r.insert(r.begin() + static_cast<std::ptrdiff_t>(header + 1 + n), std::move(row));
+  };
+  const auto expect_rejected = [&](const char* what, const auto& mutate, const char* named) {
+    auto bad = rows;
+    mutate(bad);
+    const auto st = restore_chaotic(payload_of(bad));
+    ASSERT_FALSE(st.ok()) << what;
+    EXPECT_NE(st.err().message.find(named), std::string::npos) << what << ": " << st.err().message;
+  };
+  // Each payload would resume into accounting that does not add up: a job
+  // queued twice, or queued while it runs, runs twice, and a row left
+  // running never completes.
+  const char* not_pending = "appears twice or its result row is not pending";
+  expect_rejected("repeated queue row", [&](rows_t& r) { enqueue(r, r[first_row(r, "q")]); },
+                  not_pending);
+  expect_rejected("running job also queued", [&](rows_t& r) {
+    // A queue row is the trace row and its estimate, as a running job holds
+    // them after its GPUs.
+    const auto& runj = r[first_row(r, "runj")];
+    const auto job = runj.begin() + static_cast<std::ptrdiff_t>(runj_job_token(runj));
+    std::vector<std::string> q{"q"};
+    q.insert(q.end(), job, job + 11);
+    enqueue(r, std::move(q));
+  }, not_pending);
+  expect_rejected("completed row set to running", [&](rows_t& r) { r[completed_row(r)][5] = "1"; },
+                  "without a running job");
 
   std::filesystem::remove_all(dir);
 }

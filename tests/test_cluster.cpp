@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -48,8 +49,10 @@ const sc::job_result& result_for(const sc::simulator& sim, int id) {
 
 /// Wraps a policy and checks the view the simulator hands to every place()
 /// call: the job fits the view's free GPUs, the view has as many busy GPUs
-/// as the running jobs hold, and a backfill candidate sees the EASY shadow
-/// time of the oldest pending job. Each check counts its violations.
+/// as the running jobs hold, a free GPU is free from view.now, a busy GPU is
+/// not busy until before view.now, and (with `check_reservation`) a backfill
+/// candidate sees the EASY shadow time of the oldest pending job. Each check
+/// counts its violations.
 class view_checking_policy final : public sc::scheduling_policy {
  public:
   explicit view_checking_policy(std::unique_ptr<sc::scheduling_policy> inner)
@@ -69,8 +72,14 @@ class view_checking_policy final : public sc::scheduling_policy {
     std::size_t busy = 0;
     std::vector<double> until;
     for (const auto& node : view.nodes) {
-      busy += static_cast<std::size_t>(std::count(node.gpu_busy.begin(), node.gpu_busy.end(),
-                                                  true));
+      for (std::size_t g = 0; g < node.gpu_busy.size(); ++g) {
+        if (node.gpu_busy[g]) {
+          ++busy;
+          if (node.busy_until[g] < view.now) ++stale_busy;
+        } else if (node.busy_until[g] != view.now) {
+          ++stale_free;
+        }
+      }
       until.insert(until.end(), node.busy_until.begin(), node.busy_until.end());
     }
     std::size_t held = 0;
@@ -82,8 +91,8 @@ class view_checking_policy final : public sc::scheduling_policy {
     }
     if (busy != held) ++stale_views;
 
-    if (!view.is_head) {
-      ++backfill_calls;
+    if (!view.is_head) ++backfill_calls;
+    if (!view.is_head && check_reservation) {
       std::sort(until.begin(), until.end());
       const auto n = head ? static_cast<std::size_t>(head->n_gpus) : 0;
       const double shadow = n >= 1 && n <= until.size()
@@ -95,10 +104,16 @@ class view_checking_policy final : public sc::scheduling_policy {
   }
 
   const sc::simulator* sim{nullptr};
+  /// The reservation check takes the oldest pending result row for the
+  /// queue head, which only holds on a plain replay: a requeued job goes to
+  /// the back of the queue, not to its arrival place.
+  bool check_reservation{true};
   std::size_t calls{0};
   std::size_t backfill_calls{0};
   std::size_t misfits{0};
   std::size_t stale_views{0};
+  std::size_t stale_free{0};
+  std::size_t stale_busy{0};
   std::size_t wrong_reservations{0};
 
  private:
@@ -343,30 +358,65 @@ TEST(Policies, UncapablenodesRunDefaultClocks) {
 }
 
 TEST(Policies, PlaceIsOfferedFittingJobsOnACurrentView) {
-  sc::trace_config tc;
-  tc.n_jobs = 300;
-  tc.mean_interarrival_s = 0.01;  // a burst: the queue runs hundreds deep
-  tc.seed = 31;
-  const auto trace = sc::generate_trace(tc);
+  sc::trace_config burst;
+  burst.n_jobs = 300;
+  burst.mean_interarrival_s = 0.01;  // a burst: the queue runs hundreds deep
+  burst.seed = 31;
   sc::cluster_config cc;
   cc.n_nodes = 4;
   cc.gpus_per_node = 4;
 
-  for (const bool energy : {false, true}) {
+  // Two replays where the running jobs change under the view: governor
+  // ticks move a job's busy_until, and node crashes shift the GPU indices
+  // of the nodes behind the victim while restarts append a node.
+  sc::trace_config tc;
+  tc.n_jobs = 120;
+  tc.seed = 31;
+  tc.gpu_mix = {1, 1, 2, 2, 4};  // fits the cluster while a node is down
+  auto governed = cc;
+  governed.governor.enabled = true;
+  governed.governor.spec = synergy::governor::parse_governor_spec("hybrid").value();
+  governed.drift.at_s = 60.0;
+  governed.drift.power_skew = 1.5;
+  governed.drift.freq_exponent = 1.0;
+  auto chaotic = cc;
+  chaotic.chaos.seed = 5;
+  chaotic.chaos.mtbf_s = 60.0;
+  chaotic.chaos.restart_delay_s = 30.0;
+  chaotic.chaos.max_crashes = 3;
+
+  struct replay {
+    std::string what;
+    sc::cluster_config cc;
+    sc::trace_config tc;
+    bool energy;
+  };
+  for (const auto& [what, config, trace_config, energy] :
+       {replay{"burst", cc, burst, false}, replay{"burst", cc, burst, true},
+        replay{"governed", governed, tc, true}, replay{"chaotic", chaotic, tc, true}}) {
+    const auto trace = sc::generate_trace(trace_config);
     auto wrapped = std::make_unique<view_checking_policy>(
-        energy ? sc::make_energy_aware(sc::make_suite_planner(cc.device))
+        energy ? sc::make_energy_aware(sc::make_suite_planner(config.device))
                : sc::make_easy_backfill());
     auto& checker = *wrapped;
-    sc::simulator sim{cc, std::move(wrapped)};
+    checker.check_reservation = what == "burst";
+    sc::simulator sim{config, std::move(wrapped)};
     checker.sim = &sim;
     const auto summary = sim.run(trace);
-    SCOPED_TRACE(summary.policy);
+    SCOPED_TRACE(what + " " + summary.policy);
 
     EXPECT_EQ(summary.completed, trace.jobs.size());
     EXPECT_GT(checker.backfill_calls, 0u);
     EXPECT_EQ(checker.misfits, 0u) << "of " << checker.calls << " place() calls";
     EXPECT_EQ(checker.stale_views, 0u);
+    EXPECT_EQ(checker.stale_free, 0u);
+    EXPECT_EQ(checker.stale_busy, 0u);
     EXPECT_EQ(checker.wrong_reservations, 0u) << "of " << checker.backfill_calls;
+    if (config.governor.enabled) EXPECT_GT(summary.governor_clock_changes, 0u);
+    if (config.chaos.enabled()) {
+      EXPECT_EQ(summary.node_crashes, config.chaos.max_crashes);
+      EXPECT_EQ(summary.node_restarts, summary.node_crashes);
+    }
   }
 }
 
