@@ -438,15 +438,19 @@ class simulator {
   /// restores into a simulator whose digest matches.
   [[nodiscard]] std::string config_fingerprint() const;
   void try_schedule();
-  /// Stamp view_'s free GPUs with the current time and return it (is_head
-  /// set, head_reservation_s 0).
-  cluster_view& make_view();
+  /// Stamp view_'s free GPUs with the current time (is_head set,
+  /// head_reservation_s 0) and return how many GPUs are free.
+  std::size_t make_view();
   /// Append to view_ every inventory node past its end, all GPUs free: the
   /// whole inventory after view_.nodes.clear(), or a node that just joined.
   void extend_view();
   /// Facility-cap admission: demote `config` down the clock table until
   /// the job fits the headroom; false = defer (or can never fit).
   bool admit(const traced_job& job, common::frequency_config& config, bool& demoted) const;
+  /// Feasibility floor under a cap: the job's draw at the lowest clock,
+  /// drifted as start() would register it now, on an otherwise-idle
+  /// cluster exceeds the cap, so admit() can never pass it.
+  [[nodiscard]] bool above_cap_when_idle(const traced_job& job) const;
   void start(std::size_t queue_index, const placement& pl);
   /// Close the facility energy (and cost) integral at `t`.
   void integrate_to(double t);

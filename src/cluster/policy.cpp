@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <ranges>
 #include <stdexcept>
 #include <utility>
 
@@ -12,8 +13,9 @@ namespace synergy::cluster {
 namespace {
 
 /// First-fit: walk nodes in `order`, take free GPUs until `n` are found.
-std::optional<std::vector<gpu_slot>> first_fit(const cluster_view& view,
-                                               const std::vector<std::size_t>& order, int n) {
+template <class Order>
+std::optional<std::vector<gpu_slot>> first_fit(const cluster_view& view, const Order& order,
+                                               int n) {
   std::vector<gpu_slot> slots;
   for (const std::size_t ni : order) {
     const auto& node = view.nodes[ni];
@@ -26,10 +28,9 @@ std::optional<std::vector<gpu_slot>> first_fit(const cluster_view& view,
   return std::nullopt;
 }
 
-std::vector<std::size_t> index_order(std::size_t n) {
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  return order;
+/// Every node of the view, in index order.
+auto all_nodes(const cluster_view& view) {
+  return std::views::iota(std::size_t{0}, view.nodes.size());
 }
 
 class fifo_policy final : public scheduling_policy {
@@ -38,7 +39,7 @@ class fifo_policy final : public scheduling_policy {
 
   std::optional<placement> place(const queued_job& job, const cluster_view& view) override {
     if (!view.is_head) return std::nullopt;  // strict arrival order
-    auto slots = first_fit(view, index_order(view.nodes.size()), job.job.n_gpus);
+    auto slots = first_fit(view, all_nodes(view), job.job.n_gpus);
     if (!slots) return std::nullopt;
     return placement{std::move(*slots), std::nullopt};
   }
@@ -54,7 +55,7 @@ class easy_backfill_policy final : public scheduling_policy {
     // head's reservation (shadow time), so the head is never delayed.
     if (!view.is_head && view.now + job.est_runtime_s > view.head_reservation_s)
       return std::nullopt;
-    auto slots = first_fit(view, index_order(view.nodes.size()), job.job.n_gpus);
+    auto slots = first_fit(view, all_nodes(view), job.job.n_gpus);
     if (!slots) return std::nullopt;
     return placement{std::move(*slots), std::nullopt};
   }
@@ -72,21 +73,7 @@ class energy_aware_policy : public scheduling_policy {
     if (!view.is_head && view.now + job.est_runtime_s > view.head_reservation_s)
       return std::nullopt;
 
-    // Prefer frequency-capable nodes, then emptier ones, so tunable jobs
-    // land where the Sec. 7.2 chain grants clock privileges; ties resolve
-    // by index for determinism.
-    auto order = index_order(view.nodes.size());
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      const auto& na = view.nodes[a];
-      const auto& nb = view.nodes[b];
-      if (na.freq_capable != nb.freq_capable) return na.freq_capable;
-      const auto busy = [](const cluster_view::node_view& n) {
-        return std::count(n.gpu_busy.begin(), n.gpu_busy.end(), true);
-      };
-      return busy(na) < busy(nb);
-    });
-
-    auto slots = first_fit(view, order, job.job.n_gpus);
+    auto slots = first_fit(view, preferred_order(view), job.job.n_gpus);
     if (!slots) return std::nullopt;
 
     // The plan applies only when every allocated node passes the check
@@ -110,8 +97,33 @@ class energy_aware_policy : public scheduling_policy {
   }
 
  private:
+  /// The nodes, frequency-capable first, then emptier first, so tunable jobs
+  /// land where the Sec. 7.2 chain grants clock privileges; ties resolve by
+  /// index for determinism. A counting sort on the key (not capable, busy
+  /// GPUs), stable in the index, into scratch reused across calls.
+  const std::vector<std::size_t>& preferred_order(const cluster_view& view) {
+    std::size_t widest = 0;
+    for (const auto& nv : view.nodes) widest = std::max(widest, nv.gpu_busy.size());
+    key_.resize(view.nodes.size());
+    for (std::size_t i = 0; i < view.nodes.size(); ++i) {
+      const auto& nv = view.nodes[i];
+      key_[i] = (nv.freq_capable ? 0 : widest + 1) +
+                static_cast<std::size_t>(std::count(nv.gpu_busy.begin(), nv.gpu_busy.end(), true));
+    }
+    // bucket_[k] becomes the first position of key k in the order.
+    bucket_.assign(2 * (widest + 1) + 1, 0);
+    for (const std::size_t k : key_) ++bucket_[k + 1];
+    std::partial_sum(bucket_.begin(), bucket_.end(), bucket_.begin());
+    order_.resize(view.nodes.size());
+    for (std::size_t i = 0; i < key_.size(); ++i) order_[bucket_[key_[i]]++] = i;
+    return order_;
+  }
+
   plan_fn plan_;
   std::optional<metrics::target> override_;
+  std::vector<std::size_t> key_;
+  std::vector<std::size_t> bucket_;
+  std::vector<std::size_t> order_;
 };
 
 /// energy_aware placement + the econ defer rule. The livelock argument: the

@@ -33,6 +33,9 @@ namespace {
 
 constexpr double inf = std::numeric_limits<double>::infinity();
 
+/// Why a job whose drifted draw at the lowest clock exceeds the cap fails.
+constexpr const char* min_draw_reason = "power cap below the job's minimum draw";
+
 /// The whole launch stream of a job as one gpusim profile: `iterations`
 /// launches of `work_items` items fold into a single work size, which the
 /// analytic model prices identically (time and energy are linear in items;
@@ -171,16 +174,20 @@ void simulator::release(const running_job& rj) {
   }
 }
 
-cluster_view& simulator::make_view() {
+std::size_t simulator::make_view() {
   // The busy GPUs are current already; only a free GPU's busy_until (the
   // time it is free from) moves with the clock.
   view_.now = engine_.now();
   view_.is_head = true;
   view_.head_reservation_s = 0.0;
+  std::size_t n_free = 0;
   for (auto& nv : view_.nodes)
     for (std::size_t g = 0; g < nv.gpu_busy.size(); ++g)
-      if (!nv.gpu_busy[g]) nv.busy_until[g] = view_.now;
-  return view_;
+      if (!nv.gpu_busy[g]) {
+        nv.busy_until[g] = view_.now;
+        ++n_free;
+      }
+  return n_free;
 }
 
 void simulator::extend_view() {
@@ -202,22 +209,34 @@ bool simulator::admit(const traced_job& job, common::frequency_config& config,
   if (!budget_->capped()) return true;
   const auto folded = folded_profile(job);
   const auto& clocks = spec_.core_clocks;
-  const auto start_clock = spec_.nearest_core_clock(config.core);
-  auto it = std::find(clocks.begin(), clocks.end(), start_clock);
-  auto ci = static_cast<std::ptrdiff_t>(it - clocks.begin());
+  const auto ci = static_cast<std::ptrdiff_t>(spec_.nearest_core_clock_index(config.core));
   const double headroom = budget_->headroom_w();
   for (std::ptrdiff_t i = ci; i >= 0; --i) {
-    const auto cost =
-        model_.evaluate(spec_, folded, {config.memory, clocks[static_cast<std::size_t>(i)]});
+    const auto clock = clocks[static_cast<std::size_t>(i)];
+    const auto cost = model_.evaluate(spec_, folded, {config.memory, clock});
+    // Priced as start() registers it with the budget: drifted.
     const double added =
-        job.n_gpus * (cost.avg_power.value - spec_.idle_power_w);
+        job.n_gpus * (cost.avg_power.value * drift_factor_now(clock.value) - spec_.idle_power_w);
     if (added <= headroom + 1e-9) {
       demoted = (i != ci);
-      config.core = clocks[static_cast<std::size_t>(i)];
+      config.core = clock;
       return true;
     }
   }
   return false;
+}
+
+bool simulator::above_cap_when_idle(const traced_job& job) const {
+  const auto min_clock = spec_.min_core_clock();
+  const auto cost =
+      model_.evaluate(spec_, folded_profile(job), {spec_.default_config().memory, min_clock});
+  const double idle_facility =
+      static_cast<double>(ctl_->node_count()) *
+      (config_.host_power_w + static_cast<double>(config_.gpus_per_node) * spec_.idle_power_w);
+  const double min_draw =
+      idle_facility +
+      job.n_gpus * (cost.avg_power.value * drift_factor_now(min_clock.value) - spec_.idle_power_w);
+  return min_draw > budget_->cap_w();
 }
 
 void simulator::integrate_to(double t) {
@@ -279,23 +298,11 @@ void simulator::arrive(const traced_job& job) {
     r.state = sched::job_state::failed;
     r.failure_reason = "requests more GPUs than the cluster has";
     SYNERGY_COUNTER_ADD("cluster.jobs_failed", 1);
-  } else if (budget_->capped()) {
-    // Feasibility floor: the job's draw at the lowest clock on an
-    // otherwise-idle cluster. Above the cap it can never be admitted, so
-    // fail it now instead of starving the queue forever.
-    const auto cost = model_.evaluate(
-        spec_, folded_profile(job), {spec_.default_config().memory, spec_.min_core_clock()});
-    const double idle_facility =
-        static_cast<double>(ctl_->node_count()) *
-        (config_.host_power_w +
-         static_cast<double>(config_.gpus_per_node) * spec_.idle_power_w);
-    const double min_draw =
-        idle_facility + job.n_gpus * (cost.avg_power.value - spec_.idle_power_w);
-    if (min_draw > budget_->cap_w()) {
-      r.state = sched::job_state::failed;
-      r.failure_reason = "power cap below the job's minimum draw";
-      SYNERGY_COUNTER_ADD("cluster.jobs_failed", 1);
-    }
+  } else if (budget_->capped() && above_cap_when_idle(job)) {
+    // It can never be admitted: fail it now instead of starving the queue.
+    r.state = sched::job_state::failed;
+    r.failure_reason = min_draw_reason;
+    SYNERGY_COUNTER_ADD("cluster.jobs_failed", 1);
   }
 
   if (r.state != sched::job_state::failed) {
@@ -784,9 +791,9 @@ void simulator::try_schedule() {
     progressed = false;
     // Nothing the pass looks at changes until it starts a job, so the view,
     // its free GPUs and the head's EASY reservation are priced once per pass.
-    cluster_view& view = make_view();
+    const std::size_t free_gpus = make_view();
+    cluster_view& view = view_;
     view.head_reservation_s = inf;  // until the first backfill candidate
-    const std::size_t free_gpus = view.free_gpus();
     for (std::size_t i = 0; i < run_.queue.size(); ++i) {
       if (i > 0 && !policy_->backfills()) break;
       view.is_head = (i == 0);
@@ -814,16 +821,24 @@ void simulator::try_schedule() {
       if (econ_meter_.active() && config_.econ.demote_price_ratio > 0.0 &&
           econ_meter_.price_at(view.now) >
               config_.econ.demote_price_ratio * econ_meter_.mean_price()) {
-        const auto& clocks = spec_.core_clocks;
-        const auto cur = spec_.nearest_core_clock(config.core);
-        const auto ci = std::find(clocks.begin(), clocks.end(), cur);
-        if (ci != clocks.begin() && ci != clocks.end()) {
-          config.core = *(ci - 1);
+        if (const std::size_t ci = spec_.nearest_core_clock_index(config.core); ci > 0) {
+          config.core = spec_.core_clocks[ci - 1];
           price_demoted = true;
         }
       }
       bool demoted = false;
-      if (!admit(run_.queue[i].job, config, demoted)) continue;  // defer under the cap
+      if (!admit(run_.queue[i].job, config, demoted)) {
+        // Drift that set in after the job arrived can lift its floor above
+        // the cap. Fail it as arrive() would have, or it blocks the queue.
+        if (!above_cap_when_idle(run_.queue[i].job)) continue;  // defer under the cap
+        auto& r = result_of(run_.queue[i].job.id);
+        r.state = sched::job_state::failed;
+        r.failure_reason = min_draw_reason;
+        SYNERGY_COUNTER_ADD("cluster.jobs_failed", 1);
+        run_.queue.erase(run_.queue.begin() + static_cast<std::ptrdiff_t>(i));
+        progressed = true;
+        break;  // the head may have changed: refill the view and restart
+      }
       if (demoted) {
         budget_->count_demotion();
         SYNERGY_COUNTER_ADD("cluster.cap_demotions", 1);
@@ -977,9 +992,9 @@ void simulator::econ_tick() {
   sample_power();
   bool waiting = false;
   if (econ_meter_.active() && !run_.queue.empty()) {
-    const cluster_view& view = make_view();
+    make_view();
     for (const auto& qj : run_.queue)
-      if (policy_->defer(qj, view)) {
+      if (policy_->defer(qj, view_)) {
         waiting = true;
         break;
       }

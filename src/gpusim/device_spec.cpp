@@ -33,18 +33,20 @@ bool device_spec::supports_memory_clock(megahertz f) const {
   return false;
 }
 
-megahertz device_spec::nearest_core_clock(megahertz f) const {
+std::size_t device_spec::nearest_core_clock_index(megahertz f) const {
   if (core_clocks.empty()) throw std::logic_error("device_spec has no core clocks");
-  megahertz best = core_clocks.front();
-  double best_dist = std::abs(best.value - f.value);
-  for (const megahertz c : core_clocks) {
-    const double d = std::abs(c.value - f.value);
-    if (d < best_dist) {
-      best = c;
-      best_dist = d;
-    }
-  }
-  return best;
+  // The first clock at or above f and the one below it bracket f. A NaN
+  // compares below nothing, so it lands on the lowest clock.
+  const auto above = std::lower_bound(core_clocks.begin(), core_clocks.end(), f.value,
+                                      [](megahertz c, double v) { return c.value < v; });
+  const auto i = static_cast<std::size_t>(above - core_clocks.begin());
+  if (i == 0) return 0;
+  if (i == core_clocks.size()) return i - 1;
+  return above->value - f.value < f.value - core_clocks[i - 1].value ? i : i - 1;
+}
+
+megahertz device_spec::nearest_core_clock(megahertz f) const {
+  return core_clocks[nearest_core_clock_index(f)];
 }
 
 namespace {
@@ -177,8 +179,7 @@ device_spec make_titanx() {
   spec.memory_clocks = {megahertz{405.0}, megahertz{810.0}, megahertz{4513.0},
                         megahertz{5005.0}};
   spec.core_clocks = spread_clocks(139.0, 1911.0, 140);
-  spec.default_clock_index = index_of(
-      spec.core_clocks, spec.nearest_core_clock(megahertz{1417.0}).value);
+  spec.default_clock_index = spec.nearest_core_clock_index(megahertz{1417.0});
   return spec;
 }
 

@@ -91,7 +91,13 @@ struct device_spec {
   /// True if f is exactly one of the supported core clocks.
   [[nodiscard]] bool supports_core_clock(common::megahertz f) const;
 
-  /// Supported clock closest to f.
+  /// Index in core_clocks of the supported clock closest to f. A tie goes
+  /// to the lower clock; -inf and NaN snap to the lowest clock, +inf to the
+  /// highest. A binary search, so core_clocks must ascend strictly, as in
+  /// every spec make_device_spec returns.
+  [[nodiscard]] std::size_t nearest_core_clock_index(common::megahertz f) const;
+
+  /// Supported clock closest to f: core_clocks[nearest_core_clock_index(f)].
   [[nodiscard]] common::megahertz nearest_core_clock(common::megahertz f) const;
 
   /// Selectable memory clocks ({memory_clock} when none were listed).

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -420,6 +421,82 @@ TEST(Policies, PlaceIsOfferedFittingJobsOnACurrentView) {
   }
 }
 
+TEST(Policies, EnergyAwarePlacementMatchesTheSortedReference) {
+  // The order the policy places in: frequency-capable nodes first, then
+  // fewer busy GPUs, ties by index (a stable sort), then first fit.
+  const auto sorted_first_fit = [](const sc::cluster_view& view, int n) {
+    std::vector<std::size_t> order(view.nodes.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    const auto busy = [&](std::size_t i) {
+      return std::count(view.nodes[i].gpu_busy.begin(), view.nodes[i].gpu_busy.end(), true);
+    };
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      if (view.nodes[a].freq_capable != view.nodes[b].freq_capable)
+        return view.nodes[a].freq_capable;
+      return busy(a) < busy(b);
+    });
+    std::vector<sc::gpu_slot> slots;
+    for (const std::size_t ni : order)
+      for (std::size_t g = 0; g < view.nodes[ni].gpu_busy.size(); ++g)
+        if (!view.nodes[ni].gpu_busy[g] && static_cast<int>(slots.size()) < n)
+          slots.push_back({ni, g});
+    return slots;
+  };
+  const synergy::common::frequency_config planned{synergy::common::megahertz{877.0},
+                                                  synergy::common::megahertz{900.0}};
+  // One policy for every view, so its scratch is reused across view sizes.
+  auto policy = sc::make_energy_aware([&](const std::string&, const sm::target&) {
+    return sc::planned_clocks{planned};
+  });
+
+  // Checks every request size from one GPU to all free ones on `view`.
+  const auto check = [&](const sc::cluster_view& view, const std::string& what) {
+    const auto n_free = static_cast<int>(view.free_gpus());
+    for (int n = 1; n <= n_free; ++n) {
+      const auto pl = policy->place({make_job(1, 0.0, n, 10, "mat_mul", "ES_50"), 1.0}, view);
+      ASSERT_TRUE(pl.has_value()) << what << ", " << n << " GPUs";
+      const auto want = sorted_first_fit(view, n);
+      ASSERT_EQ(pl->gpus, want) << what << ", " << n << " GPUs";
+      const bool all_capable = std::all_of(want.begin(), want.end(), [&](const sc::gpu_slot& s) {
+        return view.nodes[s.node].freq_capable;
+      });
+      EXPECT_EQ(pl->config.has_value(), all_capable) << what << ", " << n << " GPUs";
+      if (pl->config) EXPECT_EQ(*pl->config, planned);
+    }
+  };
+  const auto make_view = [](std::vector<std::size_t> widths) {
+    sc::cluster_view view;
+    view.is_head = true;
+    for (const std::size_t w : widths)
+      view.nodes.push_back({"n", true, std::vector<bool>(w, false), std::vector<double>(w, 0.0)});
+    return view;
+  };
+
+  // Seeded random views: 1-70 nodes of 1-8 GPUs each, widths mixed within
+  // a view, capability and busy bits at random.
+  synergy::common::pcg32 rng{77};
+  for (int v = 0; v < 300; ++v) {
+    std::vector<std::size_t> widths(1 + rng.bounded(70));
+    for (auto& w : widths) w = 1 + rng.bounded(8);
+    auto view = make_view(widths);
+    for (auto& node : view.nodes) {
+      node.freq_capable = rng.bounded(3) != 0;
+      for (std::size_t g = 0; g < node.gpu_busy.size(); ++g) node.gpu_busy[g] = rng.bounded(2) == 0;
+    }
+    check(view, "random view " + std::to_string(v));
+  }
+
+  // Every node equally busy: pure index order.
+  auto even = make_view({2, 4, 8, 3, 1, 6});
+  for (auto& node : even.nodes) node.gpu_busy[node.gpu_busy.size() - 1] = true;
+  check(even, "equally busy");
+  // No node capable: no clock plan, whatever the request.
+  auto uncapable = make_view({4, 2, 8, 1});
+  for (auto& node : uncapable.nodes) node.freq_capable = false;
+  uncapable.nodes[2].gpu_busy[0] = true;
+  check(uncapable, "no capable node");
+}
+
 TEST(Policies, RegistryResolvesNamesAndRejectsUnknown) {
   EXPECT_EQ(sc::make_policy("fifo")->name(), "fifo");
   EXPECT_EQ(sc::make_policy("backfill")->name(), "backfill");
@@ -442,16 +519,26 @@ TEST(PowerBudget, FacilityPowerNeverExceedsTheCapAtAnyEvent) {
   // Hosts draw 700 W, idle GPUs ~160 W; four busy GPUs could reach
   // ~1900 W, so 1400 W forces the budget manager to defer and demote.
   cc.facility_cap_w = 1400.0;
-  sc::simulator sim{cc, sc::make_easy_backfill()};
-  const auto summary = sim.run(trace);
+  // Drifted boards draw half as much again as the model says from the
+  // start, and the budget registers the drifted draw, so admission has to
+  // price it too.
+  auto drifted = cc;
+  drifted.drift.at_s = 0.0;
+  drifted.drift.power_skew = 1.5;
 
-  ASSERT_FALSE(sim.power_samples().empty());
-  for (const auto& [t, w] : sim.power_samples())
-    ASSERT_LE(w, cc.facility_cap_w + 1e-6) << "at t=" << t;
-  EXPECT_LE(summary.peak_facility_power_w, cc.facility_cap_w + 1e-6);
-  EXPECT_GT(summary.cap_rebalances, 0u);
-  EXPECT_GT(summary.cap_demotions, 0u);
-  EXPECT_EQ(summary.completed, summary.jobs);
+  for (const auto& [what, config] : {std::pair{"plain", cc}, std::pair{"drifted", drifted}}) {
+    SCOPED_TRACE(what);
+    sc::simulator sim{config, sc::make_easy_backfill()};
+    const auto summary = sim.run(trace);
+
+    ASSERT_FALSE(sim.power_samples().empty());
+    for (const auto& [t, w] : sim.power_samples())
+      ASSERT_LE(w, config.facility_cap_w + 1e-6) << "at t=" << t;
+    EXPECT_LE(summary.peak_facility_power_w, config.facility_cap_w + 1e-6);
+    EXPECT_GT(summary.cap_rebalances, 0u);
+    EXPECT_GT(summary.cap_demotions, 0u);
+    EXPECT_EQ(summary.completed, summary.jobs);
+  }
 }
 
 TEST(PowerBudget, UncappedRunNeverRebalances) {
@@ -489,11 +576,49 @@ TEST(PowerBudget, ImpossibleJobsFailInsteadOfStarvingTheQueue) {
   EXPECT_FALSE(result_for(capped, 1).failure_reason.empty());
 }
 
+TEST(PowerBudget, DriftAfterArrivalFailsAJobItLiftsAboveTheCap) {
+  // Job 2 wants both GPUs, so it waits behind job 1. It arrives before the
+  // onset: undrifted, its floor (~590 W) fits the 650 W cap. Drifted, both
+  // its GPUs at the lowest clock draw ~710 W on an idle cluster, so once
+  // job 1 ends it can never be admitted. Jobs 3 and 4 queue behind it and
+  // are too long to backfill ahead of it.
+  sc::job_trace trace;
+  trace.jobs = {make_job(1, 0.0, 1, 200), make_job(2, 1.0, 2, 200), make_job(3, 2.0, 1, 200),
+                make_job(4, 2.5, 1, 200)};
+  sc::cluster_config cc;
+  cc.n_nodes = 1;
+  cc.gpus_per_node = 2;
+  cc.facility_cap_w = 650.0;  // host 350 + 2 idle GPUs is ~430 W
+  auto drifted = cc;
+  drifted.drift.at_s = 3.0;  // after job 2 arrives, before job 1 ends
+  drifted.drift.power_skew = 1.5;
+
+  for (const bool fifo : {true, false}) {
+    SCOPED_TRACE(fifo ? "fifo" : "backfill");
+    const auto policy = [&] { return fifo ? sc::make_fifo() : sc::make_easy_backfill(); };
+    // Without drift every job fits, job 2 included.
+    sc::simulator plain{cc, policy()};
+    EXPECT_EQ(plain.run(trace).completed, 4u);
+
+    sc::simulator sim{drifted, policy()};
+    const auto summary = sim.run(trace);
+    EXPECT_EQ(result_for(sim, 2).state, ss::job_state::failed);
+    EXPECT_EQ(result_for(sim, 2).failure_reason, "power cap below the job's minimum draw");
+    for (const int id : {1, 3, 4}) EXPECT_EQ(result_for(sim, id).state, ss::job_state::completed);
+    EXPECT_EQ(summary.failed, 1u);
+    for (const auto& [t, w] : sim.power_samples())
+      ASSERT_LE(w, drifted.facility_cap_w + 1e-6) << "at t=" << t;
+  }
+}
+
 TEST(PowerBudget, CachedDrawEqualsFreshSum) {
-  std::vector<ss::node_config> nodes(8);
+  std::vector<ss::node_config> nodes(9);
   for (std::size_t i = 0; i < nodes.size(); ++i) nodes[i].name = "n" + std::to_string(i);
+  // Nodes of other widths, one of them mixing parts.
+  nodes[2].gpus = {"V100", "V100"};
+  nodes[8].gpus = {"V100", "A100", "V100", "A100", "V100", "A100", "V100"};
   ss::controller ctl{nodes};
-  sc::power_budget budget{ctl, 5000.0};  // idle draw is ~4.1 kW: binding
+  sc::power_budget budget{ctl, 5400.0};  // idle draw is ~4.7 kW: binding
   ASSERT_TRUE(budget.capped());
 
   // The draw as the test tracks it, summed hosts-then-GPUs node by node.
@@ -510,23 +635,35 @@ TEST(PowerBudget, CachedDrawEqualsFreshSum) {
   };
 
   synergy::common::pcg32 rng{2024};
+  // A random GPU of `node` goes busy at a random draw or back to idle.
+  const auto change = [&](std::size_t node) {
+    const auto gpu = rng.bounded(static_cast<std::uint32_t>(gpu_w[node].size()));
+    if (rng.bounded(2) == 0) {
+      const double w = rng.uniform(60.0, 300.0);
+      budget.gpu_busy(node, gpu, w);
+      gpu_w[node][gpu] = w;
+    } else {
+      budget.gpu_idle(node, gpu);
+      gpu_w[node][gpu] = ctl.node_at(node).devices()[gpu].spec().idle_power_w;
+    }
+  };
   EXPECT_EQ(budget.facility_power_w(), fresh_sum());
   for (int step = 0; step < 2000; ++step) {
-    const auto node = rng.bounded(static_cast<std::uint32_t>(nodes.size()));
-    const auto gpu = rng.bounded(static_cast<std::uint32_t>(gpu_w[node].size()));
-    switch (rng.bounded(4)) {
-      case 0: {
-        const double w = rng.uniform(60.0, 300.0);
-        budget.gpu_busy(node, gpu, w);
-        gpu_w[node][gpu] = w;
+    switch (rng.bounded(5)) {
+      case 0: change(rng.bounded(static_cast<std::uint32_t>(nodes.size()))); break;
+      case 1: budget.rebalance(); break;
+      case 2: EXPECT_EQ(budget.headroom_w(), budget.cap_w() - fresh_sum()); break;
+      case 3:
+      case 4: {
+        // Several nodes change before the next read, as in a gang placement
+        // or a governor tick: in ascending node order, or descending.
+        const bool ascending = rng.bounded(2) == 0;
+        for (std::size_t k = 0; k < nodes.size(); ++k) {
+          const std::size_t node = ascending ? k : nodes.size() - 1 - k;
+          for (auto n = rng.bounded(3); n > 0; --n) change(node);
+        }
         break;
       }
-      case 1:
-        budget.gpu_idle(node, gpu);
-        gpu_w[node][gpu] = ctl.node_at(node).devices()[gpu].spec().idle_power_w;
-        break;
-      case 2: budget.rebalance(); break;
-      case 3: EXPECT_EQ(budget.headroom_w(), budget.cap_w() - fresh_sum()); break;
     }
     ASSERT_EQ(budget.facility_power_w(), fresh_sum()) << "after step " << step;
   }

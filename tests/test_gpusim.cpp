@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "synergy/gpusim/device.hpp"
 #include "synergy/gpusim/device_spec.hpp"
@@ -80,8 +82,12 @@ TEST(DeviceSpec, MI100MatchesPaperFigure1) {
   EXPECT_DOUBLE_EQ(spec.default_core_clock().value, spec.max_core_clock().value);
 }
 
+/// Every spec make_device_spec builds; the other names it accepts are aliases.
+constexpr const char* shipped_specs[] = {"V100", "A100", "MI100", "PVC", "TITANX"};
+
 TEST(DeviceSpec, ClockTablesAreStrictlyAscending) {
-  for (const auto& name : gs::known_device_names()) {
+  // nearest_core_clock is a binary search over the table, so it needs this.
+  for (const char* name : shipped_specs) {
     const auto spec = gs::make_device_spec(name);
     for (std::size_t i = 1; i < spec.core_clocks.size(); ++i)
       EXPECT_LT(spec.core_clocks[i - 1].value, spec.core_clocks[i].value) << name;
@@ -89,12 +95,42 @@ TEST(DeviceSpec, ClockTablesAreStrictlyAscending) {
 }
 
 TEST(DeviceSpec, SupportsAndNearestClock) {
-  const auto spec = gs::make_v100();
-  EXPECT_TRUE(spec.supports_core_clock(megahertz{1312.0}));
-  EXPECT_FALSE(spec.supports_core_clock(megahertz{1313.0}));
-  EXPECT_DOUBLE_EQ(spec.nearest_core_clock(megahertz{1.0}).value, 135.0);
-  EXPECT_DOUBLE_EQ(spec.nearest_core_clock(megahertz{5000.0}).value, 1530.0);
-  EXPECT_DOUBLE_EQ(spec.nearest_core_clock(megahertz{1312.4}).value, 1312.0);
+  const auto v100 = gs::make_v100();
+  EXPECT_TRUE(v100.supports_core_clock(megahertz{1312.0}));
+  EXPECT_FALSE(v100.supports_core_clock(megahertz{1313.0}));
+
+  // A linear-scan reference: the first clock at the smallest distance wins,
+  // so a tie goes to the lower clock.
+  const auto scanned = [](const gs::device_spec& spec, double f) {
+    megahertz best = spec.core_clocks.front();
+    for (const megahertz c : spec.core_clocks)
+      if (std::abs(c.value - f) < std::abs(best.value - f)) best = c;
+    return best;
+  };
+  for (const char* name : shipped_specs) {
+    const auto spec = gs::make_device_spec(name);
+    const auto& clocks = spec.core_clocks;
+    std::vector<double> probes = {0.0, 1.0, 10.0 * spec.max_core_clock().value,
+                                  -std::numeric_limits<double>::infinity(),
+                                  std::numeric_limits<double>::quiet_NaN()};
+    for (std::size_t i = 0; i < clocks.size(); ++i) {
+      probes.push_back(clocks[i].value);
+      if (i == 0) continue;
+      const double mid = 0.5 * (clocks[i - 1].value + clocks[i].value);
+      probes.insert(probes.end(), {mid, mid - 0.01, mid + 0.01});
+    }
+    for (const double f : probes) {
+      const std::size_t i = spec.nearest_core_clock_index(megahertz{f});
+      ASSERT_LT(i, clocks.size()) << name << " at " << f;
+      EXPECT_EQ(clocks[i].value, scanned(spec, f).value) << name << " at " << f;
+      EXPECT_EQ(spec.nearest_core_clock(megahertz{f}).value, clocks[i].value) << name;
+    }
+    // Where the two differ: every distance to +inf is inf, so the scan kept
+    // its first clock; the search snaps to the top one.
+    EXPECT_EQ(spec.nearest_core_clock(megahertz{std::numeric_limits<double>::infinity()}).value,
+              spec.max_core_clock().value)
+        << name;
+  }
 }
 
 TEST(DeviceSpec, TitanXExposesFourMemoryClocks) {
