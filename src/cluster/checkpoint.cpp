@@ -756,6 +756,13 @@ common::status simulator::restore_checkpoint(const std::string& payload,
                            return a.epoch >= b.epoch;
                          }) != st.running.end())
     return reject("running: jobs out of epoch order");
+  // The ledger keeps one cell per key, and its totals count every cell's
+  // joules: a repeated key would drop joules the totals still hold.
+  if (std::adjacent_find(x.ledger.cells.begin(), x.ledger.cells.end(),
+                         [](const obs::ledger_entry& a, const obs::ledger_entry& b) {
+                           return !(a.key < b.key);
+                         }) != x.ledger.cells.end())
+    return reject("ledger: cells out of key order or repeated");
   // Queued and running jobs are copies of trace rows, and job events name
   // trace job ids: anything else would fault mid-resume.
   const auto in_trace = [&](const traced_job& j) {

@@ -21,11 +21,12 @@ std::string hex32(std::uint32_t v) {
 }  // namespace
 
 std::string seal(std::string_view kind, unsigned version, std::string_view payload) {
-  std::ostringstream oss;
-  oss << magic << ' ' << kind << ' ' << version << ' ' << payload.size() << ' '
-      << hex32(crc32(payload)) << '\n'
-      << payload;
-  return oss.str();
+  std::string out = std::string{magic} + ' ' + std::string{kind} + ' ' +
+                    std::to_string(version) + ' ' + std::to_string(payload.size()) + ' ' +
+                    hex32(crc32(payload)) + '\n';
+  out.reserve(out.size() + payload.size());
+  out += payload;
+  return out;
 }
 
 bool looks_sealed(std::string_view text) {

@@ -19,7 +19,9 @@ void energy_ledger::charge(const charge_key& key, cause why, double joules) {
   // Pre-size the table on first use: growth rehashes re-link every node,
   // which is most of the insert cost on large runs.
   if (cells_.bucket_count() < 1024) cells_.rehash(4096);
-  cells_[key][ci] += joules;
+  const auto [it, fresh] = cells_.try_emplace(key);
+  if (fresh) index_.push_back(&*it);
+  it->second[ci] += joules;
   totals_[ci] += joules;
   total_j_ += joules;
   ++charges_;
@@ -40,19 +42,28 @@ cause_array energy_ledger::totals_by_cause() const {
   return totals_;
 }
 
-std::vector<ledger_entry> energy_ledger::entries() const {
-  std::scoped_lock lock(mutex_);
-  std::vector<ledger_entry> out;
-  out.reserve(cells_.size());
-  for (const auto& [key, by_cause] : cells_) {
-    ledger_entry e;
-    e.key = key;
-    e.by_cause = by_cause;
-    for (const double j : by_cause) e.total_j += j;
-    out.push_back(std::move(e));
+const std::vector<const energy_ledger::cell*>& energy_ledger::ordered_locked() const {
+  if (indexed_ < index_.size()) {
+    const auto by_key = [](const cell* a, const cell* b) { return a->first < b->first; };
+    const auto tail = index_.begin() + static_cast<std::ptrdiff_t>(indexed_);
+    std::sort(tail, index_.end(), by_key);
+    std::inplace_merge(index_.begin(), tail, index_.end(), by_key);
+    indexed_ = index_.size();
   }
-  std::sort(out.begin(), out.end(),
-            [](const ledger_entry& a, const ledger_entry& b) { return a.key < b.key; });
+  return index_;
+}
+
+std::vector<ledger_entry> energy_ledger::entries() const {
+  std::vector<ledger_entry> out;
+  // Reserve first: growing by doubling would hold the old and the new
+  // block at once, up to three times the copy's size.
+  {
+    std::scoped_lock lock(mutex_);
+    out.reserve(cells_.size());
+  }
+  for_each_entry([&out](const charge_key& key, const cause_array& by_cause) {
+    out.push_back({key, by_cause, cell_total(by_cause)});
+  });
   return out;
 }
 
@@ -75,6 +86,8 @@ std::vector<scrape_sample> energy_ledger::series() const {
 void energy_ledger::reset() {
   std::scoped_lock lock(mutex_);
   cells_.clear();
+  index_.clear();
+  indexed_ = 0;
   totals_ = {};
   total_j_ = 0.0;
   charges_ = 0;
@@ -105,8 +118,12 @@ ledger_state energy_ledger::export_state() const {
 void energy_ledger::import_state(const ledger_state& s) {
   std::scoped_lock lock(mutex_);
   cells_.clear();
+  index_.clear();
+  indexed_ = 0;
   if (!s.cells.empty()) cells_.rehash(std::max<std::size_t>(4096, s.cells.size() * 2));
-  for (const auto& e : s.cells) cells_.emplace(e.key, e.by_cause);
+  for (const auto& e : s.cells)
+    if (const auto [it, fresh] = cells_.emplace(e.key, e.by_cause); fresh)
+      index_.push_back(&*it);
   totals_ = s.totals;
   total_j_ = s.total_j;
   charges_ = s.charges;

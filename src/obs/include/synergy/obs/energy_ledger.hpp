@@ -15,9 +15,9 @@
 /// and cluster::simulator (job completion / device-lost waste).
 ///
 /// Determinism contract: totals are aggregated as plain double sums in
-/// event order and the cell view (entries()) is key-sorted before
-/// rendering, so a same-seed replay produces a byte-identical ledger
-/// rendering. The scrape series samples the ledger on the cluster's
+/// event order and every cell view (for_each_entry(), entries()) walks the
+/// cells in key order, so a same-seed replay produces a byte-identical
+/// ledger rendering. The scrape series samples the ledger on the cluster's
 /// *virtual* clock, never wall time.
 ///
 /// Charge sites use SYNERGY_OBS_CHARGE, which compiles to nothing together
@@ -110,8 +110,8 @@ struct charge_key {
   }
 };
 
-/// Hash for the hot charge path. Cells live in a hashed map — the ordered
-/// view the determinism contract needs is produced by entries(), which sorts.
+/// Hash for the hot charge path. Cells live in a hashed map; the ordered
+/// view the determinism contract needs is the ledger's key index.
 struct charge_key_hash {
   [[nodiscard]] std::size_t operator()(const charge_key& k) const noexcept {
     std::size_t h = std::hash<std::string>{}(k.node);
@@ -124,6 +124,13 @@ struct charge_key_hash {
     return h;
   }
 };
+
+/// A cell's joules over all causes, summed in cause order.
+[[nodiscard]] inline double cell_total(const cause_array& by_cause) {
+  double total = 0.0;
+  for (const double j : by_cause) total += j;
+  return total;
+}
 
 /// One ledger cell: a key and its per-cause joules.
 struct ledger_entry {
@@ -169,7 +176,16 @@ class energy_ledger {
   [[nodiscard]] std::uint64_t charges() const;
   [[nodiscard]] cause_array totals_by_cause() const;
 
-  /// All cells sorted into key order (deterministic across replays).
+  /// Call `f(key, by_cause)` for every cell in key order, under the
+  /// ledger's lock and without copying the cells. `f` must not call back
+  /// into this ledger.
+  template <class F>
+  void for_each_entry(F&& f) const {
+    std::scoped_lock lock(mutex_);
+    for (const cell* c : ordered_locked()) f(c->first, c->second);
+  }
+
+  /// A copy of every cell in key order (deterministic across replays).
   [[nodiscard]] std::vector<ledger_entry> entries() const;
 
   /// Append a cumulative sample at virtual time `t_s` to the series.
@@ -187,12 +203,25 @@ class energy_ledger {
   /// Snapshot every cell, the exact running totals, and the scrape series.
   [[nodiscard]] ledger_state export_state() const;
   /// Replace the ledger contents wholesale (the enabled flag is untouched).
+  /// A repeated key keeps its first cell; checkpoint restore rejects cells
+  /// that are not in strictly ascending key order before it gets here.
   void import_state(const ledger_state& s);
 
  private:
+  using cell_map = std::unordered_map<charge_key, cause_array, charge_key_hash>;
+  using cell = cell_map::value_type;
+
+  /// The key index in key order: sorts the cells charged since the last
+  /// ordered read and merges them in. Caller holds mutex_.
+  const std::vector<const cell*>& ordered_locked() const;
+
   mutable std::mutex mutex_;
   bool enabled_{true};
-  std::unordered_map<charge_key, cause_array, charge_key_hash> cells_;
+  cell_map cells_;
+  /// Pointers to every cell (map nodes keep their address across rehashes):
+  /// the first `indexed_` in key order, then new cells in charge order.
+  mutable std::vector<const cell*> index_;
+  mutable std::size_t indexed_{0};
   cause_array totals_{};
   double total_j_{0.0};
   std::uint64_t charges_{0};

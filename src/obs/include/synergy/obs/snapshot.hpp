@@ -60,9 +60,12 @@ struct snapshot_options {
   econ_block econ{};
 };
 
-/// Shortest round-trip decimal rendering of a double (std::to_chars);
-/// deterministic across platforms with IEEE-754 doubles. Non-finite values
-/// render as 0 (JSON has no inf/nan).
+/// Append the shortest round-trip decimal rendering of a double
+/// (std::to_chars); deterministic across platforms with IEEE-754 doubles.
+/// Non-finite values render as 0 (JSON has no inf/nan).
+void append_double(std::string& out, double v);
+
+/// `v` as append_double() writes it.
 [[nodiscard]] std::string format_double(double v);
 
 /// The snapshot as one JSON document (schema "synergy.obs.snapshot/v1").

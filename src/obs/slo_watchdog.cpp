@@ -112,17 +112,17 @@ common::result<std::vector<slo_rule>> parse_rules(std::string_view text) {
 
 std::string alert::to_json_line() const {
   std::string out = "{\"t_s\":";
-  out += format_double(t_s);
+  append_double(out, t_s);
   out += ",\"rule\":\"";
-  out += tel::json_escape(rule);
+  tel::append_json_escaped(out, rule);
   out += "\",\"kind\":\"";
-  out += tel::json_escape(kind_name);
+  tel::append_json_escaped(out, kind_name);
   out += "\",\"value\":";
-  out += format_double(value);
+  append_double(out, value);
   out += ",\"threshold\":";
-  out += format_double(threshold);
+  append_double(out, threshold);
   out += ",\"detail\":\"";
-  out += tel::json_escape(detail);
+  tel::append_json_escaped(out, detail);
   out += "\"}";
   return out;
 }

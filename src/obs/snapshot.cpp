@@ -12,25 +12,50 @@ namespace synergy::obs {
 
 namespace tel = telemetry;
 
-std::string format_double(double v) {
-  if (!std::isfinite(v)) return "0";
+void append_double(std::string& out, double v) {
   char buf[32];
   const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  if (ec != std::errc{}) return "0";
-  return std::string(buf, end);
+  if (std::isfinite(v) && ec == std::errc{})
+    out.append(buf, end);
+  else
+    out += '0';
+}
+
+std::string format_double(double v) {
+  std::string out;
+  append_double(out, v);
+  return out;
 }
 
 namespace {
 
+void append_number(std::string& out, double v) { append_double(out, v); }
+
+void append_number(std::string& out, std::uint64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// A Prometheus label value: the text format escapes only backslash, double
+/// quote and newline, and a strict parser rejects any other escape. Every
+/// other byte is copied verbatim.
+void append_label_value(std::string& out, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+      case '\\': out += "\\\\"; break;
+      case '"': out += "\\\""; break;
+      case '\n': out += "\\n"; break;
+      default: out += c;
+    }
+  }
+}
+
 /// Prometheus metric names allow [a-zA-Z0-9_:]; everything else becomes '_'.
-std::string sanitize_metric_name(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
+void append_metric_name(std::string& out, std::string_view name) {
   for (const char c : name)
     out += (std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == ':')
                ? c
                : '_';
-  return out;
 }
 
 bool is_volatile(const snapshot_options& options, const std::string& name) {
@@ -49,9 +74,18 @@ void append_cause_object(std::string& out, const cause_array& by_cause,
     out += '"';
     out += to_string(static_cast<cause>(c));
     out += "\":";
-    out += format_double(by_cause[c]);
+    append_double(out, by_cause[c]);
   }
   out += '}';
+}
+
+/// `,"<field>":<v>` inside a JSON object.
+template <class T>
+void append_field(std::string& out, std::string_view field, T v) {
+  out += ",\"";
+  out += field;
+  out += "\":";
+  append_number(out, v);
 }
 
 void append_metrics_json(std::string& out, const snapshot_options& options) {
@@ -62,28 +96,70 @@ void append_metrics_json(std::string& out, const snapshot_options& options) {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"";
-    out += tel::json_escape(m.name);
+    tel::append_json_escaped(out, m.name);
     out += "\",\"kind\":\"";
     switch (m.type) {
       case tel::metric_snapshot::kind::counter:
-        out += "counter\",\"value\":" + format_double(m.value);
+        out += "counter\"";
+        append_field(out, "value", m.value);
         break;
       case tel::metric_snapshot::kind::gauge:
-        out += "gauge\",\"value\":" + format_double(m.value);
+        out += "gauge\"";
+        append_field(out, "value", m.value);
         break;
       case tel::metric_snapshot::kind::histogram:
-        out += "histogram\",\"count\":" + std::to_string(m.count);
-        out += ",\"sum\":" + format_double(m.sum);
-        out += ",\"min\":" + format_double(m.min);
-        out += ",\"max\":" + format_double(m.max);
-        out += ",\"mean\":" + format_double(m.mean);
-        out += ",\"p50\":" +
-               format_double(tel::histogram_quantile(m.bounds, m.buckets, m.min, m.max, 0.50));
-        out += ",\"p99\":" +
-               format_double(tel::histogram_quantile(m.bounds, m.buckets, m.min, m.max, 0.99));
+        out += "histogram\"";
+        append_field(out, "count", m.count);
+        append_field(out, "sum", m.sum);
+        append_field(out, "min", m.min);
+        append_field(out, "max", m.max);
+        append_field(out, "mean", m.mean);
+        append_field(out, "p50",
+                     tel::histogram_quantile(m.bounds, m.buckets, m.min, m.max, 0.50));
+        append_field(out, "p99",
+                     tel::histogram_quantile(m.bounds, m.buckets, m.min, m.max, 0.99));
         break;
     }
     out += '}';
+  }
+}
+
+/// One `<name><suffix> <v>` sample line.
+template <class T>
+void append_sample(std::string& out, std::string_view name, T v, std::string_view suffix = {}) {
+  out += name;
+  out += suffix;
+  out += ' ';
+  append_number(out, v);
+  out += '\n';
+}
+
+/// `# TYPE <name><suffix> <type>` and its one sample line.
+template <class T>
+void append_family(std::string& out, std::string_view name, std::string_view type, T v,
+                   std::string_view suffix = {}) {
+  out += "# TYPE ";
+  out += name;
+  out += suffix;
+  out += ' ';
+  out += type;
+  out += '\n';
+  append_sample(out, name, v, suffix);
+}
+
+/// A counter family with one `<family>{cause="<c>"} <v>` sample per cause.
+void append_cause_family(std::string& out, std::string_view family,
+                         const cause_array& by_cause) {
+  out += "# TYPE ";
+  out += family;
+  out += " counter\n";
+  for (std::size_t c = 0; c < n_causes; ++c) {
+    out += family;
+    out += "{cause=\"";
+    append_label_value(out, to_string(static_cast<cause>(c)));
+    out += "\"} ";
+    append_double(out, by_cause[c]);
+    out += '\n';
   }
 }
 
@@ -94,37 +170,45 @@ std::string render_json(const energy_ledger& ledger, const slo_watchdog* watchdo
   std::string out;
   out.reserve(4096);
   out += "{\"schema\":\"synergy.obs.snapshot/v1\",\"source\":\"";
-  out += tel::json_escape(options.source);
-  out += "\",\"sequence\":" + std::to_string(options.sequence);
-  out += ",\"time_s\":" + format_double(options.time_s);
+  tel::append_json_escaped(out, options.source);
+  out += '"';
+  append_field(out, "sequence", options.sequence);
+  append_field(out, "time_s", options.time_s);
 
-  out += ",\"ledger\":{\"total_j\":" + format_double(ledger.total_j());
-  out += ",\"charges\":" + std::to_string(ledger.charges());
+  out += ",\"ledger\":{\"total_j\":";
+  append_double(out, ledger.total_j());
+  append_field(out, "charges", ledger.charges());
   out += ",\"by_cause\":";
   append_cause_object(out, ledger.totals_by_cause(), /*nonzero_only=*/false);
 
   out += ",\"entries\":[";
   bool first = true;
-  for (const auto& e : ledger.entries()) {
+  ledger.for_each_entry([&](const charge_key& key, const cause_array& by_cause) {
     if (!first) out += ',';
     first = false;
-    out += "{\"node\":\"" + tel::json_escape(e.key.node);
-    out += "\",\"device\":\"" + tel::json_escape(e.key.device);
-    out += "\",\"job\":\"" + tel::json_escape(e.key.job);
-    out += "\",\"kernel\":\"" + tel::json_escape(e.key.kernel);
-    out += "\",\"total_j\":" + format_double(e.total_j);
+    out += "{\"node\":\"";
+    tel::append_json_escaped(out, key.node);
+    out += "\",\"device\":\"";
+    tel::append_json_escaped(out, key.device);
+    out += "\",\"job\":\"";
+    tel::append_json_escaped(out, key.job);
+    out += "\",\"kernel\":\"";
+    tel::append_json_escaped(out, key.kernel);
+    out += '"';
+    append_field(out, "total_j", cell_total(by_cause));
     out += ",\"by_cause\":";
-    append_cause_object(out, e.by_cause, /*nonzero_only=*/true);
+    append_cause_object(out, by_cause, /*nonzero_only=*/true);
     out += '}';
-  }
+  });
   out += "],\"series\":[";
   first = true;
   for (const auto& s : ledger.series()) {
     if (!first) out += ',';
     first = false;
-    out += "{\"t_s\":" + format_double(s.t_s);
-    out += ",\"total_j\":" + format_double(s.total_j);
-    out += ",\"charges\":" + std::to_string(s.charges);
+    out += "{\"t_s\":";
+    append_double(out, s.t_s);
+    append_field(out, "total_j", s.total_j);
+    append_field(out, "charges", s.charges);
     out += ",\"by_cause\":";
     append_cause_object(out, s.by_cause, /*nonzero_only=*/true);
     out += '}';
@@ -133,16 +217,17 @@ std::string render_json(const energy_ledger& ledger, const slo_watchdog* watchdo
 
   if (options.econ.enabled) {
     const auto& ec = options.econ;
-    out += ",\"econ\":{\"cost_usd\":" + format_double(ec.cost_usd);
-    out += ",\"capex_usd\":" + format_double(ec.capex_usd);
-    out += ",\"carbon_g\":" + format_double(ec.carbon_g);
-    out += ",\"cost_per_job_usd\":" + format_double(ec.cost_per_job_usd);
-    out += ",\"carbon_per_job_g\":" + format_double(ec.carbon_per_job_g);
-    out += ",\"jobs_completed\":" + std::to_string(ec.jobs_completed);
-    out += ",\"attributed_cost_usd\":" + format_double(ec.attributed_cost_usd);
+    out += ",\"econ\":{\"cost_usd\":";
+    append_double(out, ec.cost_usd);
+    append_field(out, "capex_usd", ec.capex_usd);
+    append_field(out, "carbon_g", ec.carbon_g);
+    append_field(out, "cost_per_job_usd", ec.cost_per_job_usd);
+    append_field(out, "carbon_per_job_g", ec.carbon_per_job_g);
+    append_field(out, "jobs_completed", ec.jobs_completed);
+    append_field(out, "attributed_cost_usd", ec.attributed_cost_usd);
     out += ",\"cost_by_cause\":";
     append_cause_object(out, ec.cost_by_cause, /*nonzero_only=*/false);
-    out += ",\"attributed_carbon_g\":" + format_double(ec.attributed_carbon_g);
+    append_field(out, "attributed_carbon_g", ec.attributed_carbon_g);
     out += ",\"carbon_by_cause\":";
     append_cause_object(out, ec.carbon_by_cause, /*nonzero_only=*/false);
     out += '}';
@@ -173,98 +258,81 @@ std::string render_prometheus(const energy_ledger& ledger,
   out += "# HELP synergy_energy_joules Simulated joules attributed by "
          "node/device/job/kernel and cause.\n";
   out += "# TYPE synergy_energy_joules counter\n";
-  for (const auto& e : ledger.entries()) {
+  ledger.for_each_entry([&out](const charge_key& key, const cause_array& by_cause) {
     for (std::size_t c = 0; c < n_causes; ++c) {
-      if (e.by_cause[c] == 0.0) continue;
-      out += "synergy_energy_joules{node=\"" + tel::json_escape(e.key.node);
-      out += "\",device=\"" + tel::json_escape(e.key.device);
-      out += "\",job=\"" + tel::json_escape(e.key.job);
-      out += "\",kernel=\"" + tel::json_escape(e.key.kernel);
+      if (by_cause[c] == 0.0) continue;
+      out += "synergy_energy_joules{node=\"";
+      append_label_value(out, key.node);
+      out += "\",device=\"";
+      append_label_value(out, key.device);
+      out += "\",job=\"";
+      append_label_value(out, key.job);
+      out += "\",kernel=\"";
+      append_label_value(out, key.kernel);
       out += "\",cause=\"";
-      out += to_string(static_cast<cause>(c));
-      out += "\"} " + format_double(e.by_cause[c]) + "\n";
+      append_label_value(out, to_string(static_cast<cause>(c)));
+      out += "\"} ";
+      append_double(out, by_cause[c]);
+      out += '\n';
     }
-  }
+  });
 
-  out += "# TYPE synergy_energy_cause_joules counter\n";
-  const auto totals = ledger.totals_by_cause();
-  for (std::size_t c = 0; c < n_causes; ++c) {
-    out += "synergy_energy_cause_joules{cause=\"";
-    out += to_string(static_cast<cause>(c));
-    out += "\"} " + format_double(totals[c]) + "\n";
-  }
-  out += "# TYPE synergy_energy_total_joules counter\n";
-  out += "synergy_energy_total_joules " + format_double(ledger.total_j()) + "\n";
-  out += "# TYPE synergy_obs_ledger_charges_total counter\n";
-  out += "synergy_obs_ledger_charges_total " + std::to_string(ledger.charges()) + "\n";
-  out += "# TYPE synergy_obs_snapshot_sequence counter\n";
-  out += "synergy_obs_snapshot_sequence " + std::to_string(options.sequence) + "\n";
-  out += "# TYPE synergy_obs_snapshot_time_seconds gauge\n";
-  out += "synergy_obs_snapshot_time_seconds " + format_double(options.time_s) + "\n";
+  append_cause_family(out, "synergy_energy_cause_joules", ledger.totals_by_cause());
+  append_family(out, "synergy_energy_total_joules", "counter", ledger.total_j());
+  append_family(out, "synergy_obs_ledger_charges_total", "counter", ledger.charges());
+  append_family(out, "synergy_obs_snapshot_sequence", "counter", options.sequence);
+  append_family(out, "synergy_obs_snapshot_time_seconds", "gauge", options.time_s);
 
   if (options.econ.enabled) {
     const auto& ec = options.econ;
-    out += "# TYPE synergy_econ_cost_usd gauge\n";
-    out += "synergy_econ_cost_usd " + format_double(ec.cost_usd) + "\n";
-    out += "# TYPE synergy_econ_capex_usd gauge\n";
-    out += "synergy_econ_capex_usd " + format_double(ec.capex_usd) + "\n";
-    out += "# TYPE synergy_econ_carbon_grams gauge\n";
-    out += "synergy_econ_carbon_grams " + format_double(ec.carbon_g) + "\n";
-    out += "# TYPE synergy_econ_cost_per_job_usd gauge\n";
-    out += "synergy_econ_cost_per_job_usd " + format_double(ec.cost_per_job_usd) + "\n";
-    out += "# TYPE synergy_econ_carbon_per_job_grams gauge\n";
-    out += "synergy_econ_carbon_per_job_grams " + format_double(ec.carbon_per_job_g) + "\n";
-    out += "# TYPE synergy_econ_cause_cost_usd counter\n";
-    for (std::size_t c = 0; c < n_causes; ++c) {
-      out += "synergy_econ_cause_cost_usd{cause=\"";
-      out += to_string(static_cast<cause>(c));
-      out += "\"} " + format_double(ec.cost_by_cause[c]) + "\n";
-    }
-    out += "# TYPE synergy_econ_cause_carbon_grams counter\n";
-    for (std::size_t c = 0; c < n_causes; ++c) {
-      out += "synergy_econ_cause_carbon_grams{cause=\"";
-      out += to_string(static_cast<cause>(c));
-      out += "\"} " + format_double(ec.carbon_by_cause[c]) + "\n";
-    }
+    append_family(out, "synergy_econ_cost_usd", "gauge", ec.cost_usd);
+    append_family(out, "synergy_econ_capex_usd", "gauge", ec.capex_usd);
+    append_family(out, "synergy_econ_carbon_grams", "gauge", ec.carbon_g);
+    append_family(out, "synergy_econ_cost_per_job_usd", "gauge", ec.cost_per_job_usd);
+    append_family(out, "synergy_econ_carbon_per_job_grams", "gauge", ec.carbon_per_job_g);
+    append_cause_family(out, "synergy_econ_cause_cost_usd", ec.cost_by_cause);
+    append_cause_family(out, "synergy_econ_cause_carbon_grams", ec.carbon_by_cause);
   }
 
   if (!options.include_metrics) return out;
+  std::string name;
   for (const auto& m : tel::metrics_registry::instance().snapshot()) {
     // Same volatile filter as the JSON document: wall-clock-valued
     // instruments would break the workflow's .prom byte-diffs.
     if (is_volatile(options, m.name)) continue;
-    const std::string name = "synergy_" + sanitize_metric_name(m.name);
+    name.assign("synergy_");
+    append_metric_name(name, m.name);
     switch (m.type) {
       case tel::metric_snapshot::kind::counter:
-        out += "# TYPE " + name + " counter\n";
-        out += name + " " + format_double(m.value) + "\n";
+        append_family(out, name, "counter", m.value);
         break;
       case tel::metric_snapshot::kind::gauge:
-        out += "# TYPE " + name + " gauge\n";
-        out += name + " " + format_double(m.value) + "\n";
+        append_family(out, name, "gauge", m.value);
         break;
       case tel::metric_snapshot::kind::histogram: {
-        out += "# TYPE " + name + " histogram\n";
+        out += "# TYPE ";
+        out += name;
+        out += " histogram\n";
         std::uint64_t cumulative = 0;
         for (std::size_t i = 0; i < m.buckets.size(); ++i) {
           cumulative += m.buckets[i];
-          const std::string le =
-              i < m.bounds.size() ? format_double(m.bounds[i]) : std::string{"+Inf"};
-          out += name + "_bucket{le=\"" + le + "\"} " + std::to_string(cumulative) + "\n";
+          out += name;
+          out += "_bucket{le=\"";
+          if (i < m.bounds.size())
+            append_double(out, m.bounds[i]);
+          else
+            out += "+Inf";
+          out += "\"} ";
+          append_number(out, cumulative);
+          out += '\n';
         }
-        out += name + "_sum " + format_double(m.sum) + "\n";
-        out += name + "_count " + std::to_string(m.count) + "\n";
-        // Quantile companions (satellite: plan-latency p50/p99 in snapshots).
-        out += "# TYPE " + name + "_p50 gauge\n";
-        out += name + "_p50 " +
-               format_double(
-                   tel::histogram_quantile(m.bounds, m.buckets, m.min, m.max, 0.50)) +
-               "\n";
-        out += "# TYPE " + name + "_p99 gauge\n";
-        out += name + "_p99 " +
-               format_double(
-                   tel::histogram_quantile(m.bounds, m.buckets, m.min, m.max, 0.99)) +
-               "\n";
+        append_sample(out, name, m.sum, "_sum");
+        append_sample(out, name, m.count, "_count");
+        // Quantile companions: p50/p99 as gauges beside the buckets.
+        append_family(out, name, "gauge",
+                      tel::histogram_quantile(m.bounds, m.buckets, m.min, m.max, 0.50), "_p50");
+        append_family(out, name, "gauge",
+                      tel::histogram_quantile(m.bounds, m.buckets, m.min, m.max, 0.99), "_p99");
         break;
       }
     }

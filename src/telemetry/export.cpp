@@ -55,26 +55,33 @@ std::string csv_quote(std::string_view s) {
 
 }  // namespace
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
+void append_json_escaped(std::string& out, std::string_view s) {
+  std::size_t run = 0;  // start of the bytes not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned char>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        constexpr char hex[] = "0123456789abcdef";
+        out += "\\u00";
+        out += hex[c >> 4];
+        out += hex[c & 0xF];
+      }
     }
   }
+  out.append(s, run, s.size() - run);
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  append_json_escaped(out, s);
   return out;
 }
 

@@ -19,7 +19,11 @@
 
 namespace synergy::telemetry {
 
-/// JSON-escape `s` (quotes, backslashes, control characters).
+/// Append `s` to `out` JSON-escaped: quotes, backslashes and control
+/// characters (`\n`, `\r`, `\t`, else `\u00xx`); every other byte verbatim.
+void append_json_escaped(std::string& out, std::string_view s);
+
+/// `s` JSON-escaped, as append_json_escaped() writes it.
 [[nodiscard]] std::string json_escape(std::string_view s);
 
 /// Write `events` as Chrome trace-event JSON.

@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -751,6 +752,69 @@ TEST_F(checkpoint_test, RestoreRejectsRunningJobsOutOfEpochOrder) {
   const auto st = restore(payload.value());
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.err().message.find("epoch order"), std::string::npos) << st.err().message;
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(checkpoint_test, RestoreRejectsLedgerCellsOutOfKeyOrder) {
+  SYNERGY_REQUIRE_CHARGE_SITES();
+  const auto trace = chaotic_trace();
+  const auto cc = chaotic_config();
+  const auto dir = temp_dir("synergy_ckpt_ledger_order");
+  {
+    sc::simulator sim{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+    sim.set_checkpointing(every_20s(dir));
+    (void)sim.run(trace);
+  }
+  const auto latest = sc::latest_checkpoint(dir);
+  ASSERT_TRUE(latest.has_value());
+  const auto payload = sc::read_checkpoint_payload(latest.value());
+  ASSERT_TRUE(payload.has_value());
+  const auto lines = split(payload.value(), '\n');
+  std::vector<std::size_t> cells;
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    if (lines[i].starts_with("lc ")) cells.push_back(i);
+  ASSERT_GE(cells.size(), 2u);
+
+  // Each edit is sealed again as a tool would, so only restore's own
+  // cross-validation stands between it and the ledger.
+  const auto restore_edited = [&](const std::vector<std::string>& edited) {
+    const auto resealed = dir / "edited.ckpt";
+    EXPECT_TRUE(sc::write_checkpoint_file(resealed, join(edited, '\n')).ok());
+    const auto p = sc::read_checkpoint_payload(resealed);
+    EXPECT_TRUE(p.has_value());
+    reset_globals();
+    auto& ledger = obs::energy_ledger::instance();
+    ledger.charge({"stale", "V100", "job", "k"}, obs::cause::idle, 1234.5);
+    sc::simulator fresh{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+    enable_restore(fresh);
+    const auto st = fresh.restore_checkpoint(p.value(), trace);
+    if (!st.ok()) {
+      // Nothing was imported, and the simulator has nothing to resume.
+      EXPECT_EQ(ledger.total_j(), 1234.5);
+      EXPECT_EQ(ledger.entries().size(), 1u);
+      EXPECT_EQ(tel::metrics_registry::instance().get_counter("cluster.placements").value(), 0u);
+      EXPECT_THROW((void)fresh.resume(trace), std::logic_error);
+    }
+    return st;
+  };
+  ASSERT_TRUE(restore_edited(lines).ok());
+
+  // The first cell replaced by a copy of the second: its joules would
+  // vanish from the cells while the ledger totals still count them.
+  auto repeated = lines;
+  repeated[cells[0]] = repeated[cells[1]];
+  const auto st_repeated = restore_edited(repeated);
+  ASSERT_FALSE(st_repeated.ok());
+  EXPECT_NE(st_repeated.err().message.find("ledger"), std::string::npos)
+      << st_repeated.err().message;
+
+  auto swapped = lines;
+  std::swap(swapped[cells[0]], swapped[cells[1]]);
+  const auto st_swapped = restore_edited(swapped);
+  ASSERT_FALSE(st_swapped.ok());
+  EXPECT_NE(st_swapped.err().message.find("ledger"), std::string::npos)
+      << st_swapped.err().message;
 
   std::filesystem::remove_all(dir);
 }

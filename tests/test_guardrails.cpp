@@ -15,6 +15,8 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "synergy/common/checksum.hpp"
 #include "synergy/common/envelope.hpp"
@@ -154,10 +156,54 @@ std::shared_ptr<const synergy::frequency_planner> shared_planner() {
 
 // ------------------------------------------------------------ CRC envelope ----
 
+// The check value at compile time: crc32 must stay usable in constant
+// expressions.
+static_assert(crc32("123456789") == 0xCBF43926u);
+
 TEST(Checksum, Crc32MatchesKnownVector) {
   // The canonical IEEE 802.3 check value.
   EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(crc32(""), 0x00000000u);
+}
+
+namespace {
+
+/// The byte-at-a-time definition, written out here as the reference the
+/// library's eight-bytes-per-step loop must agree with.
+std::uint32_t crc32_bytewise(std::string_view data, std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const char ch : data) {
+    c ^= static_cast<unsigned char>(ch);
+    for (int bit = 0; bit < 8; ++bit) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+}  // namespace
+
+TEST(Checksum, Crc32MatchesTheBytewiseDefinitionAtEveryLengthAndAlignment) {
+  pcg32 rng{20261018};
+  std::string buffer(1030 + 8, '\0');
+  for (auto& ch : buffer) ch = static_cast<char>(rng.bounded(256));
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 1030; ++len) {
+      const std::string_view view{buffer.data() + offset, len};
+      ASSERT_EQ(crc32(view), crc32_bytewise(view)) << "offset " << offset << " length " << len;
+    }
+}
+
+TEST(Checksum, Crc32ChainsAcrossSplits) {
+  pcg32 rng{7};
+  std::string data(517, '\0');
+  for (auto& ch : data) ch = static_cast<char>(rng.bounded(256));
+  const std::string_view all{data};
+  for (std::size_t split = 0; split <= all.size(); ++split) {
+    const auto a = all.substr(0, split);
+    const auto b = all.substr(split);
+    ASSERT_EQ(crc32(b, crc32(a)), crc32(all)) << "split at " << split;
+  }
+  EXPECT_EQ(crc32("456789", crc32("123")), 0xCBF43926u);
+  EXPECT_EQ(crc32_bytewise(all, 0x12345678u), crc32(all, 0x12345678u));
 }
 
 TEST(Envelope, SealOpenRoundTrip) {

@@ -6,14 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "synergy/cluster/simulator.hpp"
+#include "synergy/common/rng.hpp"
 #include "synergy/obs/energy_ledger.hpp"
 #include "synergy/obs/json.hpp"
 #include "synergy/obs/slo_watchdog.hpp"
@@ -184,6 +188,64 @@ TEST_F(obs_test, concurrent_charges_preserve_every_joule) {
   double cause_sum = 0.0;
   for (const double c : l.totals_by_cause()) cause_sum += c;
   EXPECT_NEAR(cause_sum, l.total_j(), 1e-9);
+}
+
+TEST_F(obs_test, concurrent_readers_see_key_order_while_writers_charge) {
+  // The key index is mutable state that const reads sort and merge: readers
+  // racing writers that add cells must each see a whole, key-ordered view.
+  auto& l = obs::energy_ledger::instance();
+  constexpr int n_writers = 4;
+  constexpr int n_readers = 2;
+  constexpr int n_charges = 2000;
+  std::atomic<int> writers_left{n_writers};
+  std::atomic<int> bad_reads{0};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < n_writers; ++t)
+    threads.emplace_back([&l, &writers_left, t] {
+      for (int i = 0; i < n_charges; ++i) {
+        // A new job every eight charges, on nodes the other writers use too.
+        const int job = i / 8;
+        const auto k = key("n" + std::to_string((job + t) % 5),
+                           "w" + std::to_string(t) + "-" + std::to_string(job));
+        l.charge(k, static_cast<obs::cause>(i % obs::n_causes), 0.5);
+      }
+      --writers_left;
+    });
+  obs::snapshot_options opts;
+  opts.include_metrics = false;
+  for (int r = 0; r < n_readers; ++r)
+    threads.emplace_back([&] {
+      do {
+        const auto cells = l.entries();
+        const bool ordered = std::adjacent_find(cells.begin(), cells.end(),
+                                                [](const auto& a, const auto& b) {
+                                                  return !(a.key < b.key);
+                                                }) == cells.end();
+        const auto doc = obs::json::parse(obs::render_json(l, nullptr, opts));
+        bool rendered = doc.has_value();
+        if (rendered) {
+          const auto& rows = doc.value().find("ledger")->find("entries")->as_array();
+          for (std::size_t i = 1; i < rows.size() && rendered; ++i) {
+            const obs::charge_key a{rows[i - 1].string_or("node", ""),
+                                    rows[i - 1].string_or("device", ""),
+                                    rows[i - 1].string_or("job", ""),
+                                    rows[i - 1].string_or("kernel", "")};
+            const obs::charge_key b{rows[i].string_or("node", ""), rows[i].string_or("device", ""),
+                                    rows[i].string_or("job", ""), rows[i].string_or("kernel", "")};
+            rendered = a < b;
+          }
+        }
+        if (!ordered || !rendered) ++bad_reads;
+        ++reads;
+      } while (writers_left.load() > 0);
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(bad_reads.load(), 0);
+  EXPECT_GE(reads.load(), n_readers);
+  EXPECT_EQ(l.charges(), static_cast<std::uint64_t>(n_writers) * n_charges);
+  // Each writer's jobs are new keys: n_charges / 8 jobs per writer.
+  EXPECT_EQ(l.entries().size(), static_cast<std::size_t>(n_writers) * (n_charges / 8));
 }
 
 // ----------------------------------------------------------- rule parsing
@@ -396,6 +458,318 @@ TEST_F(obs_test, snapshot_prometheus_exposition_shape) {
   EXPECT_NE(text.find("synergy_obs_test_hist_bucket"), std::string::npos);
   EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
   EXPECT_NE(text.find("synergy_obs_test_hist_p99"), std::string::npos);
+}
+
+namespace {
+
+using cell_map = std::unordered_map<obs::charge_key, obs::cause_array, obs::charge_key_hash>;
+
+/// The reference's cells as an ordered read must return them: std::sort by key.
+std::vector<obs::ledger_entry> sorted_cells(const cell_map& ref) {
+  std::vector<obs::ledger_entry> out;
+  for (const auto& [k, by_cause] : ref) {
+    obs::ledger_entry e{k, by_cause, 0.0};
+    for (const double j : by_cause) e.total_j += j;
+    out.push_back(std::move(e));
+  }
+  std::sort(out.begin(), out.end(),
+            [](const obs::ledger_entry& a, const obs::ledger_entry& b) { return a.key < b.key; });
+  return out;
+}
+
+/// The cell lines of a Prometheus rendering (keys without escaped bytes).
+std::string prometheus_cell_lines(const std::vector<obs::ledger_entry>& cells) {
+  std::string out;
+  for (const auto& e : cells)
+    for (std::size_t c = 0; c < obs::n_causes; ++c) {
+      if (e.by_cause[c] == 0.0) continue;
+      out += "synergy_energy_joules{node=\"" + e.key.node + "\",device=\"" + e.key.device +
+             "\",job=\"" + e.key.job + "\",kernel=\"" + e.key.kernel + "\",cause=\"" +
+             obs::to_string(static_cast<obs::cause>(c)) + "\"} " +
+             obs::format_double(e.by_cause[c]) + "\n";
+    }
+  return out;
+}
+
+}  // namespace
+
+TEST_F(obs_test, ordered_reads_match_a_sorted_reference_through_resets_and_imports) {
+  // Charges of new and existing keys interleaved with every ordered read
+  // (entries() and both renderers), reset() and import_state(): each read
+  // must equal a std::sort of the reference cells kept here.
+  auto& l = obs::energy_ledger::instance();
+  cell_map ref;
+  synergy::common::pcg32 rng{20261018};
+  obs::snapshot_options opts;
+  opts.include_metrics = false;
+  const auto random_key = [&rng] {
+    return obs::charge_key{"n" + std::to_string(rng.bounded(6)), rng.bounded(2) ? "V100" : "A100",
+                           "j" + std::to_string(rng.bounded(40)),
+                           "k" + std::to_string(rng.bounded(3))};
+  };
+  int reads = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const auto op = rng.bounded(100);
+    if (op < 80) {
+      const auto k = random_key();
+      const auto why = rng.bounded(static_cast<std::uint32_t>(obs::n_causes));
+      const double joules = 0.25 * (1 + rng.bounded(64));
+      l.charge(k, static_cast<obs::cause>(why), joules);
+      ref[k][why] += joules;
+      continue;
+    }
+    const auto expected = sorted_cells(ref);
+    if (op < 86) {
+      const auto got = l.entries();
+      ASSERT_EQ(got.size(), expected.size()) << "step " << step;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].key, expected[i].key) << "step " << step << " cell " << i;
+        ASSERT_EQ(got[i].by_cause, expected[i].by_cause) << "step " << step << " cell " << i;
+        ASSERT_EQ(got[i].total_j, expected[i].total_j) << "step " << step << " cell " << i;
+      }
+    } else if (op < 92) {
+      const auto doc = obs::json::parse(obs::render_json(l, nullptr, opts));
+      ASSERT_TRUE(doc.has_value()) << "step " << step;
+      const auto& rows = doc.value().find("ledger")->find("entries")->as_array();
+      ASSERT_EQ(rows.size(), expected.size()) << "step " << step;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        const obs::charge_key k{rows[i].string_or("node", ""), rows[i].string_or("device", ""),
+                                rows[i].string_or("job", ""), rows[i].string_or("kernel", "")};
+        ASSERT_EQ(k, expected[i].key) << "step " << step << " row " << i;
+        ASSERT_EQ(rows[i].number_or("total_j", -1.0), expected[i].total_j)
+            << "step " << step << " row " << i;
+      }
+    } else if (op < 98) {
+      const auto text = obs::render_prometheus(l, opts);
+      const std::string head = "# TYPE synergy_energy_joules counter\n";
+      const auto begin = text.find(head) + head.size();
+      const auto end = text.find("# TYPE synergy_energy_cause_joules");
+      ASSERT_EQ(text.substr(begin, end - begin), prometheus_cell_lines(expected))
+          << "step " << step;
+    } else if (op < 99) {
+      l.reset();
+      ref.clear();
+    } else {
+      // A checkpoint's ledger: a subset of the cells, in key order.
+      obs::ledger_state st;
+      ref.clear();
+      for (const auto& e : expected)
+        if (rng.bounded(2) == 0) {
+          st.cells.push_back(e);
+          ref.emplace(e.key, e.by_cause);
+        }
+      l.import_state(st);
+    }
+    ++reads;
+  }
+  EXPECT_GT(reads, 500);
+}
+
+TEST_F(obs_test, prometheus_label_values_escape_only_backslash_quote_and_newline) {
+  // The text exposition format has three label escapes: \\, \" and \n.
+  // Every other byte (TAB, CR, other control bytes) is copied verbatim; a
+  // JSON escape such as \t or \u0001 would fail a strict scrape.
+  auto& l = obs::energy_ledger::instance();
+  l.charge({"n0", "V100", "tab\there\r \"q\" back\\slash\x01" "ctl\nend", "k"}, obs::cause::model,
+           2.0);
+  obs::snapshot_options opts;
+  opts.include_metrics = false;
+  const auto text = obs::render_prometheus(l, opts);
+  const std::string expected =
+      "synergy_energy_joules{node=\"n0\",device=\"V100\","
+      "job=\"tab\there\r \\\"q\\\" back\\\\slash\x01" "ctl\\nend\","
+      "kernel=\"k\",cause=\"model\"} 2\n";
+  EXPECT_NE(text.find(expected), std::string::npos) << text;
+  // The JSON document keeps its own escapes for the same name.
+  EXPECT_NE(obs::render_json(l, nullptr, opts)
+                .find(R"("job":"tab\there\r \"q\" back\\slash\u0001ctl\nend")"),
+            std::string::npos);
+}
+
+TEST_F(obs_test, snapshot_renderings_match_golden_bytes) {
+  // Pins both snapshot formats byte for byte. The expected texts were
+  // rendered by the copy-and-sort renderer the in-place one replaced.
+  auto& l = obs::energy_ledger::instance();
+  // Cells charged out of key order; keys with a quote, a backslash, a
+  // newline and multi-byte UTF-8; amounts from the denormal floor to
+  // DBL_MAX.
+  l.charge({"node-b", "V100", "job \"quoted\"", "k\\back"}, obs::cause::model, 0.1);
+  l.charge({"node-a", "V100", "job-2", "stencil"}, obs::cause::tuning_table, 1e-300);
+  l.charge({"node-a", "MI100", "line\nbreak", "k"}, obs::cause::idle, 5e-324);
+  l.charge({"node-a", "V100", "job-2", "stencil"}, obs::cause::fault_wasted, 2.5);
+  l.scrape(10.0);
+  (void)obs::render_json(l, nullptr, {});
+  (void)obs::render_prometheus(l, {});
+  // New cells after a first render, and more joules for an existing cell.
+  l.charge({"node-0", "A100", "jöb-µs", "kernel"}, obs::cause::econ_deferred,
+           1.7976931348623157e308);
+  l.charge({"node-c", "V100", "job-1", "k"}, obs::cause::governor, 3.0);
+  l.charge({"node-b", "V100", "job \"quoted\"", "k\\back"}, obs::cause::cap_demoted, 0.25);
+  l.scrape(20.0);
+
+  auto rules = obs::parse_rules("wasted_energy_j > 1\n");
+  ASSERT_TRUE(rules.has_value());
+  obs::slo_watchdog wd{std::move(rules.value()), &l};
+  wd.evaluate(20.0);
+  ASSERT_EQ(wd.alerts().size(), 1u);
+
+  obs::snapshot_options opts;
+  opts.sequence = 7;
+  opts.time_s = 20.5;
+  opts.source = "golden \"run\"";
+  auto& ec = opts.econ;
+  ec.enabled = true;
+  ec.cost_usd = 12.5;
+  ec.capex_usd = 2.0;
+  ec.carbon_g = 300.0;
+  ec.cost_per_job_usd = std::numeric_limits<double>::quiet_NaN();
+  ec.carbon_per_job_g = 75.0;
+  ec.attributed_cost_usd = 10.5;
+  ec.attributed_carbon_g = 250.0;
+  ec.cost_by_cause[static_cast<std::size_t>(obs::cause::model)] = 10.0;
+  ec.cost_by_cause[static_cast<std::size_t>(obs::cause::idle)] = 0.5;
+  ec.carbon_by_cause[static_cast<std::size_t>(obs::cause::model)] = 200.0;
+  ec.carbon_by_cause[static_cast<std::size_t>(obs::cause::idle)] = 50.0;
+  ec.jobs_completed = 4;
+
+  auto& registry = tel::metrics_registry::instance();
+  registry.get_counter("golden.jobs").add(3);
+  registry.get_gauge("golden.queue depth").set(2.5);
+  auto& wait = registry.get_histogram("golden.wait_s", {1.0, 10.0});
+  for (const double v : {0.5, 4.0, 20.0}) wait.observe(v);
+  registry.get_gauge("golden.wall_us").set(123.0);
+  // The wall-clock gauge is volatile; so is every instrument other tests in
+  // this process registered.
+  opts.volatile_metrics = {"golden.wall_us"};
+  for (const auto& m : registry.snapshot())
+    if (!m.name.starts_with("golden.")) opts.volatile_metrics.push_back(m.name);
+
+  const std::string expected_json =
+      R"golden({"schema":"synergy.obs.snapshot/v1","source":"golden \"run\"","sequence":7)golden"
+      R"golden(,"time_s":20.5,"ledger":{"total_j":1.7976931348623157e+308,"charges":7)golden"
+      R"golden(,"by_cause":{"model":0.1,"tuning_table":1e-300,"default_clocks":0,"quarantine_probe":0)golden"
+      R"golden(,"oracle":0,"fixed":0,"cap_demoted":0.25,"fault_degraded":0,"fault_wasted":2.5)golden"
+      R"golden(,"idle":5e-324,"governor":3,"unattributed":0,"econ_deferred":1.7976931348623157e+308)golden"
+      R"golden(,"econ_price_demoted":0},"entries":[{"node":"node-0","device":"A100","job":"jöb-µs")golden"
+      R"golden(,"kernel":"kernel","total_j":1.7976931348623157e+308)golden"
+      R"golden(,"by_cause":{"econ_deferred":1.7976931348623157e+308}})golden"
+      R"golden(,{"node":"node-a","device":"MI100","job":"line\nbreak","kernel":"k","total_j":5e-324)golden"
+      R"golden(,"by_cause":{"idle":5e-324}})golden"
+      R"golden(,{"node":"node-a","device":"V100","job":"job-2","kernel":"stencil","total_j":2.5)golden"
+      R"golden(,"by_cause":{"tuning_table":1e-300,"fault_wasted":2.5}})golden"
+      R"golden(,{"node":"node-b","device":"V100","job":"job \"quoted\"","kernel":"k\\back")golden"
+      R"golden(,"total_j":0.35,"by_cause":{"model":0.1,"cap_demoted":0.25}})golden"
+      R"golden(,{"node":"node-c","device":"V100","job":"job-1","kernel":"k","total_j":3)golden"
+      R"golden(,"by_cause":{"governor":3}})golden"
+      R"golden(],"series":[{"t_s":10,"total_j":2.6,"charges":4,"by_cause":{"model":0.1)golden"
+      R"golden(,"tuning_table":1e-300,"fault_wasted":2.5,"idle":5e-324}})golden"
+      R"golden(,{"t_s":20,"total_j":1.7976931348623157e+308,"charges":7,"by_cause":{"model":0.1)golden"
+      R"golden(,"tuning_table":1e-300,"cap_demoted":0.25,"fault_wasted":2.5,"idle":5e-324,"governor":3)golden"
+      R"golden(,"econ_deferred":1.7976931348623157e+308}}]},"econ":{"cost_usd":12.5,"capex_usd":2)golden"
+      R"golden(,"carbon_g":300,"cost_per_job_usd":0,"carbon_per_job_g":75,"jobs_completed":4)golden"
+      R"golden(,"attributed_cost_usd":10.5,"cost_by_cause":{"model":10,"tuning_table":0)golden"
+      R"golden(,"default_clocks":0,"quarantine_probe":0,"oracle":0,"fixed":0,"cap_demoted":0)golden"
+      R"golden(,"fault_degraded":0,"fault_wasted":0,"idle":0.5,"governor":0,"unattributed":0)golden"
+      R"golden(,"econ_deferred":0,"econ_price_demoted":0},"attributed_carbon_g":250)golden"
+      R"golden(,"carbon_by_cause":{"model":200,"tuning_table":0,"default_clocks":0)golden"
+      R"golden(,"quarantine_probe":0,"oracle":0,"fixed":0,"cap_demoted":0,"fault_degraded":0)golden"
+      R"golden(,"fault_wasted":0,"idle":50,"governor":0,"unattributed":0,"econ_deferred":0)golden"
+      R"golden(,"econ_price_demoted":0}},"alerts":[{"t_s":20,"rule":"wasted_energy_j > 1")golden"
+      R"golden(,"kind":"wasted_energy_j","value":2.5,"threshold":1)golden"
+      R"golden(,"detail":"ledger joules tagged fault_wasted"})golden"
+      R"golden(],"metrics":[{"name":"golden.jobs","kind":"counter","value":3})golden"
+      R"golden(,{"name":"golden.queue depth","kind":"gauge","value":2.5})golden"
+      R"golden(,{"name":"golden.wait_s","kind":"histogram","count":3,"sum":24.5,"min":0.5,"max":20)golden"
+      R"golden(,"mean":8.166666666666666,"p50":5.5,"p99":20}]})golden";
+  const std::string expected_prom = R"golden(# HELP synergy_energy_joules Simulated joules attributed by node/device/job/kernel and cause.
+# TYPE synergy_energy_joules counter
+synergy_energy_joules{node="node-0",device="A100",job="jöb-µs",kernel="kernel",cause="econ_deferred"} 1.7976931348623157e+308
+synergy_energy_joules{node="node-a",device="MI100",job="line\nbreak",kernel="k",cause="idle"} 5e-324
+synergy_energy_joules{node="node-a",device="V100",job="job-2",kernel="stencil",cause="tuning_table"} 1e-300
+synergy_energy_joules{node="node-a",device="V100",job="job-2",kernel="stencil",cause="fault_wasted"} 2.5
+synergy_energy_joules{node="node-b",device="V100",job="job \"quoted\"",kernel="k\\back",cause="model"} 0.1
+synergy_energy_joules{node="node-b",device="V100",job="job \"quoted\"",kernel="k\\back",cause="cap_demoted"} 0.25
+synergy_energy_joules{node="node-c",device="V100",job="job-1",kernel="k",cause="governor"} 3
+# TYPE synergy_energy_cause_joules counter
+synergy_energy_cause_joules{cause="model"} 0.1
+synergy_energy_cause_joules{cause="tuning_table"} 1e-300
+synergy_energy_cause_joules{cause="default_clocks"} 0
+synergy_energy_cause_joules{cause="quarantine_probe"} 0
+synergy_energy_cause_joules{cause="oracle"} 0
+synergy_energy_cause_joules{cause="fixed"} 0
+synergy_energy_cause_joules{cause="cap_demoted"} 0.25
+synergy_energy_cause_joules{cause="fault_degraded"} 0
+synergy_energy_cause_joules{cause="fault_wasted"} 2.5
+synergy_energy_cause_joules{cause="idle"} 5e-324
+synergy_energy_cause_joules{cause="governor"} 3
+synergy_energy_cause_joules{cause="unattributed"} 0
+synergy_energy_cause_joules{cause="econ_deferred"} 1.7976931348623157e+308
+synergy_energy_cause_joules{cause="econ_price_demoted"} 0
+# TYPE synergy_energy_total_joules counter
+synergy_energy_total_joules 1.7976931348623157e+308
+# TYPE synergy_obs_ledger_charges_total counter
+synergy_obs_ledger_charges_total 7
+# TYPE synergy_obs_snapshot_sequence counter
+synergy_obs_snapshot_sequence 7
+# TYPE synergy_obs_snapshot_time_seconds gauge
+synergy_obs_snapshot_time_seconds 20.5
+# TYPE synergy_econ_cost_usd gauge
+synergy_econ_cost_usd 12.5
+# TYPE synergy_econ_capex_usd gauge
+synergy_econ_capex_usd 2
+# TYPE synergy_econ_carbon_grams gauge
+synergy_econ_carbon_grams 300
+# TYPE synergy_econ_cost_per_job_usd gauge
+synergy_econ_cost_per_job_usd 0
+# TYPE synergy_econ_carbon_per_job_grams gauge
+synergy_econ_carbon_per_job_grams 75
+# TYPE synergy_econ_cause_cost_usd counter
+synergy_econ_cause_cost_usd{cause="model"} 10
+synergy_econ_cause_cost_usd{cause="tuning_table"} 0
+synergy_econ_cause_cost_usd{cause="default_clocks"} 0
+synergy_econ_cause_cost_usd{cause="quarantine_probe"} 0
+synergy_econ_cause_cost_usd{cause="oracle"} 0
+synergy_econ_cause_cost_usd{cause="fixed"} 0
+synergy_econ_cause_cost_usd{cause="cap_demoted"} 0
+synergy_econ_cause_cost_usd{cause="fault_degraded"} 0
+synergy_econ_cause_cost_usd{cause="fault_wasted"} 0
+synergy_econ_cause_cost_usd{cause="idle"} 0.5
+synergy_econ_cause_cost_usd{cause="governor"} 0
+synergy_econ_cause_cost_usd{cause="unattributed"} 0
+synergy_econ_cause_cost_usd{cause="econ_deferred"} 0
+synergy_econ_cause_cost_usd{cause="econ_price_demoted"} 0
+# TYPE synergy_econ_cause_carbon_grams counter
+synergy_econ_cause_carbon_grams{cause="model"} 200
+synergy_econ_cause_carbon_grams{cause="tuning_table"} 0
+synergy_econ_cause_carbon_grams{cause="default_clocks"} 0
+synergy_econ_cause_carbon_grams{cause="quarantine_probe"} 0
+synergy_econ_cause_carbon_grams{cause="oracle"} 0
+synergy_econ_cause_carbon_grams{cause="fixed"} 0
+synergy_econ_cause_carbon_grams{cause="cap_demoted"} 0
+synergy_econ_cause_carbon_grams{cause="fault_degraded"} 0
+synergy_econ_cause_carbon_grams{cause="fault_wasted"} 0
+synergy_econ_cause_carbon_grams{cause="idle"} 50
+synergy_econ_cause_carbon_grams{cause="governor"} 0
+synergy_econ_cause_carbon_grams{cause="unattributed"} 0
+synergy_econ_cause_carbon_grams{cause="econ_deferred"} 0
+synergy_econ_cause_carbon_grams{cause="econ_price_demoted"} 0
+# TYPE synergy_golden_jobs counter
+synergy_golden_jobs 3
+# TYPE synergy_golden_queue_depth gauge
+synergy_golden_queue_depth 2.5
+# TYPE synergy_golden_wait_s histogram
+synergy_golden_wait_s_bucket{le="1"} 1
+synergy_golden_wait_s_bucket{le="10"} 2
+synergy_golden_wait_s_bucket{le="+Inf"} 3
+synergy_golden_wait_s_sum 24.5
+synergy_golden_wait_s_count 3
+# TYPE synergy_golden_wait_s_p50 gauge
+synergy_golden_wait_s_p50 5.5
+# TYPE synergy_golden_wait_s_p99 gauge
+synergy_golden_wait_s_p99 20
+)golden";
+  EXPECT_EQ(obs::render_json(l, &wd, opts), expected_json);
+  EXPECT_EQ(obs::render_prometheus(l, opts), expected_prom);
 }
 
 // ------------------------------------------- cross-layer acceptance tests
