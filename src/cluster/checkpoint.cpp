@@ -12,7 +12,6 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -56,15 +55,15 @@ constexpr char hex_digits[] = "0123456789abcdef";
 
 /// Doubles travel as the 16-hex IEEE-754 bit pattern: decimal round-trips
 /// are not bit-exact, and byte-identical resume hangs on every last bit.
-std::string hexd(double v) {
+void append_hex_double(std::string& out, double v) {
   const auto bits = std::bit_cast<std::uint64_t>(v);
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) out[static_cast<std::size_t>(i)] = hex_digits[(bits >> (4 * (15 - i))) & 0xF];
-  return out;
+  char buf[16];
+  for (std::size_t i = 0; i < 16; ++i) buf[i] = hex_digits[(bits >> (60 - 4 * i)) & 0xF];
+  out.append(buf, sizeof buf);
 }
 
-double unhexd(const std::string& tok) {
-  if (tok.size() != 16) throw parse_fail("bad double token '" + tok + "'");
+double unhexd(std::string_view tok) {
+  if (tok.size() != 16) throw parse_fail("bad double token '" + std::string(tok) + "'");
   std::uint64_t bits = 0;
   for (const char c : tok) {
     bits <<= 4;
@@ -73,7 +72,7 @@ double unhexd(const std::string& tok) {
     else if (c >= 'a' && c <= 'f')
       bits |= static_cast<std::uint64_t>(c - 'a' + 10);
     else
-      throw parse_fail("bad hex digit in double token '" + tok + "'");
+      throw parse_fail("bad hex digit in double token '" + std::string(tok) + "'");
   }
   return std::bit_cast<double>(bits);
 }
@@ -81,10 +80,11 @@ double unhexd(const std::string& tok) {
 /// Strings travel percent-encoded so whitespace tokenization stays trivial:
 /// the empty string encodes as "~"; '~', '%', spaces, and control bytes
 /// escape as %XX (a literal "~" therefore encodes as "%7e" — no ambiguity).
-std::string enc(std::string_view in) {
-  if (in.empty()) return "~";
-  std::string out;
-  out.reserve(in.size());
+void append_encoded(std::string& out, std::string_view in) {
+  if (in.empty()) {
+    out += '~';
+    return;
+  }
   for (const char ch : in) {
     const auto c = static_cast<unsigned char>(ch);
     if (c <= 0x20 || c == 0x7F || c == '%' || c == '~') {
@@ -95,7 +95,6 @@ std::string enc(std::string_view in) {
       out += ch;
     }
   }
-  return out;
 }
 
 int unhex_nibble(char c) {
@@ -104,7 +103,7 @@ int unhex_nibble(char c) {
   throw parse_fail("bad percent escape in string token");
 }
 
-std::string dec(const std::string& in) {
+std::string dec(std::string_view in) {
   if (in == "~") return {};
   std::string out;
   out.reserve(in.size());
@@ -186,18 +185,24 @@ class writer {
   [[nodiscard]] std::string take() { return std::move(out_); }
 
  private:
+  /// Scalars are written straight into the payload, with no string per
+  /// token.
   template <class T>
   void io(const T& v) {
-    if constexpr (std::is_same_v<T, bool>)
+    if constexpr (std::is_same_v<T, bool>) {
       token(v ? "1" : "0");
-    else if constexpr (std::is_same_v<T, double>)
-      token(hexd(v));
-    else if constexpr (std::is_same_v<T, std::string>)
-      token(enc(v));
-    else if constexpr (std::is_integral_v<T>)
-      token(std::to_string(v));
-    else
+    } else if constexpr (std::is_same_v<T, double>) {
+      separate();
+      append_hex_double(out_, v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      separate();
+      append_encoded(out_, v);
+    } else if constexpr (std::is_integral_v<T>) {
+      char buf[24];
+      token({buf, static_cast<std::size_t>(std::to_chars(buf, buf + sizeof buf, v).ptr - buf)});
+    } else {
       transfer(*this, v);
+    }
   }
   /// Inline counted list: `<n> <item>...` on the current record.
   template <class T>
@@ -214,9 +219,13 @@ class writer {
     io(p.first);
     io(p.second);
   }
-  writer& token(std::string_view v) {
+  /// The space before every token but a record's first.
+  void separate() {
     if (!at_line_start_) out_ += ' ';
     at_line_start_ = false;
+  }
+  writer& token(std::string_view v) {
+    separate();
     out_ += v;
     return *this;
   }
@@ -241,8 +250,10 @@ class reader {
   explicit reader(std::string_view text) : text_(text) {}
 
   reader& tag(std::string_view t) {
-    const std::string got = next();
-    if (got != t) throw parse_fail("expected section '" + std::string(t) + "', found '" + got + "'");
+    const std::string_view got = next();
+    if (got != t)
+      throw parse_fail("expected section '" + std::string(t) + "', found '" + std::string(got) +
+                       "'");
     return *this;
   }
   template <class... T>
@@ -284,9 +295,10 @@ class reader {
   }
   template <class E, std::size_t N>
   reader& pick(E& v, const std::array<std::string_view, N>& tags, const char* what) {
-    const std::string got = next();
+    const std::string_view got = next();
     const auto it = std::find(tags.begin(), tags.end(), got);
-    if (it == tags.end()) throw parse_fail("unknown " + std::string(what) + " '" + got + "'");
+    if (it == tags.end())
+      throw parse_fail("unknown " + std::string(what) + " '" + std::string(got) + "'");
     v = static_cast<E>(it - tags.begin());
     return *this;
   }
@@ -302,14 +314,15 @@ class reader {
   }
 
  private:
-  std::string next() {
+  /// The next token, as a view into the payload.
+  std::string_view next() {
     while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\r'))
       ++pos_;
     if (pos_ >= text_.size()) throw parse_fail("unexpected end of payload");
     const std::size_t begin = pos_;
     while (pos_ < text_.size() && text_[pos_] != ' ' && text_[pos_] != '\n' && text_[pos_] != '\r')
       ++pos_;
-    return std::string(text_.substr(begin, pos_ - begin));
+    return text_.substr(begin, pos_ - begin);
   }
   std::uint64_t count() {
     std::uint64_t n = 0;
@@ -329,10 +342,10 @@ class reader {
     } else if constexpr (std::is_same_v<T, std::string>) {
       v = dec(next());
     } else if constexpr (std::is_integral_v<T>) {
-      const std::string tok = next();
+      const std::string_view tok = next();
       const auto [end, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
       if (ec != std::errc{} || end != tok.data() + tok.size())
-        throw parse_fail("bad integer token '" + tok + "'");
+        throw parse_fail("bad integer token '" + std::string(tok) + "'");
     } else {
       transfer(*this, v);
     }
@@ -391,16 +404,20 @@ common::result<fs::path> latest_checkpoint(const fs::path& dir) {
 }
 
 common::result<std::string> read_checkpoint_payload(const fs::path& file) {
+  // One read of the whole file into a buffer of its size.
+  const error unreadable{errc::unavailable, "cannot read checkpoint " + file.string()};
+  std::error_code ec;
+  const auto size = fs::file_size(file, ec);
   std::ifstream in(file, std::ios::binary);
-  if (!in) return error{errc::unavailable, "cannot read checkpoint " + file.string()};
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const auto op = common::envelope::open(buf.str(), checkpoint_kind, checkpoint_version);
+  if (ec || !in) return unreadable;
+  std::string text(size, '\0');
+  if (!in.read(text.data(), static_cast<std::streamsize>(size))) return unreadable;
+  auto op = common::envelope::open(text, checkpoint_kind, checkpoint_version);
   if (!op.ok())
     return error{errc::invalid_argument,
                  "checkpoint " + file.string() + " failed to open (" +
                      common::envelope::to_string(op.error) + "): " + op.detail};
-  return op.payload;
+  return std::move(op.payload);
 }
 
 common::status write_checkpoint_file(const fs::path& file, std::string_view payload) {

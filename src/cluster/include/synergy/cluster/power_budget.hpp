@@ -4,25 +4,24 @@
 /// Facility-wide power budgeting for the cluster simulator.
 ///
 /// SLURM's power management (paper Sec. 2.3) distributes a system cap over
-/// nodes; this manager layers the cluster-scale half on top of
-/// sched::power_manager. It keeps the *modelled* facility draw — host power
-/// plus per-GPU busy/idle power on the simulation timeline — and enforces
-/// the cap two ways:
+/// nodes. This budget keeps the *modelled* facility draw — host power plus
+/// per-GPU busy/idle power on the simulation timeline — and enforces the cap
+/// at admission: a job may only start if the facility draw with the job
+/// added stays under the cap; if its planned frequency does not fit, the
+/// plan is demoted down the clock table until it does (counted as a
+/// demotion), and the job waits if even the lowest clock is too hot.
 ///
-///  1. admission: a job may only start if the facility draw with the job
-///     added stays under the cap; if its planned frequency does not fit,
-///     the plan is demoted down the clock table until it does (counted as
-///     a demotion), and the job waits if even the lowest clock is too hot;
-///  2. rebalancing: after every placement/completion the per-node caps are
-///     recomputed from modelled demand via
-///     sched::power_manager::rebalance_with_demand, which locks GPU clock
-///     bounds on each node so no application clock can exceed its share.
+/// Every placement and completion is a rebalance point, which the budget
+/// counts and traces. It locks no board clocks: admission prices clocks with
+/// the DVFS model against headroom_w(), and no cluster code reads a board's
+/// bounds. sched::power_manager is the scheduler-level model of SLURM's
+/// per-node cap redistribution.
 
 #include <cstddef>
 #include <optional>
 #include <vector>
 
-#include "synergy/sched/power_manager.hpp"
+#include "synergy/sched/controller.hpp"
 
 namespace synergy::cluster {
 
@@ -51,13 +50,9 @@ class power_budget {
   /// Account one GPU returning to idle.
   void gpu_idle(std::size_t node, std::size_t gpu);
 
-  /// Recompute per-node caps from the modelled demand and lock clock
-  /// bounds through the underlying sched::power_manager. No-op when
-  /// uncapped. Counts as one rebalance.
+  /// Mark a rebalance point after a draw change: counts it and emits the
+  /// `cluster.cap_rebalance` trace instant. No-op when uncapped.
   void rebalance();
-
-  /// Per-node caps of the last rebalance (empty when uncapped).
-  [[nodiscard]] const std::vector<double>& node_caps() const;
 
   [[nodiscard]] std::size_t rebalances() const { return rebalances_; }
   [[nodiscard]] std::size_t demotions() const { return demotions_; }
@@ -66,7 +61,6 @@ class power_budget {
  private:
   sched::controller* ctl_;
   double cap_w_;
-  sched::power_manager pm_;
   /// Modelled per-GPU draw, indexed [node][gpu]; idle floor when no job.
   std::vector<std::vector<double>> gpu_power_w_;
   /// facility_power_w() since the last draw change; empty when stale.

@@ -7,7 +7,7 @@
 namespace synergy::cluster {
 
 power_budget::power_budget(sched::controller& ctl, double facility_cap_w)
-    : ctl_(&ctl), cap_w_(facility_cap_w), pm_(ctl, facility_cap_w) {
+    : ctl_(&ctl), cap_w_(facility_cap_w) {
   gpu_power_w_.resize(ctl.node_count());
   for (std::size_t i = 0; i < ctl.node_count(); ++i) {
     const auto& n = ctl.node_at(i);
@@ -47,18 +47,10 @@ void power_budget::gpu_idle(std::size_t node, std::size_t gpu) {
 
 void power_budget::rebalance() {
   if (!capped()) return;
-  std::vector<double> demand(ctl_->node_count(), 0.0);
-  for (std::size_t i = 0; i < demand.size(); ++i) {
-    demand[i] = ctl_->node_at(i).config().host_power_w;
-    for (const double w : gpu_power_w_[i]) demand[i] += w;
-  }
-  pm_.rebalance_with_demand(demand);
   ++rebalances_;
   SYNERGY_COUNTER_ADD("cluster.cap_rebalances", 1);
   SYNERGY_INSTANT(telemetry::category::sched, "cluster.cap_rebalance",
                   {"facility_w", facility_power_w()}, {"cap_w", cap_w_});
 }
-
-const std::vector<double>& power_budget::node_caps() const { return pm_.node_caps(); }
 
 }  // namespace synergy::cluster

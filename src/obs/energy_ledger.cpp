@@ -20,7 +20,10 @@ void energy_ledger::charge(const charge_key& key, cause why, double joules) {
   // which is most of the insert cost on large runs.
   if (cells_.bucket_count() < 1024) cells_.rehash(4096);
   const auto [it, fresh] = cells_.try_emplace(key);
-  if (fresh) index_.push_back(&*it);
+  if (fresh)
+    index_.push_back(&*it);
+  else if (texts_)
+    texts_->erase(&*it);
   it->second[ci] += joules;
   totals_[ci] += joules;
   total_j_ += joules;
@@ -53,18 +56,38 @@ const std::vector<const energy_ledger::cell*>& energy_ledger::ordered_locked() c
   return index_;
 }
 
-std::vector<ledger_entry> energy_ledger::entries() const {
+void energy_ledger::view::append_cells(std::string& out, cell_format format,
+                                       cell_renderer render, std::string_view separator) const {
+  const auto& index = ledger_.ordered_locked();
+  auto& texts = ledger_.texts_;
+  if (!texts) {
+    texts = std::make_unique<cell_texts>();
+    texts->reserve(index.size());
+  }
+  const auto f = static_cast<std::size_t>(format);
+  bool first = true;
+  for (const cell* c : index) {
+    if (!first) out += separator;
+    first = false;
+    std::string& text = (*texts)[c][f];
+    if (text.empty()) render(text, c->first, c->second);
+    out += text;
+  }
+}
+
+std::vector<ledger_entry> energy_ledger::entries_locked() const {
   std::vector<ledger_entry> out;
   // Reserve first: growing by doubling would hold the old and the new
   // block at once, up to three times the copy's size.
-  {
-    std::scoped_lock lock(mutex_);
-    out.reserve(cells_.size());
-  }
-  for_each_entry([&out](const charge_key& key, const cause_array& by_cause) {
-    out.push_back({key, by_cause, cell_total(by_cause)});
-  });
+  out.reserve(cells_.size());
+  for (const cell* c : ordered_locked())
+    out.push_back({c->first, c->second, cell_total(c->second)});
   return out;
+}
+
+std::vector<ledger_entry> energy_ledger::entries() const {
+  std::scoped_lock lock(mutex_);
+  return entries_locked();
 }
 
 void energy_ledger::scrape(double t_s) {
@@ -83,11 +106,16 @@ std::vector<scrape_sample> energy_ledger::series() const {
   return series_;
 }
 
-void energy_ledger::reset() {
-  std::scoped_lock lock(mutex_);
+void energy_ledger::clear_cells_locked() {
   cells_.clear();
   index_.clear();
   indexed_ = 0;
+  texts_.reset();
+}
+
+void energy_ledger::reset() {
+  std::scoped_lock lock(mutex_);
+  clear_cells_locked();
   totals_ = {};
   total_j_ = 0.0;
   charges_ = 0;
@@ -106,8 +134,8 @@ bool energy_ledger::is_enabled() const {
 
 ledger_state energy_ledger::export_state() const {
   ledger_state s;
-  s.cells = entries();  // key-sorted; takes the lock itself
   std::scoped_lock lock(mutex_);
+  s.cells = entries_locked();
   s.totals = totals_;
   s.total_j = total_j_;
   s.charges = charges_;
@@ -117,9 +145,7 @@ ledger_state energy_ledger::export_state() const {
 
 void energy_ledger::import_state(const ledger_state& s) {
   std::scoped_lock lock(mutex_);
-  cells_.clear();
-  index_.clear();
-  indexed_ = 0;
+  clear_cells_locked();
   if (!s.cells.empty()) cells_.rehash(std::max<std::size_t>(4096, s.cells.size() * 2));
   for (const auto& e : s.cells)
     if (const auto [it, fresh] = cells_.emplace(e.key, e.by_cause); fresh)

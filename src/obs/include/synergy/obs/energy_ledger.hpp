@@ -15,10 +15,16 @@
 /// and cluster::simulator (job completion / device-lost waste).
 ///
 /// Determinism contract: totals are aggregated as plain double sums in
-/// event order and every cell view (for_each_entry(), entries()) walks the
-/// cells in key order, so a same-seed replay produces a byte-identical
+/// event order and every cell view (entries(), view::append_cells()) walks
+/// the cells in key order, so a same-seed replay produces a byte-identical
 /// ledger rendering. The scrape series samples the ledger on the cluster's
 /// *virtual* clock, never wall time.
+///
+/// Snapshots read the ledger through read(): one acquisition of its lock per
+/// document, so a document's totals, cells and series agree with each other
+/// while other threads charge. The ledger keeps the text each snapshot
+/// format rendered for each cell and hands it back until the cell changes,
+/// so a scrape renders only the cells charged since the last one.
 ///
 /// Charge sites use SYNERGY_OBS_CHARGE, which compiles to nothing together
 /// with the rest of the telemetry plane (-DSYNERGY_TELEMETRY=OFF); the
@@ -28,8 +34,10 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -159,6 +167,15 @@ struct ledger_state {
   std::vector<scrape_sample> series;
 };
 
+/// A snapshot format whose per-cell text the ledger keeps.
+enum class cell_format : std::uint8_t { json, prometheus };
+
+inline constexpr std::size_t n_cell_formats = 2;
+
+/// Appends one cell's text, made from its key and per-cause joules only.
+using cell_renderer = void (*)(std::string& out, const charge_key& key,
+                               const cause_array& by_cause);
+
 class energy_ledger {
  public:
   /// Process-global ledger used by SYNERGY_OBS_CHARGE.
@@ -176,13 +193,38 @@ class energy_ledger {
   [[nodiscard]] std::uint64_t charges() const;
   [[nodiscard]] cause_array totals_by_cause() const;
 
-  /// Call `f(key, by_cause)` for every cell in key order, under the
-  /// ledger's lock and without copying the cells. `f` must not call back
-  /// into this ledger.
+  /// What one rendering reads of the ledger. It exists only inside read(),
+  /// which holds the ledger's lock, so every figure it returns comes from
+  /// the same ledger state.
+  class view {
+   public:
+    view(const view&) = delete;
+    view& operator=(const view&) = delete;
+
+    [[nodiscard]] double total_j() const { return ledger_.total_j_; }
+    [[nodiscard]] std::uint64_t charges() const { return ledger_.charges_; }
+    [[nodiscard]] const cause_array& totals_by_cause() const { return ledger_.totals_; }
+    [[nodiscard]] const std::vector<scrape_sample>& series() const { return ledger_.series_; }
+
+    /// Append every cell's `format` text to `out` in key order, with
+    /// `separator` between cells. `render` runs only for a cell the ledger
+    /// holds no such text for (new, or charged since its last rendering),
+    /// and the ledger keeps what it appended.
+    void append_cells(std::string& out, cell_format format, cell_renderer render,
+                      std::string_view separator) const;
+
+   private:
+    friend class energy_ledger;
+    explicit view(const energy_ledger& ledger) : ledger_(ledger) {}
+    const energy_ledger& ledger_;
+  };
+
+  /// Call `f(view)` under one acquisition of the ledger's lock. `f` must
+  /// not call back into this ledger.
   template <class F>
-  void for_each_entry(F&& f) const {
+  void read(F&& f) const {
     std::scoped_lock lock(mutex_);
-    for (const cell* c : ordered_locked()) f(c->first, c->second);
+    f(view{*this});
   }
 
   /// A copy of every cell in key order (deterministic across replays).
@@ -192,7 +234,7 @@ class energy_ledger {
   void scrape(double t_s);
   [[nodiscard]] std::vector<scrape_sample> series() const;
 
-  /// Drop every cell, total, and series point (run isolation).
+  /// Drop every cell, total, series point and kept text (run isolation).
   void reset();
 
   /// Per-ledger kill switch: a disabled ledger drops charges at the mutex
@@ -211,9 +253,17 @@ class energy_ledger {
   using cell_map = std::unordered_map<charge_key, cause_array, charge_key_hash>;
   using cell = cell_map::value_type;
 
+  /// Rendered text of each cell, one string per cell_format; an empty
+  /// string is no text.
+  using cell_texts = std::unordered_map<const cell*, std::array<std::string, n_cell_formats>>;
+
   /// The key index in key order: sorts the cells charged since the last
   /// ordered read and merges them in. Caller holds mutex_.
   const std::vector<const cell*>& ordered_locked() const;
+  /// entries() for a caller that holds mutex_.
+  [[nodiscard]] std::vector<ledger_entry> entries_locked() const;
+  /// Forget every cell: the map, its index and the texts keyed by its cells.
+  void clear_cells_locked();
 
   mutable std::mutex mutex_;
   bool enabled_{true};
@@ -222,6 +272,10 @@ class energy_ledger {
   /// the first `indexed_` in key order, then new cells in charge order.
   mutable std::vector<const cell*> index_;
   mutable std::size_t indexed_{0};
+  /// Made by the first rendering. charge() drops the text of the cell it
+  /// changes, and cells die only in clear_cells_locked(), which drops all
+  /// of it, so no text outlives its cell.
+  mutable std::unique_ptr<cell_texts> texts_;
   cause_array totals_{};
   double total_j_{0.0};
   std::uint64_t charges_{0};

@@ -163,6 +163,44 @@ void append_cause_family(std::string& out, std::string_view family,
   }
 }
 
+/// One ledger cell as a JSON entry object.
+void append_json_cell(std::string& out, const charge_key& key, const cause_array& by_cause) {
+  out += "{\"node\":\"";
+  tel::append_json_escaped(out, key.node);
+  out += "\",\"device\":\"";
+  tel::append_json_escaped(out, key.device);
+  out += "\",\"job\":\"";
+  tel::append_json_escaped(out, key.job);
+  out += "\",\"kernel\":\"";
+  tel::append_json_escaped(out, key.kernel);
+  out += '"';
+  append_field(out, "total_j", cell_total(by_cause));
+  out += ",\"by_cause\":";
+  append_cause_object(out, by_cause, /*nonzero_only=*/true);
+  out += '}';
+}
+
+/// One ledger cell as a synergy_energy_joules sample line per nonzero cause.
+void append_prometheus_cell(std::string& out, const charge_key& key,
+                            const cause_array& by_cause) {
+  for (std::size_t c = 0; c < n_causes; ++c) {
+    if (by_cause[c] == 0.0) continue;
+    out += "synergy_energy_joules{node=\"";
+    append_label_value(out, key.node);
+    out += "\",device=\"";
+    append_label_value(out, key.device);
+    out += "\",job=\"";
+    append_label_value(out, key.job);
+    out += "\",kernel=\"";
+    append_label_value(out, key.kernel);
+    out += "\",cause=\"";
+    append_label_value(out, to_string(static_cast<cause>(c)));
+    out += "\"} ";
+    append_double(out, by_cause[c]);
+    out += '\n';
+  }
+}
+
 }  // namespace
 
 std::string render_json(const energy_ledger& ledger, const slo_watchdog* watchdog,
@@ -175,45 +213,31 @@ std::string render_json(const energy_ledger& ledger, const slo_watchdog* watchdo
   append_field(out, "sequence", options.sequence);
   append_field(out, "time_s", options.time_s);
 
-  out += ",\"ledger\":{\"total_j\":";
-  append_double(out, ledger.total_j());
-  append_field(out, "charges", ledger.charges());
-  out += ",\"by_cause\":";
-  append_cause_object(out, ledger.totals_by_cause(), /*nonzero_only=*/false);
-
-  out += ",\"entries\":[";
-  bool first = true;
-  ledger.for_each_entry([&](const charge_key& key, const cause_array& by_cause) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"node\":\"";
-    tel::append_json_escaped(out, key.node);
-    out += "\",\"device\":\"";
-    tel::append_json_escaped(out, key.device);
-    out += "\",\"job\":\"";
-    tel::append_json_escaped(out, key.job);
-    out += "\",\"kernel\":\"";
-    tel::append_json_escaped(out, key.kernel);
-    out += '"';
-    append_field(out, "total_j", cell_total(by_cause));
+  // The ledger section is one read: its totals, entries and series come
+  // from the same ledger state. The alerts and metrics are read after it.
+  ledger.read([&out](const energy_ledger::view& v) {
+    out += ",\"ledger\":{\"total_j\":";
+    append_double(out, v.total_j());
+    append_field(out, "charges", v.charges());
     out += ",\"by_cause\":";
-    append_cause_object(out, by_cause, /*nonzero_only=*/true);
-    out += '}';
+    append_cause_object(out, v.totals_by_cause(), /*nonzero_only=*/false);
+    out += ",\"entries\":[";
+    v.append_cells(out, cell_format::json, append_json_cell, ",");
+    out += "],\"series\":[";
+    bool first = true;
+    for (const auto& s : v.series()) {
+      if (!first) out += ',';
+      first = false;
+      out += "{\"t_s\":";
+      append_double(out, s.t_s);
+      append_field(out, "total_j", s.total_j);
+      append_field(out, "charges", s.charges);
+      out += ",\"by_cause\":";
+      append_cause_object(out, s.by_cause, /*nonzero_only=*/true);
+      out += '}';
+    }
+    out += "]}";
   });
-  out += "],\"series\":[";
-  first = true;
-  for (const auto& s : ledger.series()) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"t_s\":";
-    append_double(out, s.t_s);
-    append_field(out, "total_j", s.total_j);
-    append_field(out, "charges", s.charges);
-    out += ",\"by_cause\":";
-    append_cause_object(out, s.by_cause, /*nonzero_only=*/true);
-    out += '}';
-  }
-  out += "]}";
 
   if (options.econ.enabled) {
     const auto& ec = options.econ;
@@ -235,7 +259,7 @@ std::string render_json(const energy_ledger& ledger, const slo_watchdog* watchdo
 
   out += ",\"alerts\":[";
   if (watchdog) {
-    first = true;
+    bool first = true;
     for (const auto& a : watchdog->alerts()) {
       if (!first) out += ',';
       first = false;
@@ -258,28 +282,12 @@ std::string render_prometheus(const energy_ledger& ledger,
   out += "# HELP synergy_energy_joules Simulated joules attributed by "
          "node/device/job/kernel and cause.\n";
   out += "# TYPE synergy_energy_joules counter\n";
-  ledger.for_each_entry([&out](const charge_key& key, const cause_array& by_cause) {
-    for (std::size_t c = 0; c < n_causes; ++c) {
-      if (by_cause[c] == 0.0) continue;
-      out += "synergy_energy_joules{node=\"";
-      append_label_value(out, key.node);
-      out += "\",device=\"";
-      append_label_value(out, key.device);
-      out += "\",job=\"";
-      append_label_value(out, key.job);
-      out += "\",kernel=\"";
-      append_label_value(out, key.kernel);
-      out += "\",cause=\"";
-      append_label_value(out, to_string(static_cast<cause>(c)));
-      out += "\"} ";
-      append_double(out, by_cause[c]);
-      out += '\n';
-    }
+  ledger.read([&out](const energy_ledger::view& v) {
+    v.append_cells(out, cell_format::prometheus, append_prometheus_cell, {});
+    append_cause_family(out, "synergy_energy_cause_joules", v.totals_by_cause());
+    append_family(out, "synergy_energy_total_joules", "counter", v.total_j());
+    append_family(out, "synergy_obs_ledger_charges_total", "counter", v.charges());
   });
-
-  append_cause_family(out, "synergy_energy_cause_joules", ledger.totals_by_cause());
-  append_family(out, "synergy_energy_total_joules", "counter", ledger.total_j());
-  append_family(out, "synergy_obs_ledger_charges_total", "counter", ledger.charges());
   append_family(out, "synergy_obs_snapshot_sequence", "counter", options.sequence);
   append_family(out, "synergy_obs_snapshot_time_seconds", "gauge", options.time_s);
 

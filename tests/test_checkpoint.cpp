@@ -148,11 +148,18 @@ struct replay_rig {
 ///    over a model directory that does not exist (every plan is a table
 ///    fallback),
 ///    with a watchdog attached, so the guard, plan-cache and watchdog
-///    sections ride every artefact.
+///    sections ride every artefact;
+///  - "odd_names": the chaotic replay with job names that hold a space, '%',
+///    '~', TAB, a control byte and multi-byte UTF-8, and one empty name, so
+///    every string escape of the payload encoder rides every artefact (in
+///    the result rows and the ledger's keys, and in the trace rows of the
+///    queued and running jobs).
 struct replay_case {
   sc::cluster_config cc;
   sc::job_trace trace;
   bool guarded{false};
+  /// Escapes every artefact of this replay must hold.
+  std::vector<std::string> escapes;
   /// The guarded replay's watchdog rules: both fire once (the table tier
   /// plans everything; chaos wastes energy).
   std::string rules{"fallback_ratio > 0.5 window 4\nwasted_energy_j > 0\n"};
@@ -202,6 +209,14 @@ replay_case replay_named(const std::string& name) {
     rc.cc.econ.demote_price_ratio = 1.3;
     rc.cc.facility_cap_w = 5000.0;
     rc.trace = chaotic_trace(0.5);
+  }
+  if (name == "odd_names") {
+    const std::string utf8 = "na\xc3\xafve-\xe2\x9c\x93";
+    const std::vector<std::string> odd{"job one", "100%", "~", "tab\there", "ctl\x01", utf8};
+    for (auto& j : rc.trace.jobs) j.name = odd[j.id % odd.size()] + std::to_string(j.id);
+    rc.trace.jobs[3].name.clear();
+    // Multi-byte UTF-8 is copied verbatim; the rest escape as %XX.
+    rc.escapes = {"job%20one", "100%25", "%7e", "tab%09here", "ctl%01", utf8};
   }
   return rc;
 }
@@ -385,6 +400,8 @@ TEST_P(resume_sweep, EveryMidRunCheckpointResumesByteIdentical) {
   for (const auto& file : files) {
     const auto payload = sc::read_checkpoint_payload(file);
     ASSERT_TRUE(payload.has_value()) << file << ": " << payload.err().message;
+    for (const auto& escape : rc.escapes)
+      EXPECT_NE(payload.value().find(escape), std::string::npos) << escape << " in " << file;
 
     // Dirty the globals first: a restore must overwrite, not merge.
     reset_globals();
@@ -408,6 +425,7 @@ TEST_P(resume_sweep, EveryMidRunCheckpointResumesByteIdentical) {
     ASSERT_EQ(resumed.results().size(), ref_results.size());
     for (std::size_t i = 0; i < ref_results.size(); ++i) {
       EXPECT_EQ(resumed.results()[i].id, ref_results[i].id);
+      EXPECT_EQ(resumed.results()[i].name, ref_results[i].name);
       // Exact double equality on purpose: the contract is bit-identity.
       EXPECT_EQ(resumed.results()[i].gpu_energy_j, ref_results[i].gpu_energy_j);
       EXPECT_EQ(resumed.results()[i].end_s, ref_results[i].end_s);
@@ -423,7 +441,7 @@ TEST_P(resume_sweep, EveryMidRunCheckpointResumesByteIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Replays, resume_sweep,
-                         ::testing::Values("chaotic", "econ_capped", "guarded"),
+                         ::testing::Values("chaotic", "econ_capped", "guarded", "odd_names"),
                          [](const auto& info) { return info.param; });
 
 // ------------------------------------------------ repeated runs ----

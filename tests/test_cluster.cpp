@@ -541,6 +541,36 @@ TEST(PowerBudget, FacilityPowerNeverExceedsTheCapAtAnyEvent) {
   }
 }
 
+TEST(PowerBudget, AdmissionAloneHoldsTheCapAndLeavesBoardsUnlocked) {
+  // The budget counts rebalance points but locks no board clocks. On the
+  // input above, admission alone keeps the facility under the cap, and
+  // after the replay every board still accepts its top clock.
+  sc::trace_config tc;
+  tc.n_jobs = 80;
+  tc.gpu_mix = {1, 1, 2};
+  tc.seed = 5;
+  sc::cluster_config cc;
+  cc.n_nodes = 2;
+  cc.gpus_per_node = 2;
+  cc.facility_cap_w = 1400.0;
+  sc::simulator sim{cc, sc::make_easy_backfill()};
+  const auto summary = sim.run(sc::generate_trace(tc));
+  EXPECT_GT(summary.cap_rebalances, 0u);
+  EXPECT_GT(summary.cap_demotions, 0u);
+  EXPECT_LE(summary.peak_facility_power_w, cc.facility_cap_w + 1e-6);
+
+  auto& ctl = sim.controller();
+  std::size_t boards = 0;
+  for (std::size_t i = 0; i < ctl.node_count(); ++i)
+    for (const auto& dev : ctl.node_at(i).devices()) {
+      const auto top = dev.spec().core_clocks.back();
+      EXPECT_TRUE(dev.board()->set_core_clock(top).ok())
+          << ctl.node_at(i).name() << " rejects " << top.value << " MHz";
+      ++boards;
+    }
+  EXPECT_EQ(boards, 4u);
+}
+
 TEST(PowerBudget, UncappedRunNeverRebalances) {
   const auto trace = sc::generate_trace({.n_jobs = 20, .gpu_mix = {1, 2, 4}});
   sc::cluster_config cc;

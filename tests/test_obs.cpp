@@ -248,6 +248,59 @@ TEST_F(obs_test, concurrent_readers_see_key_order_while_writers_charge) {
   EXPECT_EQ(l.entries().size(), static_cast<std::size_t>(n_writers) * (n_charges / 8));
 }
 
+TEST_F(obs_test, concurrent_snapshots_agree_with_their_own_totals) {
+  // A document reads its ledger section in one acquisition of the ledger's
+  // lock: rendered while writers charge, its entries and its cause totals
+  // must each sum to its own ledger.total_j.
+  auto& l = obs::energy_ledger::instance();
+  constexpr int n_writers = 4;
+  constexpr int n_readers = 2;
+  constexpr int n_charges = 40000;
+  std::atomic<int> writers_left{n_writers};
+  std::atomic<int> bad_docs{0};
+  std::atomic<int> docs{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < n_writers; ++t)
+    threads.emplace_back([&l, &writers_left, t] {
+      for (int i = 0; i < n_charges; ++i) {
+        // A new cell every 64 charges, so readers render cells that are
+        // charged again after their text is kept.
+        const int job = i / 64;
+        l.charge(key("n" + std::to_string(job % 5),
+                     "w" + std::to_string(t) + "-" + std::to_string(job)),
+                 static_cast<obs::cause>(i % obs::n_causes), 0.5);
+      }
+      --writers_left;
+    });
+  obs::snapshot_options opts;
+  opts.include_metrics = false;
+  for (int r = 0; r < n_readers; ++r)
+    threads.emplace_back([&] {
+      do {
+        const auto doc = obs::json::parse(obs::render_json(l, nullptr, opts));
+        bool agrees = doc.has_value();
+        if (agrees) {
+          const auto& ledger = *doc.value().find("ledger");
+          const double total = ledger.number_or("total_j", -1.0);
+          double entries = 0.0;
+          for (const auto& e : ledger.find("entries")->as_array())
+            entries += e.number_or("total_j", 0.0);
+          double causes = 0.0;
+          for (const auto& [name, j] : ledger.find("by_cause")->as_object())
+            causes += j.as_number();
+          const double tolerance = 1e-9 * std::abs(total);
+          agrees = std::abs(entries - total) <= tolerance && std::abs(causes - total) <= tolerance;
+        }
+        if (!agrees) ++bad_docs;
+        ++docs;
+      } while (writers_left.load() > 0);
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(bad_docs.load(), 0) << "of " << docs.load() << " documents";
+  EXPECT_GE(docs.load(), n_readers);
+  EXPECT_EQ(l.charges(), static_cast<std::uint64_t>(n_writers) * n_charges);
+}
+
 // ----------------------------------------------------------- rule parsing
 
 TEST_F(obs_test, rule_parse_roundtrip) {
@@ -563,6 +616,57 @@ TEST_F(obs_test, ordered_reads_match_a_sorted_reference_through_resets_and_impor
     ++reads;
   }
   EXPECT_GT(reads, 500);
+}
+
+TEST_F(obs_test, reused_cell_text_equals_a_fresh_render) {
+  // The ledger hands back each cell's kept text until a charge changes the
+  // cell; reset() and import_state() drop all of it. After every step of a
+  // seeded mix of charges (new keys, keys that sort between rendered ones,
+  // rendered keys again), scrapes, resets and re-imports, both renderings
+  // must equal those of a fresh ledger loaded with the same state, which
+  // renders every cell anew.
+  auto& l = obs::energy_ledger::instance();
+  synergy::common::pcg32 rng{20261019};
+  obs::snapshot_options opts;
+  opts.include_metrics = false;
+  std::vector<obs::charge_key> charged;
+  const auto charge = [&](const obs::charge_key& k) {
+    l.charge(k, static_cast<obs::cause>(rng.bounded(static_cast<std::uint32_t>(obs::n_causes))),
+             0.125 * (1 + rng.bounded(80)));
+  };
+  for (int step = 0; step < 1000; ++step) {
+    const auto op = rng.bounded(100);
+    if (op < 45 || charged.empty()) {
+      // Mostly new keys, landing anywhere in the key order.
+      charged.push_back({"n" + std::to_string(rng.bounded(8)), rng.bounded(2) ? "V100" : "A100",
+                         "j" + std::to_string(rng.bounded(1000)), "k"});
+      charge(charged.back());
+    } else if (op < 92) {
+      for (auto n = 1 + rng.bounded(3); n > 0; --n)
+        charge(charged[rng.bounded(static_cast<std::uint32_t>(charged.size()))]);
+    } else if (op < 95) {
+      l.scrape(step);
+    } else if (op < 96) {
+      l.reset();
+      charged.clear();
+    } else {
+      l.import_state(l.export_state());
+    }
+    obs::energy_ledger fresh;
+    fresh.import_state(l.export_state());
+    // Either format may render first.
+    if (rng.bounded(2) == 0) {
+      ASSERT_EQ(obs::render_json(l, nullptr, opts), obs::render_json(fresh, nullptr, opts))
+          << "step " << step;
+      ASSERT_EQ(obs::render_prometheus(l, opts), obs::render_prometheus(fresh, opts))
+          << "step " << step;
+    } else {
+      ASSERT_EQ(obs::render_prometheus(l, opts), obs::render_prometheus(fresh, opts))
+          << "step " << step;
+      ASSERT_EQ(obs::render_json(l, nullptr, opts), obs::render_json(fresh, nullptr, opts))
+          << "step " << step;
+    }
+  }
 }
 
 TEST_F(obs_test, prometheus_label_values_escape_only_backslash_quote_and_newline) {
