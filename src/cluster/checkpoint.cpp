@@ -49,7 +49,7 @@ struct parse_fail : std::runtime_error {
 constexpr std::uint64_t max_count = 1ull << 24;
 
 /// The payload schema, named on the payload's first line.
-constexpr std::uint64_t payload_schema = 3;
+constexpr std::uint64_t payload_schema = 4;
 
 constexpr char hex_digits[] = "0123456789abcdef";
 
@@ -432,6 +432,7 @@ common::status write_checkpoint_file(const fs::path& file, std::string_view payl
 /// Where the payload's layout lives. A friend of simulator, so the
 /// transfer()s below can name its private records.
 struct checkpoint_layout {
+  using queue_entry = simulator::queue_entry;
   using running_job = simulator::running_job;
   using event_kind = simulator::event_kind;
   using entry = simulator::sim_engine::entry;
@@ -499,30 +500,26 @@ void transfer(Ar& ar, S& s) {
   ar(s.node, s.gpu);
 }
 
-template <class Ar, record<traced_job> J>
-void transfer(Ar& ar, J& j) {
-  ar(j.id, j.name, j.submit_s, j.n_gpus, j.kernel, j.work_items, j.iterations, j.target,
-     j.deferrable, j.deadline_s);
-}
-
+/// A result row holds what happened, never the trace row's columns: the
+/// results section has one row per trace row, in trace order.
 template <class Ar, record<job_result> R>
 void transfer(Ar& ar, R& r) {
-  ar(r.id, r.name, r.kernel, r.target).en(r.state, sched::job_state::cancelled, "job state");
-  ar(r.n_gpus, r.submit_s, r.start_s, r.end_s, r.queue_wait_s, r.gpu_energy_j, r.core_mhz,
-     r.demoted, r.clock_set_failed, r.energy_degraded, r.requeues, r.failure_reason);
+  ar.en(r.state, sched::job_state::cancelled, "job state")(
+      r.start_s, r.end_s, r.queue_wait_s, r.gpu_energy_j, r.core_mhz, r.demoted,
+      r.clock_set_failed, r.energy_degraded, r.requeues, r.failure_reason);
 }
 
-template <class Ar, record<queued_job> Q>
+template <class Ar, record<checkpoint_layout::queue_entry> Q>
 void transfer(Ar& ar, Q& q) {
-  ar(q.job, q.est_runtime_s);
+  ar(q.row, q.est_runtime_s, q.econ_deferred);
 }
 
 /// A running job without its governor state: serialize_checkpoint() refuses
-/// governed jobs. Its id, start time, energy and node name are read from
-/// its trace row, its result row and the inventory.
+/// governed jobs. Its submission, start time, energy and node name are read
+/// from its trace row, its result row and the inventory.
 template <class Ar, record<checkpoint_layout::running_job> J>
 void transfer(Ar& ar, J& rj) {
-  ar(rj.epoch, rj.gpus, rj.job, rj.est, rj.busy_until, rj.duration, rj.avg_power_w)
+  ar(rj.epoch, rj.gpus, rj.row, rj.est, rj.busy_until, rj.duration, rj.avg_power_w)
       .en(rj.why, static_cast<obs::cause>(obs::n_causes - 1), "attribution cause");
 }
 
@@ -650,7 +647,7 @@ void checkpoint_layout::payload(Ar& ar, const simulator& sim, State& st, section
   ar(x.ledger);
   if (ar.present("watchdog", x.watchdog)) ar(*x.watchdog);
   ar.rows("metrics", "", x.metrics);
-  if (ar.present("econ", x.econ)) ar(*x.econ).rows("edef", "ed", st.econ_deferred_ids);
+  if (ar.present("econ", x.econ)) ar(*x.econ);
   ar.line("end");
 }
 
@@ -748,9 +745,8 @@ common::status simulator::restore_checkpoint(const std::string& payload,
   // --- cross-validation: every check that can reject the payload ---
   if (x.fingerprint != common::crc32(config_fingerprint()))
     return reject("config fingerprint mismatch (different cluster/policy/fault setup)");
-  job_index rows;
   try {
-    rows = job_index{trace};
+    validate_trace(trace);
   } catch (const std::invalid_argument& e) {
     return reject(e.what());
   }
@@ -762,11 +758,15 @@ common::status simulator::restore_checkpoint(const std::string& payload,
   if (x.watchdog.has_value() != (watchdog_ != nullptr))
     return reject("watchdog presence differs from the exporting run");
   if (x.nodes.empty()) return reject("nodes: empty inventory");
-  for (const auto& name : x.nodes)
-    if (node_ordinal(name) >= config_.n_nodes) return reject("nodes: not an inventory node name");
+  // Which ordinals are up; a node joins the inventory once.
+  std::vector<bool> up(config_.n_nodes, false);
+  for (const auto& name : x.nodes) {
+    const std::size_t ordinal = node_ordinal(name);
+    if (ordinal >= config_.n_nodes) return reject("nodes: not an inventory node name");
+    if (up[ordinal]) return reject("nodes: node " + name + " appears twice");
+    up[ordinal] = true;
+  }
   if (st.results.size() != trace.jobs.size()) return reject("per-job result count mismatch");
-  for (std::size_t i = 0; i < st.results.size(); ++i)
-    if (st.results[i].id != trace.jobs[i].id) return reject("job id order mismatch");
   // complete() and governor_tick() binary-search the running jobs by epoch.
   if (std::adjacent_find(st.running.begin(), st.running.end(),
                          [](const running_job& a, const running_job& b) {
@@ -780,26 +780,23 @@ common::status simulator::restore_checkpoint(const std::string& payload,
                            return !(a.key < b.key);
                          }) != x.ledger.cells.end())
     return reject("ledger: cells out of key order or repeated");
-  // Queued and running jobs are copies of trace rows, and job events name
-  // trace job ids: anything else would fault mid-resume.
-  const auto in_trace = [&](const traced_job& j) {
-    const std::size_t row = rows.row(j.id);
-    return row != job_index::npos && trace.jobs[row] == j;
-  };
+  // Queued jobs, running jobs and job events name trace rows: a row past
+  // the trace would fault mid-resume.
+  const std::size_t n_rows = trace.jobs.size();
   // A job's phase is recorded twice, by its result row's state and by where
   // the job sits: each queued job is pending, each running job is running,
   // neither appears twice, and every running row has its running job.
-  std::vector<bool> placed(st.results.size(), false);
-  const auto misplaced = [&](int id, sched::job_state phase) {
-    const std::size_t row = rows.row(id);
+  std::vector<bool> placed(n_rows, false);
+  const auto misplaced = [&](std::size_t row, sched::job_state phase) {
     const bool bad = placed[row] || st.results[row].state != phase;
     placed[row] = true;
     return bad;
   };
-  for (const auto& qj : st.queue) {
-    const std::string job = "queue: job " + std::to_string(qj.job.id);
-    if (!in_trace(qj.job)) return reject(job + " does not match the trace");
-    if (misplaced(qj.job.id, sched::job_state::pending))
+  for (const auto& qe : st.queue) {
+    if (qe.row >= n_rows)
+      return reject("queue: row " + std::to_string(qe.row) + " past the trace");
+    const std::string job = "queue: job " + std::to_string(trace.jobs[qe.row].id);
+    if (misplaced(qe.row, sched::job_state::pending))
       return reject(job + " appears twice or its result row is not pending");
   }
   // The running jobs are the occupancy: each holds GPUs of the inventory
@@ -808,9 +805,10 @@ common::status simulator::restore_checkpoint(const std::string& payload,
   std::vector<std::vector<bool>> held(x.nodes.size(),
                                       std::vector<bool>(config_.gpus_per_node, false));
   for (const auto& rj : st.running) {
-    const std::string job = "running: job " + std::to_string(rj.job.id);
-    if (!in_trace(rj.job)) return reject(job + " does not match the trace");
-    if (misplaced(rj.job.id, sched::job_state::running))
+    if (rj.row >= n_rows)
+      return reject("running: row " + std::to_string(rj.row) + " past the trace");
+    const std::string job = "running: job " + std::to_string(trace.jobs[rj.row].id);
+    if (misplaced(rj.row, sched::job_state::running))
       return reject(job + " appears twice or its result row is not running");
     if (rj.epoch >= st.next_epoch) return reject("running-job epoch out of range");
     if (rj.gpus.empty()) return reject(job + " holds no GPUs");
@@ -821,37 +819,41 @@ common::status simulator::restore_checkpoint(const std::string& payload,
       held[s.node][s.gpu] = true;
     }
   }
-  for (std::size_t i = 0; i < st.results.size(); ++i)
+  for (std::size_t i = 0; i < n_rows; ++i)
     if (st.results[i].state == sched::job_state::running && !placed[i])
-      return reject("results: job " + std::to_string(st.results[i].id) +
+      return reject("results: job " + std::to_string(trace.jobs[i].id) +
                     " is running without a running job");
   if (!std::isfinite(x.now) || x.now < 0.0) return reject("events: engine clock out of range");
   for (const auto& e : x.events) {
     const std::int64_t id = e.event.id;
+    const auto below = [id](std::size_t n) {
+      return id >= 0 && static_cast<std::uint64_t>(id) < n;
+    };
     bool ok = std::isfinite(e.t) && e.t >= x.now && e.seq < x.next_seq;
     switch (e.event.kind) {
-      case event_kind::arrival:
-        ok = ok && id >= 0 && static_cast<std::uint64_t>(id) < trace.jobs.size();
-        break;
+      case event_kind::arrival: ok = ok && below(n_rows); break;
       case event_kind::completion:
       case event_kind::governor_tick:
-        ok = ok && rows.row(id) != job_index::npos && e.event.epoch < st.next_epoch;
+        ok = ok && below(n_rows) && e.event.epoch < st.next_epoch;
         break;
       case event_kind::device_lost:
-      case event_kind::node_restart:
-        ok = ok && id >= 0 && static_cast<std::uint64_t>(id) < config_.n_nodes;
-        break;
+      case event_kind::node_restart: ok = ok && below(config_.n_nodes); break;
       default: break;
     }
     if (!ok)
       return reject("events: pending event (seq " + std::to_string(e.seq) + ") out of range");
+    // node_crash() schedules one restart per node it removed, so a restart
+    // names a node that is down and restarts it once; any other would add a
+    // second node of one name.
+    if (e.event.kind == event_kind::node_restart) {
+      if (up[static_cast<std::size_t>(id)])
+        return reject("events: restart of " + node_name(static_cast<std::size_t>(id)) +
+                      ", which is up or already restarting");
+      up[static_cast<std::size_t>(id)] = true;
+    }
   }
   if (x.econ.has_value() != config_.econ.usable())
     return reject("econ accounting presence differs from the exporting run");
-  for (const int id : st.econ_deferred_ids)
-    if (std::none_of(st.queue.begin(), st.queue.end(),
-                     [id](const queued_job& qj) { return qj.job.id == id; }))
-      return reject("econ-deferred job id not present in the queue");
   auto& registry = telemetry::metrics_registry::instance();
   if (!registry.accepts(x.metrics)) return reject("metrics registry shape mismatch");
   if (x.guard && !ckpt_.guard->accepts(*x.guard))
@@ -876,7 +878,6 @@ common::status simulator::restore_checkpoint(const std::string& payload,
   ctl_ = std::make_unique<sched::controller>(std::move(nodes));
 
   run_ = std::move(st);
-  job_rows_ = std::move(rows);
 
   // Fresh budget and view over the restored inventory; the running jobs
   // re-register their demand, node occupancy and GPUs. No restore-time

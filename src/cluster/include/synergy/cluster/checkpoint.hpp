@@ -9,7 +9,8 @@
 /// periodic virtual-time cadence: the event heap itself (flat
 /// {t, seq, kind, id, epoch} records, written as they stand and restored
 /// verbatim), the node inventory, the queued and running jobs (the running
-/// jobs are the GPU occupancy), per-job results, the run counters
+/// jobs are the GPU occupancy) and per-job results, each naming its job by
+/// its trace row, the run counters
 /// (the run_summary field table), both RNG streams mid-draw, the
 /// drift/quarantine and plan-cache state of the guard chain, the obs energy
 /// ledger, the SLO watchdog, and the metrics registry.
@@ -58,7 +59,7 @@ namespace synergy::cluster {
 /// Envelope kind sealing every checkpoint artefact.
 inline constexpr std::string_view checkpoint_kind = "cluster_checkpoint";
 /// Envelope version (enforced as an upper bound on open). The payload names
-/// its own schema on its first line, `synergy_ckpt 3`; the parser rejects
+/// its own schema on its first line, `synergy_ckpt 4`; the parser rejects
 /// any other schema as "unknown payload schema version".
 inline constexpr unsigned checkpoint_version = 1;
 /// Exit code of the crash-injection harness (checkpoint_options::crash_at_s)

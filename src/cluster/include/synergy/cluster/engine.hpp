@@ -3,8 +3,9 @@
 /// \file engine.hpp
 /// Deterministic discrete-event engine on virtual time.
 ///
-/// The cluster simulation advances by *events* (job arrivals, placements,
-/// completions, cap rebalances), never by wall clock, so a 64-node /
+/// The cluster simulation advances by *events* (job arrivals and
+/// completions, governor ticks, device losses, node crashes and restarts,
+/// scrape, econ and checkpoint ticks), never by wall clock, so a 64-node /
 /// 1000-job day of cluster operation replays in milliseconds and
 /// bit-identically across runs and platforms. Events at equal timestamps
 /// fire in schedule order (a monotone sequence number breaks ties), which

@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace synergy::cluster {
@@ -51,33 +50,20 @@ struct job_trace {
   [[nodiscard]] std::string to_csv() const;
 
   /// Inverse of to_csv(); throws std::invalid_argument on malformed input,
-  /// including a row or an id job_index rejects.
+  /// including a trace validate_trace() rejects.
   [[nodiscard]] static job_trace from_csv(const std::string& text);
 
   friend bool operator==(const job_trace&, const job_trace&) = default;
 };
 
-/// The rows of a trace by job id: (id, row) pairs sorted by id, so a lookup
-/// is a binary search. An index exists only for a trace a replay can run:
-/// ids are unique (replays key every per-job record by id) and every row has
+/// Check that a replay can run `trace`: ids are unique (a replay's
+/// checkpoints and reports name each job by it) and every row has
 /// n_gpus >= 1, iterations >= 1, work_items > 0, submit_s >= 0 and a
-/// deadline (when set) no earlier than its submit time. The loader, run()
-/// and restore all build one, so all three reject the same traces.
-class job_index {
- public:
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  job_index() = default;
-  /// Throws std::invalid_argument naming the first row that breaks a row
-  /// rule, or else a repeated id (the smallest).
-  explicit job_index(const job_trace& trace);
-
-  /// Row of job `id` in the indexed trace; npos when no job has it.
-  [[nodiscard]] std::size_t row(std::int64_t id) const;
-
- private:
-  std::vector<std::pair<int, std::size_t>> rows_;
-};
+/// deadline (when set) no earlier than its submit time. Throws
+/// std::invalid_argument naming the first row that breaks a row rule, or
+/// else a repeated id (the smallest). The loader, run() and restore all
+/// call it, so all three reject the same traces.
+void validate_trace(const job_trace& trace);
 
 /// Mix knobs of the synthetic generator. Arrivals are Poisson
 /// (exponential inter-arrival times of mean `mean_interarrival_s`); job

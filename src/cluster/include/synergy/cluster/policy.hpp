@@ -84,10 +84,12 @@ struct placement {
   obs::cause plan_cause{obs::cause::oracle};
 };
 
-/// Job as the policy sees it: the trace row plus the simulator's runtime
-/// estimate at default clocks (the "user-provided" estimate EASY needs).
+/// Job as the policy sees it: its row of the replayed trace plus the
+/// simulator's runtime estimate at default clocks (the "user-provided"
+/// estimate EASY needs). The simulator builds one for each defer() and
+/// place() call, so a policy must not keep it past the call.
 struct queued_job {
-  traced_job job;
+  const traced_job& job;
   double est_runtime_s{0.0};
 };
 

@@ -21,7 +21,6 @@
 #include <iosfwd>
 #include <limits>
 #include <memory>
-#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -181,15 +180,11 @@ struct cluster_config {
   double obs_scrape_interval_s{0.0};
 };
 
-/// Per-job outcome (sacct row of the simulated run).
+/// What happened to one job of the replayed trace: simulator::results()[i]
+/// is row i's outcome. The submission columns (id, name, kernel, target,
+/// GPU count, submit time) are read from the trace row, never copied here.
 struct job_result {
-  int id{0};
-  std::string name;
-  std::string kernel;
-  std::string target;
   sched::job_state state{sched::job_state::pending};
-  int n_gpus{0};
-  double submit_s{0.0};
   double start_s{-1.0};
   double end_s{-1.0};
   double queue_wait_s{0.0};
@@ -272,10 +267,11 @@ class simulator {
 
   /// Replay `trace` to completion; resets all per-run state first, so one
   /// simulator can replay several traces. Throws std::invalid_argument,
-  /// before resetting anything, when two jobs share an id or a row breaks
-  /// a row rule of job_index.
+  /// before resetting anything, when validate_trace() rejects `trace`.
   run_summary run(const job_trace& trace);
 
+  /// One outcome per row of the trace the last run()/resume() replayed, in
+  /// trace order.
   [[nodiscard]] const std::vector<job_result>& results() const { return run_.results; }
 
   /// Modelled facility power sampled after every event, as (time, watts)
@@ -332,7 +328,7 @@ class simulator {
   /// Restore state from a checkpoint payload (already opened fail-closed
   /// through the envelope). `trace` must be the same trace the exporting
   /// run replayed — identity is verified by CRC over its CSV rendering —
-  /// and must not repeat a job id or break a row rule of job_index.
+  /// and must pass validate_trace().
   /// On any parse/consistency error the simulator is left untouched and
   /// the status names the offending section. Call set_checkpointing() and
   /// attach_observability() (when the exporting run had them) first.
@@ -354,7 +350,9 @@ class simulator {
   /// Checkpoint files written by this simulator so far.
   [[nodiscard]] std::uint64_t checkpoints_written() const { return run_.ckpt_index; }
 
-  /// Print the per-job sacct-style table of the last run.
+  /// Print the per-job sacct-style table of the last run. Id, kernel,
+  /// target and GPU count come from the trace the last run()/resume()
+  /// replayed, which must still be alive.
   void report(std::ostream& os) const;
 
  private:
@@ -371,9 +369,9 @@ class simulator {
   /// checkpoint's `ev` kind column: append, never renumber. Kinds from
   /// `checkpoint` on are never written; resume() re-arms them itself.
   enum class event_kind : std::uint8_t {
-    arrival,        ///< id = trace index
-    completion,     ///< id = job id, epoch = the job's incarnation
-    governor_tick,  ///< id = job id, epoch = the job's incarnation
+    arrival,        ///< id = trace row
+    completion,     ///< id = trace row, epoch = the job's incarnation
+    governor_tick,  ///< id = trace row, epoch = the job's incarnation
     device_lost,    ///< id = node ordinal (the NNN of cnNNN)
     node_crash,     ///< the victim is drawn when it fires
     node_restart,   ///< id = node ordinal
@@ -405,8 +403,8 @@ class simulator {
   void schedule(double t, event_kind kind, std::int64_t id = 0, std::uint64_t epoch = 0);
   /// The single dispatch point: every event the engine fires lands here.
   void dispatch(const sim_event& e);
-  void arrive(const traced_job& job);
-  void complete(int job_id, std::uint64_t epoch);
+  void arrive(std::size_t row);
+  void complete(std::size_t row, std::uint64_t epoch);
   /// A GPU on `node_name` fell off the bus: requeue every job running
   /// there, drain and remove the node, shrink the inventory.
   void device_lost(const std::string& node_name);
@@ -457,11 +455,10 @@ class simulator {
   /// Ledger sample, watchdog evaluation and scrape hook at `t`.
   void scrape(double t);
   /// Governor poll for one governed job (epoch-guarded like complete()).
-  void governor_tick(int job_id, std::uint64_t epoch);
+  void governor_tick(std::size_t row, std::uint64_t epoch);
   /// Drift multiplier on modelled power at `core_mhz`, as of now.
   [[nodiscard]] double drift_factor_now(double core_mhz) const;
   void sample_power();
-  [[nodiscard]] job_result& result_of(int job_id);
 
   cluster_config config_;
   std::unique_ptr<scheduling_policy> policy_;
@@ -470,25 +467,32 @@ class simulator {
   gpusim::dvfs_model model_;
 
   sim_engine engine_;
-  /// The trace the current run()/resume() replays (arrivals index it).
+  /// The trace the current run()/resume() replays. Every per-job record
+  /// names its job by its row here, which is also its run_.results row.
   const job_trace* trace_{nullptr};
-  /// Row of each job id in the trace, which is also its run_.results row;
-  /// result_of() searches it.
-  job_index job_rows_;
   /// Pending events for which is_live() holds.
   std::size_t live_events_{0};
   std::unique_ptr<power_budget> budget_;
+  /// A waiting job: its trace row, its default-clock runtime estimate, and
+  /// whether a defer() verdict has held it since it entered the queue (its
+  /// start then attributes to cause::econ_deferred). The flag leaves the
+  /// queue with its entry.
+  struct queue_entry {
+    std::size_t row{0};
+    double est_runtime_s{0.0};
+    bool econ_deferred{false};
+  };
   /// A job holding GPUs. The running jobs are the only record of which GPUs
   /// are busy until when, and view_ indexes them per GPU. Nothing another
-  /// record holds is copied here: the id is job.id, the start time and the
-  /// pre-charged energy are in the job's result row, and node_of() names
-  /// the node from the inventory.
+  /// record holds is copied here: the submission is the trace row, the
+  /// start time and the pre-charged energy are in the row's result, and
+  /// node_of() names the node from the inventory.
   struct running_job {
     /// Generation counter: a requeued job's stale completion event (which
     /// the engine cannot cancel) no longer matches and is ignored.
     std::uint64_t epoch{0};
     std::vector<gpu_slot> gpus;
-    traced_job job;          ///< original submission, for requeueing
+    std::size_t row{0};      ///< trace row
     double est{0.0};         ///< default-clock runtime estimate (queue entry)
     double busy_until{0.0};  ///< modelled end; governor ticks move it
     double duration{0.0};
@@ -510,11 +514,12 @@ class simulator {
     double cur_util{0.0};          ///< modelled compute utilisation at it
     double target_w{0.0};          ///< hybrid watt target (predicted power)
   };
-  /// The running incarnation `epoch` of job `job_id`, or run_.running.end()
-  /// when it is no longer running (a stale event). A binary search:
-  /// run_.running is in epoch order, because start() appends each new epoch,
-  /// erasing keeps the order, and restore_checkpoint() rejects any other.
-  std::vector<running_job>::iterator find_running(int job_id, std::uint64_t epoch);
+  /// The running incarnation `epoch` of trace row `row`, or
+  /// run_.running.end() when it is no longer running (a stale event). A
+  /// binary search: run_.running is in epoch order, because start() appends
+  /// each new epoch, erasing keeps the order, and restore_checkpoint()
+  /// rejects any other.
+  std::vector<running_job>::iterator find_running(std::size_t row, std::uint64_t epoch);
   /// Name of the node of `rj`'s first GPU, where its joules are charged.
   [[nodiscard]] const std::string& node_of(const running_job& rj) const;
   /// Mark `rj`'s GPUs busy until rj.busy_until in view_, register their
@@ -534,7 +539,7 @@ class simulator {
   /// restore rebuilds view_, the budget's draw and the node job counts by
   /// occupying each running job.
   struct run_state {
-    std::vector<queued_job> queue{};
+    std::vector<queue_entry> queue{};
     std::vector<job_result> results{};
     std::vector<running_job> running{};
     /// The run's counters, accumulated in place. The power budget counts
@@ -553,9 +558,6 @@ class simulator {
     std::uint64_t scrape_ticks{0};
     std::uint64_t ckpt_index{0};  ///< checkpoint files written so far
     std::uint64_t trace_crc{0};   ///< CRC-32 of the running trace's CSV form
-    /// Jobs a defer() verdict is currently holding in the queue — their
-    /// eventual start attributes to cause::econ_deferred.
-    std::set<int> econ_deferred_ids{};
     common::pcg32 fault_rng{0};
     common::pcg32 chaos_rng{0};
   };

@@ -25,7 +25,7 @@ std::string exact(double v) {
 
 constexpr const char* header_magic = "# synergy-cluster-trace v1";
 
-/// The row rules job_index enforces (job_trace.hpp).
+/// The row rules validate_trace() enforces (job_trace.hpp).
 void check_job_row(const traced_job& job) {
   if (std::isnan(job.deadline_s) || (job.deadline_s >= 0.0 && !(job.deadline_s >= job.submit_s)))
     throw std::invalid_argument("job_trace: deadline before submit for id " +
@@ -96,27 +96,21 @@ job_trace job_trace::from_csv(const std::string& text) {
     }
     trace.jobs.push_back(std::move(j));
   }
-  static_cast<void>(job_index{trace});  // rejects a bad row or a repeated id
+  validate_trace(trace);
   return trace;
 }
 
-job_index::job_index(const job_trace& trace) {
-  rows_.reserve(trace.jobs.size());
-  for (std::size_t i = 0; i < trace.jobs.size(); ++i) {
-    check_job_row(trace.jobs[i]);
-    rows_.emplace_back(trace.jobs[i].id, i);
+void validate_trace(const job_trace& trace) {
+  std::vector<int> ids;
+  ids.reserve(trace.jobs.size());
+  for (const auto& job : trace.jobs) {
+    check_job_row(job);
+    ids.push_back(job.id);
   }
-  std::sort(rows_.begin(), rows_.end());
-  const auto repeat = std::adjacent_find(
-      rows_.begin(), rows_.end(), [](const auto& a, const auto& b) { return a.first == b.first; });
-  if (repeat != rows_.end())
-    throw std::invalid_argument("job_trace: repeated job id " + std::to_string(repeat->first));
-}
-
-std::size_t job_index::row(std::int64_t id) const {
-  const auto it = std::lower_bound(rows_.begin(), rows_.end(), id,
-                                   [](const auto& r, std::int64_t v) { return r.first < v; });
-  return it != rows_.end() && it->first == id ? it->second : npos;
+  std::sort(ids.begin(), ids.end());
+  const auto repeat = std::adjacent_find(ids.begin(), ids.end());
+  if (repeat != ids.end())
+    throw std::invalid_argument("job_trace: repeated job id " + std::to_string(*repeat));
 }
 
 job_trace generate_trace(const trace_config& config) {

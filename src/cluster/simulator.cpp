@@ -135,18 +135,12 @@ void simulator::rebuild_controller() {
 
 simulator::~simulator() = default;
 
-job_result& simulator::result_of(int job_id) {
-  const std::size_t row = job_rows_.row(job_id);
-  if (row == job_index::npos) throw std::out_of_range("simulator: unknown job id");
-  return run_.results[row];
-}
-
-std::vector<simulator::running_job>::iterator simulator::find_running(int job_id,
+std::vector<simulator::running_job>::iterator simulator::find_running(std::size_t row,
                                                                      std::uint64_t epoch) {
   const auto it = std::lower_bound(
       run_.running.begin(), run_.running.end(), epoch,
       [](const running_job& rj, std::uint64_t e) { return rj.epoch < e; });
-  if (it == run_.running.end() || it->epoch != epoch || it->job.id != job_id)
+  if (it == run_.running.end() || it->epoch != epoch || it->row != row)
     return run_.running.end();
   return it;
 }
@@ -267,9 +261,9 @@ void simulator::dispatch(const sim_event& e) {
     run_.last_live_t = engine_.now();
   }
   switch (e.kind) {
-    case event_kind::arrival: arrive(trace_->jobs[static_cast<std::size_t>(e.id)]); break;
-    case event_kind::completion: complete(static_cast<int>(e.id), e.epoch); break;
-    case event_kind::governor_tick: governor_tick(static_cast<int>(e.id), e.epoch); break;
+    case event_kind::arrival: arrive(static_cast<std::size_t>(e.id)); break;
+    case event_kind::completion: complete(static_cast<std::size_t>(e.id), e.epoch); break;
+    case event_kind::governor_tick: governor_tick(static_cast<std::size_t>(e.id), e.epoch); break;
     case event_kind::device_lost: device_lost(node_name(static_cast<std::size_t>(e.id))); break;
     case event_kind::node_crash: node_crash(); break;
     case event_kind::node_restart: node_restart(static_cast<std::size_t>(e.id)); break;
@@ -285,14 +279,15 @@ void simulator::dispatch(const sim_event& e) {
   }
 }
 
-void simulator::arrive(const traced_job& job) {
+void simulator::arrive(std::size_t row) {
+  const traced_job& job = trace_->jobs[row];
   integrate_to(engine_.now());
   SYNERGY_COUNTER_ADD("cluster.arrivals", 1);
   SYNERGY_INSTANT(tel::category::sched, "cluster.arrival",
                   {"id", static_cast<double>(job.id)},
                   {"n_gpus", static_cast<double>(job.n_gpus)});
 
-  auto& r = result_of(job.id);
+  auto& r = run_.results[row];
   const std::size_t total_gpus = ctl_->node_count() * config_.gpus_per_node;
   if (static_cast<std::size_t>(job.n_gpus) > total_gpus) {
     r.state = sched::job_state::failed;
@@ -308,7 +303,7 @@ void simulator::arrive(const traced_job& job) {
   if (r.state != sched::job_state::failed) {
     const auto est =
         model_.evaluate(spec_, folded_profile(job), spec_.default_config()).time.value;
-    run_.queue.push_back(queued_job{job, est});
+    run_.queue.push_back({row, est});
     try_schedule();
   }
   sample_power();
@@ -321,14 +316,15 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
   // integral before the budget registers new draw.
   run_.last_live_t = engine_.now();
   integrate_to(engine_.now());
-  const queued_job qj = std::move(run_.queue[queue_index]);
+  const queue_entry qe = run_.queue[queue_index];
   run_.queue.erase(run_.queue.begin() + static_cast<std::ptrdiff_t>(queue_index));
+  const traced_job& job = trace_->jobs[qe.row];
   const double now = engine_.now();
 
-  auto& r = result_of(qj.job.id);
+  auto& r = run_.results[qe.row];
   r.state = sched::job_state::running;
   r.start_s = now;
-  r.queue_wait_s = now - qj.job.submit_s;
+  r.queue_wait_s = now - job.submit_s;
   auto config = pl.config.value_or(spec_.default_config());
 
   // Fault rolls happen in fixed order and count per placement, so a given
@@ -362,17 +358,14 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
   // re-priced the clocks, and a clock-set fault means the job actually ran
   // at fallback clocks.
   obs::cause why = pl.config ? pl.plan_cause : obs::cause::default_clocks;
-  if (const auto di = run_.econ_deferred_ids.find(qj.job.id); di != run_.econ_deferred_ids.end()) {
-    // The job waited out a pricey window; its joules carry the deferral tag
-    // unless the price-demotion rule already re-priced this placement.
-    run_.econ_deferred_ids.erase(di);
-    if (why != obs::cause::econ_price_demoted) why = obs::cause::econ_deferred;
-  }
+  // A job that waited out a pricey window carries the deferral tag unless
+  // the price-demotion rule already re-priced this placement.
+  if (qe.econ_deferred && why != obs::cause::econ_price_demoted) why = obs::cause::econ_deferred;
   if (r.demoted) why = obs::cause::cap_demoted;
   if (r.clock_set_failed) why = obs::cause::fault_degraded;
   if (watchdog_) watchdog_->observe_plan(why == obs::cause::model);
 
-  auto cost = model_.evaluate(spec_, folded_profile(qj.job), config);
+  auto cost = model_.evaluate(spec_, folded_profile(job), config);
   // The model's belief about this job's draw, before any drift skew — the
   // hybrid governor's watt target. Drift-free boards match it (the tracker
   // holds the seeded clock); drifted boards overshoot it (the tracker
@@ -393,15 +386,15 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
   // pre-charged: joules and busy-seconds accrue per tick segment.
   const bool governed =
       config_.governor.enabled && config_.tag_nvgpufreq && !r.clock_set_failed;
-  r.gpu_energy_j = governed ? 0.0 : cost.energy.value * qj.job.n_gpus;
-  if (!governed) run_.busy_gpu_seconds += duration * qj.job.n_gpus;
+  r.gpu_energy_j = governed ? 0.0 : cost.energy.value * job.n_gpus;
+  if (!governed) run_.busy_gpu_seconds += duration * job.n_gpus;
 
   const std::uint64_t epoch = run_.next_epoch++;
   running_job rj;
   rj.epoch = epoch;
   rj.gpus = pl.gpus;
-  rj.job = qj.job;
-  rj.est = qj.est_runtime_s;
+  rj.row = qe.row;
+  rj.est = qe.est_runtime_s;
   rj.busy_until = now + duration;
   rj.duration = duration;
   rj.avg_power_w = cost.avg_power.value;
@@ -427,16 +420,17 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
   SYNERGY_HISTOGRAM_OBSERVE("cluster.queue_wait_s", r.queue_wait_s, 0.0, 1.0, 10.0, 60.0,
                             300.0, 1800.0);
   SYNERGY_INSTANT(tel::category::sched, "cluster.placement",
-                  {"id", static_cast<double>(qj.job.id)},
-                  {"n_gpus", static_cast<double>(qj.job.n_gpus)},
+                  {"id", static_cast<double>(job.id)},
+                  {"n_gpus", static_cast<double>(job.n_gpus)},
                   {"core_mhz", r.core_mhz}, {"wait_s", r.queue_wait_s});
 
   budget_->rebalance();
   const double tick = std::max(1e-3, config_.governor.tick_interval_s);
+  const auto id = static_cast<std::int64_t>(qe.row);
   if (governed && duration > tick)
-    schedule(now + tick, event_kind::governor_tick, qj.job.id, epoch);
+    schedule(now + tick, event_kind::governor_tick, id, epoch);
   else
-    schedule(now + duration, event_kind::completion, qj.job.id, epoch);
+    schedule(now + duration, event_kind::completion, id, epoch);
   if (lose_device_here) {
     // The board dies partway through this job. Nodes are addressed by
     // ordinal because indices shift when earlier losses remove nodes.
@@ -446,8 +440,8 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
   }
 }
 
-void simulator::complete(int job_id, std::uint64_t epoch) {
-  const auto it = find_running(job_id, epoch);
+void simulator::complete(std::size_t row, std::uint64_t epoch) {
+  const auto it = find_running(row, epoch);
   // Stale completion: the job was requeued by a device-lost/node-crash event
   // after this event was scheduled (the engine cannot cancel). Ignore it —
   // the restarted incarnation carries a fresh epoch. The check runs before
@@ -461,7 +455,8 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
   run_.running.erase(it);
   release(rj);
 
-  auto& r = result_of(job_id);
+  const traced_job& job = trace_->jobs[row];
+  auto& r = run_.results[row];
   [[maybe_unused]] double governor_j = 0.0;
   if (rj.gov) {
     // Close the final accrual segment and settle the job's energy from the
@@ -488,12 +483,12 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
   // total == busy GPU energy + wasted energy. Governed jobs split the
   // charge: joules accrued before the governor first left the seeded clock
   // stay with the tier that seeded it, everything after is the governor's.
-  SYNERGY_OBS_CHARGE((obs::charge_key{node_of(rj), config_.device, r.name, r.kernel}),
+  SYNERGY_OBS_CHARGE((obs::charge_key{node_of(rj), config_.device, job.name, job.kernel}),
                      rj.why, r.gpu_energy_j - governor_j);
   if (governor_j > 0.0)
-    SYNERGY_OBS_CHARGE((obs::charge_key{node_of(rj), config_.device, r.name, r.kernel}),
+    SYNERGY_OBS_CHARGE((obs::charge_key{node_of(rj), config_.device, job.name, job.kernel}),
                        obs::cause::governor, governor_j);
-  if (watchdog_ && r.n_gpus > 0) watchdog_->observe_job(r.gpu_energy_j / r.n_gpus);
+  if (watchdog_) watchdog_->observe_job(r.gpu_energy_j / job.n_gpus);
   if (econ_meter_.active()) {
     // Shadow-price the same charges the ledger takes (econ accounting works
     // with the telemetry plane compiled out, so this is not behind the
@@ -503,8 +498,8 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
     econ_meter_.charge(rj.why, r.gpu_energy_j - governor_j, now_s);
     if (governor_j > 0.0) econ_meter_.charge(obs::cause::governor, governor_j, now_s);
     econ_meter_.complete_job();
-    if (watchdog_ && r.n_gpus > 0) {
-      const double kwh_per_gpu = r.gpu_energy_j / r.n_gpus / econ::joules_per_kwh;
+    if (watchdog_) {
+      const double kwh_per_gpu = r.gpu_energy_j / job.n_gpus / econ::joules_per_kwh;
       watchdog_->observe_job_cost(kwh_per_gpu * econ_meter_.price_at(now_s),
                                   kwh_per_gpu * econ_meter_.carbon_at(now_s));
     }
@@ -513,11 +508,11 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
   // Job lifetime on the cluster timeline (pid 3, virtual seconds).
   if (tel::enabled())
     tel::trace_recorder::instance().complete(
-        tel::category::sched, r.name, r.start_s * 1e6, (r.end_s - r.start_s) * 1e6,
+        tel::category::sched, job.name, r.start_s * 1e6, (r.end_s - r.start_s) * 1e6,
         tel::trace_event::cluster_pid,
         {{"gpu_energy_j", r.gpu_energy_j},
          {"core_mhz", r.core_mhz},
-         {"n_gpus", static_cast<double>(r.n_gpus)},
+         {"n_gpus", static_cast<double>(job.n_gpus)},
          {"wait_s", r.queue_wait_s}});
 #endif
 
@@ -526,13 +521,13 @@ void simulator::complete(int job_id, std::uint64_t epoch) {
     // size cancels out of the comparison by normalising to per-item,
     // per-GPU energy — jobs of one kernel differ in iterations and gang
     // size, and the models predict per-item metrics.
-    const double items = rj.job.work_items * rj.job.iterations;
-    const double energy_per_item = items > 0.0 ? r.gpu_energy_j / rj.job.n_gpus / items : 0.0;
-    const auto& features = workloads::find(rj.job.kernel).info.features;
+    const double items = job.work_items * job.iterations;
+    const double energy_per_item = items > 0.0 ? r.gpu_energy_j / job.n_gpus / items : 0.0;
+    const auto& features = workloads::find(job.kernel).info.features;
     const common::megahertz core{r.core_mhz};
-    recovery_guard_->observe(rj.job.kernel, features, core, energy_per_item);
+    recovery_guard_->observe(job.kernel, features, core, energy_per_item);
     recovery_manager_->record(
-        {rj.job.kernel, features, {spec_.default_config().memory, core}, energy_per_item});
+        {job.kernel, features, {spec_.default_config().memory, core}, energy_per_item});
     const bool quarantined = recovery_guard_->quarantined();
     if (quarantined && !recovery_was_quarantined_) {
       ++run_.summary.quarantines;
@@ -579,17 +574,18 @@ void simulator::accrue_governed(running_job& rj, double now) {
   if (elapsed <= 0.0) return;
   if (rj.cur_duration_full > 0.0)
     rj.frac_done = std::min(1.0, rj.frac_done + elapsed / rj.cur_duration_full);
-  const double joules = rj.cur_power_w * elapsed * rj.job.n_gpus;
+  const int n_gpus = trace_->jobs[rj.row].n_gpus;
+  const double joules = rj.cur_power_w * elapsed * n_gpus;
   if (rj.deviated)
     rj.gov_energy_j += joules;
   else
     rj.seed_energy_j += joules;
-  run_.busy_gpu_seconds += elapsed * rj.job.n_gpus;
+  run_.busy_gpu_seconds += elapsed * n_gpus;
   rj.last_tick_s = now;
 }
 
-void simulator::governor_tick(int job_id, std::uint64_t epoch) {
-  const auto it = find_running(job_id, epoch);
+void simulator::governor_tick(std::size_t row, std::uint64_t epoch) {
+  const auto it = find_running(row, epoch);
   // Stale tick: the job was requeued by a device-lost event after this tick
   // was scheduled; the restarted incarnation runs under a fresh epoch.
   if (it == run_.running.end() || !it->gov) return;
@@ -614,7 +610,7 @@ void simulator::governor_tick(int job_id, std::uint64_t epoch) {
     // Re-price the rest of the job at the new clock. Work completed so far
     // is banked in frac_done; only the remaining fraction runs at the new
     // speed and draw.
-    const auto c = model_.evaluate(spec_, folded_profile(rj.job),
+    const auto c = model_.evaluate(spec_, folded_profile(trace_->jobs[row]),
                                    {spec_.default_config().memory, decided});
     rj.cur_base_power_w = c.avg_power.value;
     rj.cur_power_w = c.avg_power.value * drift_factor_now(decided.value);
@@ -622,7 +618,7 @@ void simulator::governor_tick(int job_id, std::uint64_t epoch) {
     rj.cur_util = c.compute_utilization;
     rj.avg_power_w = rj.cur_power_w;  // budget re-registration on node loss
     if (decided.value != rj.seed_clock.value) rj.deviated = true;
-    result_of(job_id).core_mhz = decided.value;
+    run_.results[row].core_mhz = decided.value;
     for (const auto& s : rj.gpus) budget_->gpu_busy(s.node, s.gpu, rj.cur_power_w);
     budget_->rebalance();
   }
@@ -632,10 +628,11 @@ void simulator::governor_tick(int job_id, std::uint64_t epoch) {
   rj.busy_until = now + remaining;
   for (const auto& s : rj.gpus) view_.nodes[s.node].busy_until[s.gpu] = rj.busy_until;
   const double tick = std::max(1e-3, config_.governor.tick_interval_s);
+  const auto id = static_cast<std::int64_t>(row);
   if (remaining <= tick + 1e-9)
-    schedule(now + std::max(0.0, remaining), event_kind::completion, job_id, epoch);
+    schedule(now + std::max(0.0, remaining), event_kind::completion, id, epoch);
   else
-    schedule(now + tick, event_kind::governor_tick, job_id, epoch);
+    schedule(now + tick, event_kind::governor_tick, id, epoch);
   sample_power();
 }
 
@@ -655,7 +652,8 @@ std::size_t simulator::drain_node(std::size_t ni) {
   const double now = engine_.now();
   for (auto& rj : victims) {
     release(rj);
-    auto& r = result_of(rj.job.id);
+    const traced_job& job = trace_->jobs[rj.row];
+    auto& r = run_.results[rj.row];
     const double elapsed = std::max(0.0, now - r.start_s);
     double wasted = 0.0;
     if (rj.gov) {
@@ -666,14 +664,14 @@ std::size_t simulator::drain_node(std::size_t ni) {
       wasted = rj.seed_energy_j + rj.gov_energy_j;
     } else {
       const double done = rj.duration > 0.0 ? std::min(1.0, elapsed / rj.duration) : 1.0;
-      run_.busy_gpu_seconds -= (rj.duration - elapsed) * rj.job.n_gpus;
+      run_.busy_gpu_seconds -= (rj.duration - elapsed) * job.n_gpus;
       wasted = r.gpu_energy_j * done;
     }
     run_.summary.wasted_gpu_energy_j += wasted;
     // The partial execution's joules were spent and bought nothing: book
     // them as fault-wasted so the watchdog's wasted_energy_j rule sees the
     // incident on the next scrape.
-    SYNERGY_OBS_CHARGE((obs::charge_key{node_of(rj), config_.device, r.name, r.kernel}),
+    SYNERGY_OBS_CHARGE((obs::charge_key{node_of(rj), config_.device, job.name, job.kernel}),
                        obs::cause::fault_wasted, wasted);
     if (econ_meter_.active()) econ_meter_.charge(obs::cause::fault_wasted, wasted, now);
     r.gpu_energy_j = 0.0;
@@ -684,9 +682,9 @@ std::size_t simulator::drain_node(std::size_t ni) {
     ++run_.summary.requeues;
     SYNERGY_COUNTER_ADD("cluster.requeues", 1);
     SYNERGY_INSTANT(tel::category::sched, "cluster.requeue",
-                    {"id", static_cast<double>(r.id)},
+                    {"id", static_cast<double>(job.id)},
                     {"node", static_cast<double>(ni)});
-    run_.queue.push_back(queued_job{std::move(rj.job), rj.est});
+    run_.queue.push_back({rj.row, rj.est});
   }
   return victims.size();
 }
@@ -797,20 +795,24 @@ void simulator::try_schedule() {
     for (std::size_t i = 0; i < run_.queue.size(); ++i) {
       if (i > 0 && !policy_->backfills()) break;
       view.is_head = (i == 0);
-      if (i == 1) view.head_reservation_s = shadow_time(view, run_.queue[0].job.n_gpus);
-      if (econ_meter_.active() && policy_->defer(run_.queue[i], view)) {
+      if (i == 1)
+        view.head_reservation_s = shadow_time(view, trace_->jobs[run_.queue[0].row].n_gpus);
+      queue_entry& qe = run_.queue[i];
+      const queued_job qj{trace_->jobs[qe.row], qe.est_runtime_s};
+      if (econ_meter_.active() && policy_->defer(qj, view)) {
         // The policy holds this job for a cheaper window; the econ tick
         // re-runs this scan at the next price boundary. Counted per
         // deferral episode (a requeued job may defer again).
-        if (run_.econ_deferred_ids.insert(run_.queue[i].job.id).second) {
+        if (!qe.econ_deferred) {
+          qe.econ_deferred = true;
           ++run_.summary.econ_jobs_deferred;
           SYNERGY_COUNTER_ADD("cluster.econ_deferrals", 1);
         }
         continue;
       }
       // place()'s precondition: the job fits the view's free GPUs.
-      if (static_cast<std::size_t>(run_.queue[i].job.n_gpus) > free_gpus) continue;
-      auto pl = policy_->place(run_.queue[i], view);
+      if (static_cast<std::size_t>(qj.job.n_gpus) > free_gpus) continue;
+      auto pl = policy_->place(qj, view);
       if (!pl) continue;
       auto config = pl->config.value_or(spec_.default_config());
       // Price-threshold clock demotion: while the spot price sits above
@@ -827,11 +829,11 @@ void simulator::try_schedule() {
         }
       }
       bool demoted = false;
-      if (!admit(run_.queue[i].job, config, demoted)) {
+      if (!admit(qj.job, config, demoted)) {
         // Drift that set in after the job arrived can lift its floor above
         // the cap. Fail it as arrive() would have, or it blocks the queue.
-        if (!above_cap_when_idle(run_.queue[i].job)) continue;  // defer under the cap
-        auto& r = result_of(run_.queue[i].job.id);
+        if (!above_cap_when_idle(qj.job)) continue;  // defer under the cap
+        auto& r = run_.results[qe.row];
         r.state = sched::job_state::failed;
         r.failure_reason = min_draw_reason;
         SYNERGY_COUNTER_ADD("cluster.jobs_failed", 1);
@@ -842,7 +844,7 @@ void simulator::try_schedule() {
       if (demoted) {
         budget_->count_demotion();
         SYNERGY_COUNTER_ADD("cluster.cap_demotions", 1);
-        result_of(run_.queue[i].job.id).demoted = true;
+        run_.results[qe.row].demoted = true;
       }
       if (price_demoted) {
         pl->plan_cause = obs::cause::econ_price_demoted;
@@ -861,9 +863,8 @@ run_summary simulator::run(const job_trace& trace) {
   // Reset per-run state so one simulator can replay several traces. The
   // inventory is rebuilt too: a previous run may have removed nodes, or
   // re-admitted restarted ones at the end, which permutes the node order.
-  // Results are keyed by job id, so a trace that repeats one is rejected
-  // before anything is reset, as is a row the loader would reject.
-  job_rows_ = job_index{trace};
+  // A trace the loader would reject is rejected before anything is reset.
+  validate_trace(trace);
   rebuild_controller();
   engine_ = sim_engine{};
   trace_ = &trace;
@@ -883,19 +884,9 @@ run_summary simulator::run(const job_trace& trace) {
   econ_meter_ = econ::cost_meter{config_.econ, config_.n_nodes};
   restored_ = false;
 
-  run_.results.reserve(trace.jobs.size());
-  for (std::size_t i = 0; i < trace.jobs.size(); ++i) {
-    const auto& job = trace.jobs[i];
-    job_result r;
-    r.id = job.id;
-    r.name = job.name;
-    r.kernel = job.kernel;
-    r.target = job.target;
-    r.n_gpus = job.n_gpus;
-    r.submit_s = job.submit_s;
-    run_.results.push_back(std::move(r));
-    schedule(job.submit_s, event_kind::arrival, static_cast<std::int64_t>(i));
-  }
+  run_.results.resize(trace.jobs.size());
+  for (std::size_t i = 0; i < trace.jobs.size(); ++i)
+    schedule(trace.jobs[i].submit_s, event_kind::arrival, static_cast<std::int64_t>(i));
   sample_power();
   if (config_.obs_scrape_interval_s > 0.0)
     schedule(config_.obs_scrape_interval_s, event_kind::scrape);
@@ -937,8 +928,8 @@ run_summary simulator::finish_run() {
 
   // Anything still queued can never start (the queue only drains on
   // completions, and none are pending).
-  for (const auto& qj : run_.queue) {
-    auto& r = result_of(qj.job.id);
+  for (const auto& qe : run_.queue) {
+    auto& r = run_.results[qe.row];
     r.state = sched::job_state::failed;
     r.failure_reason = "deferred by the power budget with nothing left to drain";
     SYNERGY_COUNTER_ADD("cluster.jobs_failed", 1);
@@ -993,8 +984,8 @@ void simulator::econ_tick() {
   bool waiting = false;
   if (econ_meter_.active() && !run_.queue.empty()) {
     make_view();
-    for (const auto& qj : run_.queue)
-      if (policy_->defer(qj, view_)) {
+    for (const auto& qe : run_.queue)
+      if (policy_->defer({trace_->jobs[qe.row], qe.est_runtime_s}, view_)) {
         waiting = true;
         break;
       }
@@ -1052,10 +1043,12 @@ void simulator::report(std::ostream& os) const {
   common::text_table table;
   table.header({"job", "kernel", "target", "state", "gpus", "wait (s)", "run (s)",
                 "core MHz", "GPU energy (J)"});
-  for (const auto& r : run_.results) {
+  for (std::size_t i = 0; i < run_.results.size(); ++i) {
+    const auto& job = trace_->jobs[i];
+    const auto& r = run_.results[i];
     const bool ran = r.start_s >= 0.0;
-    table.row({std::to_string(r.id), r.kernel, r.target, to_string(r.state),
-               std::to_string(r.n_gpus),
+    table.row({std::to_string(job.id), job.kernel, job.target, to_string(r.state),
+               std::to_string(job.n_gpus),
                ran ? common::text_table::fmt(r.queue_wait_s, 2) : "-",
                r.end_s >= 0.0 ? common::text_table::fmt(r.end_s - r.start_s, 2) : "-",
                ran ? common::text_table::fmt(r.core_mhz, 0) : "-",

@@ -39,9 +39,11 @@ class power_manager {
   void rebalance();
 
   /// Same redistribution, but with per-node demand supplied by the caller
-  /// instead of read from the live boards. The cluster simulator uses this:
-  /// its boards' virtual clocks are decoupled from the simulation timeline,
-  /// so instantaneous board power is not a meaningful demand signal there.
+  /// instead of read from the live boards, for a caller whose boards'
+  /// virtual clocks are decoupled from its timeline, so that instantaneous
+  /// board power is not a meaningful demand signal there. (The cluster
+  /// simulator does not call it: its power budget holds the facility cap at
+  /// admission.)
   /// `demand_w` must have one entry per node (throws std::invalid_argument
   /// otherwise — e.g. a node joined or left since the demand was sampled).
   void rebalance_with_demand(const std::vector<double>& demand_w);

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -23,6 +24,7 @@
 #include "synergy/cluster/simulator.hpp"
 #include "synergy/common/envelope.hpp"
 #include "synergy/common/rng.hpp"
+#include "synergy/econ/trace.hpp"
 #include "synergy/guarded_planner.hpp"
 #include "synergy/obs/energy_ledger.hpp"
 #include "synergy/obs/slo_watchdog.hpp"
@@ -150,16 +152,17 @@ struct replay_rig {
 ///    with a watchdog attached, so the guard, plan-cache and watchdog
 ///    sections ride every artefact;
 ///  - "odd_names": the chaotic replay with job names that hold a space, '%',
-///    '~', TAB, a control byte and multi-byte UTF-8, and one empty name, so
-///    every string escape of the payload encoder rides every artefact (in
-///    the result rows and the ledger's keys, and in the trace rows of the
-///    queued and running jobs).
+///    '~', TAB, a control byte and multi-byte UTF-8, and one empty name. A
+///    job's name reaches the payload only through its ledger cells' keys,
+///    so each string escape of the payload encoder rides every artefact
+///    that holds a cell of a job with that name.
 struct replay_case {
   sc::cluster_config cc;
   sc::job_trace trace;
   bool guarded{false};
-  /// Escapes every artefact of this replay must hold.
-  std::vector<std::string> escapes;
+  /// (name prefix, its escape): an artefact holding a ledger cell of a job
+  /// whose name starts with the prefix must hold the escape.
+  std::vector<std::pair<std::string, std::string>> escapes;
   /// The guarded replay's watchdog rules: both fire once (the table tier
   /// plans everything; chaos wastes energy).
   std::string rules{"fallback_ratio > 0.5 window 4\nwasted_energy_j > 0\n"};
@@ -216,7 +219,9 @@ replay_case replay_named(const std::string& name) {
     for (auto& j : rc.trace.jobs) j.name = odd[j.id % odd.size()] + std::to_string(j.id);
     rc.trace.jobs[3].name.clear();
     // Multi-byte UTF-8 is copied verbatim; the rest escape as %XX.
-    rc.escapes = {"job%20one", "100%25", "%7e", "tab%09here", "ctl%01", utf8};
+    const std::vector<std::string> escaped{"job%20one", "100%25", "%7e",
+                                           "tab%09here", "ctl%01", utf8};
+    for (std::size_t i = 0; i < odd.size(); ++i) rc.escapes.emplace_back(odd[i], escaped[i]);
   }
   return rc;
 }
@@ -311,8 +316,17 @@ std::size_t first_row(const rows_t& rows, const std::string& tag) {
   return rows.size();
 }
 
-/// Index of the job id token in a `runj` row: after the tag, the epoch and
-/// the counted GPU list (`<n> (<node> <gpu>)...`).
+/// Append `row` to section `sect` (`<sect> <n>` and its n rows), counting
+/// it in the section header.
+void append_row(rows_t& rows, const std::string& sect, std::vector<std::string> row) {
+  const std::size_t header = first_row(rows, sect);
+  const std::size_t n = std::stoul(rows[header][1]);
+  rows[header][1] = std::to_string(n + 1);
+  rows.insert(rows.begin() + static_cast<std::ptrdiff_t>(header + 1 + n), std::move(row));
+}
+
+/// Index of the trace row token in a `runj` row: after the tag, the epoch
+/// and the counted GPU list (`<n> (<node> <gpu>)...`).
 std::size_t runj_job_token(const std::vector<std::string>& runj) {
   return 3 + 2 * std::stoul(runj[2]);
 }
@@ -373,6 +387,9 @@ class resume_sweep : public checkpoint_test,
 
 TEST_P(resume_sweep, EveryMidRunCheckpointResumesByteIdentical) {
   const auto rc = replay_named(GetParam());
+  // Names reach an artefact only through ledger cells; without charge
+  // sites, odd_names would replay "chaotic" again.
+  if (!rc.escapes.empty()) SYNERGY_REQUIRE_CHARGE_SITES();
   const auto& trace = rc.trace;
   const auto& cc = rc.cc;
 
@@ -397,11 +414,10 @@ TEST_P(resume_sweep, EveryMidRunCheckpointResumesByteIdentical) {
   const auto files = checkpoint_files(dir);
   ASSERT_GE(files.size(), 3u);
 
+  std::vector<bool> escape_seen(rc.escapes.size(), false);
   for (const auto& file : files) {
     const auto payload = sc::read_checkpoint_payload(file);
     ASSERT_TRUE(payload.has_value()) << file << ": " << payload.err().message;
-    for (const auto& escape : rc.escapes)
-      EXPECT_NE(payload.value().find(escape), std::string::npos) << escape << " in " << file;
 
     // Dirty the globals first: a restore must overwrite, not merge.
     reset_globals();
@@ -412,6 +428,13 @@ TEST_P(resume_sweep, EveryMidRunCheckpointResumesByteIdentical) {
     auto& resumed = *rig.sim;
     const auto st = resumed.restore_checkpoint(payload.value(), trace);
     ASSERT_TRUE(st.ok()) << file << ": " << st.err().message;
+    for (const auto& cell : obs::energy_ledger::instance().entries())
+      for (std::size_t i = 0; i < rc.escapes.size(); ++i)
+        if (cell.key.job.starts_with(rc.escapes[i].first)) {
+          escape_seen[i] = true;
+          EXPECT_NE(payload.value().find(rc.escapes[i].second), std::string::npos)
+              << rc.escapes[i].second << " in " << file;
+        }
     // Round trip: the restored state writes the artefact it was read from.
     // (No crash injection is pending here, so the written events are the
     // whole heap.)
@@ -424,8 +447,7 @@ TEST_P(resume_sweep, EveryMidRunCheckpointResumesByteIdentical) {
     const auto& ref_results = ref.sim->results();
     ASSERT_EQ(resumed.results().size(), ref_results.size());
     for (std::size_t i = 0; i < ref_results.size(); ++i) {
-      EXPECT_EQ(resumed.results()[i].id, ref_results[i].id);
-      EXPECT_EQ(resumed.results()[i].name, ref_results[i].name);
+      EXPECT_EQ(resumed.results()[i].state, ref_results[i].state);
       // Exact double equality on purpose: the contract is bit-identity.
       EXPECT_EQ(resumed.results()[i].gpu_energy_j, ref_results[i].gpu_energy_j);
       EXPECT_EQ(resumed.results()[i].end_s, ref_results[i].end_s);
@@ -436,6 +458,8 @@ TEST_P(resume_sweep, EveryMidRunCheckpointResumesByteIdentical) {
       EXPECT_EQ(alerts_jsonl(*rig.watchdog), alerts_jsonl(*ref.watchdog)) << file;
     }
   }
+  for (std::size_t i = 0; i < rc.escapes.size(); ++i)
+    EXPECT_TRUE(escape_seen[i]) << "no artefact holds a cell of " << rc.escapes[i].second;
 
   std::filesystem::remove_all(dir);
 }
@@ -523,6 +547,112 @@ TEST_F(checkpoint_test, NodeChaosReplaysConserveEnergyAcrossResume) {
   std::filesystem::remove_all(dir);
 }
 
+// ------------------------------------ a deferred job that fails queued ----
+
+namespace {
+
+/// Wraps a policy and records the id of every job a defer() verdict held.
+/// name() and backfills() delegate, so the checkpoint fingerprint matches
+/// the bare policy's.
+class deferral_probe final : public sc::scheduling_policy {
+ public:
+  explicit deferral_probe(std::unique_ptr<sc::scheduling_policy> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] bool backfills() const override { return inner_->backfills(); }
+  [[nodiscard]] bool defer(const sc::queued_job& job, const sc::cluster_view& view) const override {
+    const bool held = inner_->defer(job, view);
+    if (held) deferred.insert(job.job.id);
+    return held;
+  }
+  std::optional<sc::placement> place(const sc::queued_job& job,
+                                     const sc::cluster_view& view) override {
+    return inner_->place(job, view);
+  }
+
+  mutable std::set<int> deferred;
+
+ private:
+  std::unique_ptr<sc::scheduling_policy> inner_;
+};
+
+}  // namespace
+
+TEST_F(checkpoint_test, ADeferredJobThatFailsInTheQueueLeavesLaterArtefactsRestorable) {
+  // The tariff defers jobs under the cost policy, and the drift onset at
+  // 60 s lifts the floor of some deferred job above the 2,600 W cap, so it
+  // fails in the queue. Nothing of its deferral may outlive its queue entry:
+  // a deferred id left behind once made restore refuse every later
+  // artefact.
+  sc::cluster_config cc;
+  cc.n_nodes = 4;
+  cc.gpus_per_node = 4;
+  cc.facility_cap_w = 2600.0;
+  cc.drift.at_s = 60.0;
+  cc.drift.power_skew = 1.8;
+  cc.econ.enabled = true;
+  synergy::econ::synthetic_config tariff;
+  tariff.seed = 3;
+  tariff.period_s = 240.0;
+  tariff.step_s = 10.0;
+  tariff.noise = 0.01;
+  cc.econ.price = synergy::econ::synthetic_diurnal(tariff);
+  tariff.stream = 1;
+  tariff.base = 300.0;
+  tariff.amplitude = 120.0;
+  tariff.noise = 20.0;
+  cc.econ.carbon = synergy::econ::synthetic_diurnal(tariff);
+  sc::trace_config tc;
+  tc.n_jobs = 120;
+  tc.mean_interarrival_s = 1.0;
+  tc.seed = 3;
+  tc.deferrable_fraction = 0.6;
+  const auto trace = sc::generate_trace(tc);
+  const auto cost_policy = [&] {
+    return sc::make_cost_aware(&cc.econ, sc::make_suite_planner(cc.device));
+  };
+
+  sc::simulator ref{cc, cost_policy()};
+  const auto csv_ref = csv_of(ref.run(trace));
+  const auto json_ref = ledger_json();
+
+  const auto dir = temp_dir("synergy_ckpt_failed_deferral");
+  reset_globals();
+  auto probe = std::make_unique<deferral_probe>(cost_policy());
+  const auto& deferred = probe->deferred;
+  sc::simulator sim{cc, std::move(probe)};
+  sim.set_checkpointing(every_20s(dir));
+  ASSERT_EQ(csv_of(sim.run(trace)), csv_ref);
+
+  // A job the policy deferred that then failed with the cap's reason.
+  std::size_t failed_row = trace.jobs.size();
+  for (std::size_t i = 0; i < trace.jobs.size() && failed_row == trace.jobs.size(); ++i)
+    if (deferred.contains(trace.jobs[i].id) &&
+        sim.results()[i].failure_reason == "power cap below the job's minimum draw")
+      failed_row = i;
+  ASSERT_LT(failed_row, trace.jobs.size()) << "no deferred job failed in the queue";
+
+  const auto files = checkpoint_files(dir);
+  std::size_t after_failure = 0;
+  for (const auto& file : files) {
+    const auto payload = sc::read_checkpoint_payload(file);
+    ASSERT_TRUE(payload.has_value()) << file;
+    reset_globals();
+    sc::simulator resumed{cc, cost_policy()};
+    enable_restore(resumed);
+    const auto st = resumed.restore_checkpoint(payload.value(), trace);
+    ASSERT_TRUE(st.ok()) << file << ": " << st.err().message;
+    if (resumed.results()[failed_row].state == synergy::sched::job_state::failed) ++after_failure;
+    if (file != files.back()) continue;
+    EXPECT_EQ(csv_of(resumed.resume(trace)), csv_ref) << "resumed from " << file;
+    EXPECT_EQ(ledger_json(), json_ref) << "resumed from " << file;
+  }
+  EXPECT_GT(after_failure, 0u) << "no artefact was written after the failure";
+
+  std::filesystem::remove_all(dir);
+}
+
 // ------------------------------------------------- fail-closed restores ----
 
 TEST_F(checkpoint_test, RestoreRejectsWrongTraceAndWrongCluster) {
@@ -577,12 +707,13 @@ TEST_F(checkpoint_test, RestoreRejectsWrongTraceAndWrongCluster) {
     EXPECT_NE(st.err().message.find("fingerprint"), std::string::npos) << st.err().message;
   }
 
-  // Another payload schema fails closed: a schema-2 artefact holds a slot
-  // table and running-job fields this layout does not read.
+  // Another payload schema fails closed: a schema-3 artefact copies trace
+  // columns into its job rows and keeps an `edef` section this layout does
+  // not read.
   {
     auto rows = tokens_of(payload.value());
-    ASSERT_EQ(rows[0], (std::vector<std::string>{"synergy_ckpt", "3"}));
-    rows[0][1] = "2";
+    ASSERT_EQ(rows[0], (std::vector<std::string>{"synergy_ckpt", "4"}));
+    rows[0][1] = "3";
     const auto st = restore_chaotic(payload_of(rows));
     ASSERT_FALSE(st.ok());
     EXPECT_NE(st.err().message.find("unknown payload schema version"), std::string::npos)
@@ -592,11 +723,17 @@ TEST_F(checkpoint_test, RestoreRejectsWrongTraceAndWrongCluster) {
   std::filesystem::remove_all(dir);
 }
 
-TEST_F(checkpoint_test, RestoreRejectsJobIdsThatAreNotInTheTrace) {
-  const auto dir = temp_dir("synergy_ckpt_ids");
+TEST_F(checkpoint_test, RestoreRejectsRowsPastTheTrace) {
+  const auto dir = temp_dir("synergy_ckpt_rows");
   checkpoint_chaotic_replay(dir);
 
-  // An artefact with both a running and a queued job.
+  // An artefact with a running and a queued job, whose completion is an
+  // `ev <t> <seq> <kind> <row> <epoch>` row of kind 1.
+  const auto completion_row = [](const rows_t& r) {
+    for (std::size_t i = 0; i < r.size(); ++i)
+      if (r[i][0] == "ev" && r[i][3] == "1") return i;
+    return r.size();
+  };
   rows_t rows;
   for (const auto& file : checkpoint_files(dir)) {
     const auto p = sc::read_checkpoint_payload(file);
@@ -606,19 +743,30 @@ TEST_F(checkpoint_test, RestoreRejectsJobIdsThatAreNotInTheTrace) {
   }
   ASSERT_LT(first_row(rows, "runj"), rows.size()) << "no artefact with a running job";
   ASSERT_LT(first_row(rows, "q"), rows.size()) << "no artefact with a queued job";
+  ASSERT_LT(completion_row(rows), rows.size()) << "no artefact with a pending completion";
+  ASSERT_TRUE(restore_chaotic(payload_of(rows)).ok());
 
-  // Swap the job id of the first row of `tag` for one the trace lacks: still
-  // a well-formed payload, as a re-sealed artefact would be. A queue row
-  // starts with its job; a running job's follows its epoch and GPUs.
-  for (const std::string tag : {"runj", "q"}) {
+  // Set the row of the first `q` row, the first `runj` row and the first
+  // completion to the trace's size: still a well-formed payload, as a
+  // re-sealed artefact would be. A queue row starts with its row; a running
+  // job's follows its epoch and GPUs.
+  const std::string past = std::to_string(chaotic_trace().jobs.size());
+  struct edit {
+    std::size_t row;
+    std::size_t token;
+    const char* named;
+  };
+  const std::size_t runj = first_row(rows, "runj");
+  const std::size_t q = first_row(rows, "q");
+  const std::size_t ev = completion_row(rows);
+  for (const auto& [row, token, named] : {edit{q, 1, "queue: row "},
+                                           edit{runj, runj_job_token(rows[runj]), "running: row "},
+                                           edit{ev, 4, "events: pending event"}}) {
     auto bad = rows;
-    auto& row = bad[first_row(bad, tag)];
-    row[tag == "q" ? 1 : runj_job_token(row)] = "999999";
+    bad[row][token] = past;
     const auto st = restore_chaotic(payload_of(bad));
-    ASSERT_FALSE(st.ok()) << tag;
-    const std::string named = tag == "q" ? "queue: job 999999" : "running: job 999999";
-    EXPECT_NE(st.err().message.find(named + " does not match the trace"), std::string::npos)
-        << st.err().message;
+    ASSERT_FALSE(st.ok()) << named;
+    EXPECT_NE(st.err().message.find(named), std::string::npos) << st.err().message;
   }
 
   std::filesystem::remove_all(dir);
@@ -671,13 +819,13 @@ TEST_F(checkpoint_test, RestoreRejectsJobsWhosePhaseDisagrees) {
   const auto dir = temp_dir("synergy_ckpt_phase");
   checkpoint_chaotic_replay(dir);
 
-  // A job's phase is its result row's state (`res <id> <name> <kernel>
-  // <target> <state> ...`, 0 pending, 1 running, 2 completed) and where it
-  // sits: in the queue or among the running jobs. Take an artefact with a
-  // queued, a running and a completed job.
+  // A job's phase is its result row's state (`res <state> ...`, 0 pending,
+  // 1 running, 2 completed) and where it sits: in the queue or among the
+  // running jobs. Take an artefact with a queued, a running and a completed
+  // job.
   const auto completed_row = [](const rows_t& r) {
     for (std::size_t i = 0; i < r.size(); ++i)
-      if (r[i][0] == "res" && r[i][5] == "2") return i;
+      if (r[i][0] == "res" && r[i][1] == "2") return i;
     return r.size();
   };
   rows_t rows;
@@ -694,12 +842,8 @@ TEST_F(checkpoint_test, RestoreRejectsJobsWhosePhaseDisagrees) {
   ASSERT_LT(completed_row(rows), rows.size()) << "no artefact with a completed job";
   ASSERT_TRUE(restore_chaotic(payload_of(rows)).ok());
 
-  // Append `row` to the queue, counting it in the section header.
   const auto enqueue = [](rows_t& r, std::vector<std::string> row) {
-    const std::size_t header = first_row(r, "queue");
-    const std::size_t n = std::stoul(r[header][1]);
-    r[header][1] = std::to_string(n + 1);
-    r.insert(r.begin() + static_cast<std::ptrdiff_t>(header + 1 + n), std::move(row));
+    append_row(r, "queue", std::move(row));
   };
   const auto expect_rejected = [&](const char* what, const auto& mutate, const char* named) {
     auto bad = rows;
@@ -716,15 +860,94 @@ TEST_F(checkpoint_test, RestoreRejectsJobsWhosePhaseDisagrees) {
                   not_pending);
   expect_rejected("running job also queued", [&](rows_t& r) {
     // A queue row is the trace row and its estimate, as a running job holds
-    // them after its GPUs.
+    // them after its GPUs, and the deferral flag.
     const auto& runj = r[first_row(r, "runj")];
     const auto job = runj.begin() + static_cast<std::ptrdiff_t>(runj_job_token(runj));
     std::vector<std::string> q{"q"};
-    q.insert(q.end(), job, job + 11);
+    q.insert(q.end(), job, job + 2);
+    q.emplace_back("0");
     enqueue(r, std::move(q));
   }, not_pending);
-  expect_rejected("completed row set to running", [&](rows_t& r) { r[completed_row(r)][5] = "1"; },
+  expect_rejected("completed row set to running", [&](rows_t& r) { r[completed_row(r)][1] = "1"; },
                   "without a running job");
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(checkpoint_test, RestoreRejectsARepeatedNodeName) {
+  const auto dir = temp_dir("synergy_ckpt_node_names");
+  checkpoint_chaotic_replay(dir);
+
+  // An artefact whose inventory holds cn000 and cn002.
+  const auto node_row = [](const rows_t& r, const char* name) {
+    for (std::size_t i = 0; i < r.size(); ++i)
+      if (r[i][0] == "node" && r[i][1] == name) return i;
+    return r.size();
+  };
+  rows_t rows;
+  for (const auto& file : checkpoint_files(dir)) {
+    const auto p = sc::read_checkpoint_payload(file);
+    ASSERT_TRUE(p.has_value());
+    rows = tokens_of(p.value());
+    if (node_row(rows, "cn000") < rows.size() && node_row(rows, "cn002") < rows.size()) break;
+  }
+  ASSERT_LT(node_row(rows, "cn002"), rows.size()) << "no artefact with cn000 and cn002";
+  ASSERT_TRUE(restore_chaotic(payload_of(rows)).ok());
+
+  // cn002 renamed cn000: the summary would resume unchanged, but the ledger
+  // would book cn002's joules on cn000.
+  rows[node_row(rows, "cn002")][1] = "cn000";
+  const auto st = restore_chaotic(payload_of(rows));
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.err().message.find("nodes: node cn000 appears twice"), std::string::npos)
+      << st.err().message;
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(checkpoint_test, RestoreRejectsRestartsOfNodesThatAreUpOrAlreadyRestarting) {
+  const auto dir = temp_dir("synergy_ckpt_restarts");
+  checkpoint_chaotic_replay(dir);
+
+  // Events are `ev <t> <seq> <kind> <id> <epoch>`; a node restart is kind 5
+  // and names the node's ordinal. Take an artefact with cn000 up and a
+  // pending restart.
+  const auto restart_row = [](const rows_t& r) {
+    for (std::size_t i = 0; i < r.size(); ++i)
+      if (r[i][0] == "ev" && r[i][3] == "5") return i;
+    return r.size();
+  };
+  const auto cn000_up = [](const rows_t& r) {
+    return std::any_of(r.begin(), r.end(), [](const auto& row) {
+      return row[0] == "node" && row[1] == "cn000";
+    });
+  };
+  rows_t rows;
+  for (const auto& file : checkpoint_files(dir)) {
+    const auto p = sc::read_checkpoint_payload(file);
+    ASSERT_TRUE(p.has_value());
+    rows = tokens_of(p.value());
+    if (restart_row(rows) < rows.size() && cn000_up(rows)) break;
+  }
+  ASSERT_LT(restart_row(rows), rows.size()) << "no artefact with a pending restart";
+  ASSERT_TRUE(cn000_up(rows));
+  ASSERT_TRUE(restore_chaotic(payload_of(rows)).ok());
+
+  const auto expect_rejected = [&](const char* what, std::vector<std::string> ev) {
+    auto bad = rows;
+    append_row(bad, "events", std::move(ev));
+    const auto st = restore_chaotic(payload_of(bad));
+    ASSERT_FALSE(st.ok()) << what;
+    EXPECT_NE(st.err().message.find("which is up or already restarting"), std::string::npos)
+        << what << ": " << st.err().message;
+  };
+  // A restart of cn000 while it is up would add a second cn000 to the
+  // inventory.
+  auto up = rows[restart_row(rows)];
+  up[4] = "0";
+  expect_rejected("restart of a node that is up", up);
+  // So would a second restart of a node that is down.
+  expect_rejected("second restart of a node that is down", rows[restart_row(rows)]);
 
   std::filesystem::remove_all(dir);
 }

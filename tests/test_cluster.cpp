@@ -42,9 +42,11 @@ sc::traced_job make_job(int id, double submit_s, int n_gpus, int iterations,
   return j;
 }
 
-const sc::job_result& result_for(const sc::simulator& sim, int id) {
-  for (const auto& r : sim.results())
-    if (r.id == id) return r;
+/// The outcome of job `id` of `trace`, the trace `sim` last replayed: a
+/// result row is its trace row's outcome.
+const sc::job_result& result_for(const sc::simulator& sim, const sc::job_trace& trace, int id) {
+  for (std::size_t i = 0; i < trace.jobs.size(); ++i)
+    if (trace.jobs[i].id == id) return sim.results().at(i);
   throw std::out_of_range("no such job");
 }
 
@@ -84,11 +86,13 @@ class view_checking_policy final : public sc::scheduling_policy {
       until.insert(until.end(), node.busy_until.begin(), node.busy_until.end());
     }
     std::size_t held = 0;
-    const sc::job_result* head = nullptr;
-    for (const auto& r : sim->results()) {
-      if (r.state == ss::job_state::running) held += static_cast<std::size_t>(r.n_gpus);
+    const sc::traced_job* head = nullptr;
+    for (std::size_t i = 0; i < trace->jobs.size(); ++i) {
+      const auto& job = trace->jobs[i];
+      const auto state = sim->results()[i].state;
+      if (state == ss::job_state::running) held += static_cast<std::size_t>(job.n_gpus);
       // Results are in trace order, which is arrival order here.
-      if (!head && r.state == ss::job_state::pending && r.submit_s <= view.now) head = &r;
+      if (!head && state == ss::job_state::pending && job.submit_s <= view.now) head = &job;
     }
     if (busy != held) ++stale_views;
 
@@ -105,6 +109,7 @@ class view_checking_policy final : public sc::scheduling_policy {
   }
 
   const sc::simulator* sim{nullptr};
+  const sc::job_trace* trace{nullptr};  ///< the trace `sim` replays
   /// The reservation check takes the oldest pending result row for the
   /// queue head, which only holds on a plain replay: a requeued job goes to
   /// the back of the queue, not to its arrival place.
@@ -305,10 +310,10 @@ TEST(Policies, FifoHeadBlocksBackfillDoesNot) {
   for (const auto* sim : {&fifo, &easy})
     for (const auto& r : sim->results()) EXPECT_EQ(r.state, ss::job_state::completed);
 
-  EXPECT_GT(result_for(fifo, 3).queue_wait_s, 0.0);       // stuck behind B
-  EXPECT_DOUBLE_EQ(result_for(easy, 3).queue_wait_s, 0.0);  // backfilled
+  EXPECT_GT(result_for(fifo, trace, 3).queue_wait_s, 0.0);       // stuck behind B
+  EXPECT_DOUBLE_EQ(result_for(easy, trace, 3).queue_wait_s, 0.0);  // backfilled
   // The head is never delayed by the backfill.
-  EXPECT_DOUBLE_EQ(result_for(easy, 2).start_s, result_for(fifo, 2).start_s);
+  EXPECT_DOUBLE_EQ(result_for(easy, trace, 2).start_s, result_for(fifo, trace, 2).start_s);
 }
 
 TEST(Policies, EnergyAwareRunsLowerClocksAndSavesEnergy) {
@@ -403,6 +408,7 @@ TEST(Policies, PlaceIsOfferedFittingJobsOnACurrentView) {
     checker.check_reservation = what == "burst";
     sc::simulator sim{config, std::move(wrapped)};
     checker.sim = &sim;
+    checker.trace = &trace;
     const auto summary = sim.run(trace);
     SCOPED_TRACE(what + " " + summary.policy);
 
@@ -592,8 +598,8 @@ TEST(PowerBudget, ImpossibleJobsFailInsteadOfStarvingTheQueue) {
   cc.gpus_per_node = 2;
   sc::simulator sim{cc, sc::make_fifo()};
   const auto summary = sim.run(trace);
-  EXPECT_EQ(result_for(sim, 1).state, ss::job_state::failed);
-  EXPECT_EQ(result_for(sim, 2).state, ss::job_state::completed);
+  EXPECT_EQ(result_for(sim, trace, 1).state, ss::job_state::failed);
+  EXPECT_EQ(result_for(sim, trace, 2).state, ss::job_state::completed);
   EXPECT_EQ(summary.failed, 1u);
 
   // A cap below the job's minimum draw also fails it at arrival.
@@ -602,8 +608,8 @@ TEST(PowerBudget, ImpossibleJobsFailInsteadOfStarvingTheQueue) {
   hot.jobs = {make_job(1, 0.0, 2, 50)};
   sc::simulator capped{cc, sc::make_fifo()};
   capped.run(hot);
-  EXPECT_EQ(result_for(capped, 1).state, ss::job_state::failed);
-  EXPECT_FALSE(result_for(capped, 1).failure_reason.empty());
+  EXPECT_EQ(result_for(capped, hot, 1).state, ss::job_state::failed);
+  EXPECT_FALSE(result_for(capped, hot, 1).failure_reason.empty());
 }
 
 TEST(PowerBudget, DriftAfterArrivalFailsAJobItLiftsAboveTheCap) {
@@ -632,9 +638,10 @@ TEST(PowerBudget, DriftAfterArrivalFailsAJobItLiftsAboveTheCap) {
 
     sc::simulator sim{drifted, policy()};
     const auto summary = sim.run(trace);
-    EXPECT_EQ(result_for(sim, 2).state, ss::job_state::failed);
-    EXPECT_EQ(result_for(sim, 2).failure_reason, "power cap below the job's minimum draw");
-    for (const int id : {1, 3, 4}) EXPECT_EQ(result_for(sim, id).state, ss::job_state::completed);
+    EXPECT_EQ(result_for(sim, trace, 2).state, ss::job_state::failed);
+    EXPECT_EQ(result_for(sim, trace, 2).failure_reason, "power cap below the job's minimum draw");
+    for (const int id : {1, 3, 4})
+      EXPECT_EQ(result_for(sim, trace, id).state, ss::job_state::completed);
     EXPECT_EQ(summary.failed, 1u);
     for (const auto& [t, w] : sim.power_samples())
       ASSERT_LE(w, drifted.facility_cap_w + 1e-6) << "at t=" << t;
@@ -734,7 +741,7 @@ TEST(Simulator, ChargesEnergyThroughTheGpusimModel) {
   cc.gpus_per_node = 2;
   sc::simulator sim{cc, sc::make_fifo()};
   sim.run(trace);
-  const auto& r = result_for(sim, 1);
+  const auto& r = result_for(sim, trace, 1);
   ASSERT_EQ(r.state, ss::job_state::completed);
 
   // Recompute the job's cost from the public gpusim model at the clocks it
@@ -744,7 +751,7 @@ TEST(Simulator, ChargesEnergyThroughTheGpusimModel) {
   profile.work_items = trace.jobs[0].work_items * trace.jobs[0].iterations;
   const auto cost = synergy::gpusim::dvfs_model{}.evaluate(
       spec, profile, {spec.default_config().memory, synergy::common::megahertz{r.core_mhz}});
-  EXPECT_NEAR(r.gpu_energy_j, cost.energy.value * r.n_gpus, 1e-9 * r.gpu_energy_j);
+  EXPECT_NEAR(r.gpu_energy_j, cost.energy.value * trace.jobs[0].n_gpus, 1e-9 * r.gpu_energy_j);
   EXPECT_NEAR(r.end_s - r.start_s, cost.time.value, 1e-12);
 }
 
@@ -758,14 +765,14 @@ TEST(Simulator, RunRejectsRepeatedJobIds) {
   const auto first = sim.run(good);
   ASSERT_EQ(first.completed, 2u);
 
-  // Results are keyed by id: a replay would book both id-1 jobs on one row
-  // and leave the other pending forever.
+  // Checkpoints and reports name a job by its id, so two jobs may not
+  // share one.
   sc::job_trace repeated;
   repeated.jobs = {make_job(1, 0.0, 1, 10), make_job(2, 1.0, 1, 10), make_job(1, 2.0, 1, 10)};
   EXPECT_THROW((void)sim.run(repeated), std::invalid_argument);
   // Rejected before the previous run's state was reset.
   ASSERT_EQ(sim.results().size(), 2u);
-  EXPECT_EQ(result_for(sim, 2).state, ss::job_state::completed);
+  EXPECT_EQ(result_for(sim, good, 2).state, ss::job_state::completed);
 }
 
 TEST(Simulator, RunRejectsRowsTheLoaderRejects) {
