@@ -88,7 +88,7 @@ run_row run_case(const std::string& label, const std::filesystem::path& model_di
         lc::make_drifted_retrainer(gs::make_v100(), quick_options(), cluster.drift.power_skew,
                                    cluster.drift.freq_exponent),
         opt);
-    sim.attach_recovery(guarded.guard, registry, manager);
+    sim.attach_recovery(guarded.guard, manager);
   }
 
   sc::trace_config gen;
@@ -158,9 +158,27 @@ int main() {
 
   std::cout << "\nnote: 'vs no-recovery E' normalises GPU energy to the stay-quarantined\n"
                "row. The auto-recovery row must promote exactly once and resume model-tier\n"
-               "planning (model plans > 0 after the quarantine) — the energy it earns back\n"
-               "is bounded below by the drift-free row.\n";
-
+               "planning (more model plans than the stay-quarantined row) — the energy it\n"
+               "earns back is bounded below by the drift-free row. Exits 1 otherwise.\n";
   std::filesystem::remove_all(model_dir);
-  return 0;
+
+  const run_row& quarantined = rows[1];
+  const run_row& recovered = rows[2];
+  const double drift_free_energy = rows[0].summary.total_gpu_energy_j;
+  const double energy = recovered.summary.total_gpu_energy_j;
+  std::vector<std::string> broken;
+  if (recovered.summary.promotions != 1)
+    broken.push_back("auto recovery promoted " + std::to_string(recovered.summary.promotions) +
+                     " times, not once");
+  if (recovered.model_plans <= quarantined.model_plans)
+    broken.push_back("auto recovery made " + std::to_string(recovered.model_plans) +
+                     " model-tier plans, no more than staying quarantined (" +
+                     std::to_string(quarantined.model_plans) + ")");
+  if (!(energy >= drift_free_energy && energy < quarantined_energy))
+    broken.push_back("auto recovery's GPU energy " + text_table::fmt(energy, 0) +
+                     " J is not in [drift-free, stay-quarantined) = [" +
+                     text_table::fmt(drift_free_energy, 0) + ", " +
+                     text_table::fmt(quarantined_energy, 0) + ") J");
+  for (const auto& b : broken) std::cerr << "FAIL: " << b << '\n';
+  return broken.empty() ? 0 : 1;
 }

@@ -871,21 +871,13 @@ common::status simulator::restore_checkpoint(const std::string& payload,
       x.events.begin(), x.events.end(),
       [](const sim_engine::entry& e) { return is_live(e.event.kind); }));
   engine_.restore(x.now, x.next_seq, std::move(x.events));
-
-  std::vector<sched::node_config> nodes;
-  nodes.reserve(x.nodes.size());
-  for (const auto& name : x.nodes) nodes.push_back(make_node_config(name));
-  ctl_ = std::make_unique<sched::controller>(std::move(nodes));
-
   run_ = std::move(st);
 
   // Fresh budget and view over the restored inventory; the running jobs
   // re-register their demand, node occupancy and GPUs. No restore-time
   // rebalance — the summary carries the exporting run's counters, and a
   // gratuitous rebalance here would put the resumed summary one count ahead.
-  budget_ = std::make_unique<power_budget>(*ctl_, config_.facility_cap_w);
-  view_.nodes.clear();
-  extend_view();
+  install_nodes(x.nodes);
   for (const auto& rj : run_.running) occupy(rj);
 
   power_samples_.clear();  // diagnostics only; not part of any output artefact

@@ -49,7 +49,6 @@ struct gpu_slot {
 /// must not keep a reference to it past the call it was passed to.
 struct cluster_view {
   struct node_view {
-    std::string name;
     /// The Sec. 7.2 prologue chain outcome for this node: tagged with the
     /// nvgpufreq GRES, management library loadable. Placement on a node
     /// that fails the chain runs at default clocks.

@@ -11,8 +11,9 @@
 /// plan is demoted down the clock table until it does (counted as a
 /// demotion), and the job waits if even the lowest clock is too hot.
 ///
-/// Every placement and completion is a rebalance point, which the budget
-/// counts and traces. It locks no board clocks: admission prices clocks with
+/// Every draw change (a placement, a completion, a governor clock move, a
+/// node loss or restart) is a rebalance point, which the budget counts and
+/// traces. It locks no board clocks: admission prices clocks with
 /// the DVFS model against headroom_w(), and no cluster code reads a board's
 /// bounds. sched::power_manager is the scheduler-level model of SLURM's
 /// per-node cap redistribution.

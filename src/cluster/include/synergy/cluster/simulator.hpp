@@ -48,7 +48,6 @@ class slo_watchdog;  // SLO rule evaluator (synergy/obs/slo_watchdog.hpp)
 }
 
 namespace synergy::lifecycle {
-class model_registry;     // lifecycle champion ledger (synergy/lifecycle/model_registry.hpp)
 class lifecycle_manager;  // retrain/shadow-eval worker (synergy/lifecycle/lifecycle_manager.hpp)
 enum class lifecycle_action;
 }  // namespace synergy::lifecycle
@@ -287,22 +286,20 @@ class simulator {
   /// completion feeds `guard`'s drift monitor and `manager`'s replay buffer
   /// (per-item, per-GPU energies, so job size cancels out), and the manager
   /// is stepped on simulation time. When it promotes or rolls back, the new
-  /// champion from `registry` is installed into `guard` mid-run — the
-  /// scheduling policy built on the guard resumes model-tier planning
-  /// without a restart. Attach before run(); all three must share the
-  /// device of this cluster and outlive the simulator. Throws
-  /// std::invalid_argument when checkpointing is enabled (see
-  /// set_checkpointing()).
+  /// champion of the manager's registry is installed into `guard` mid-run —
+  /// the scheduling policy built on the guard resumes model-tier planning
+  /// without a restart. Attach before run(); both must share the device of
+  /// this cluster and outlive the simulator. Throws std::invalid_argument
+  /// when checkpointing is enabled (see set_checkpointing()).
   void attach_recovery(std::shared_ptr<guarded_planner> guard,
-                       std::shared_ptr<lifecycle::model_registry> registry,
                        std::shared_ptr<lifecycle::lifecycle_manager> manager);
 
   /// Wire the observability plane: `watchdog` (may be nullptr) is fed job
   /// completions / planner tiers / quarantine state and evaluated on every
-  /// scrape tick; `attribution_guard` is the guarded_planner the scheduling
-  /// policy plans through, read per placement to tag the job's joules with
-  /// the tier that priced them (falls back to the recovery guard, then — for
-  /// un-guarded plan_fns — to cause::oracle). Attach before run().
+  /// scrape tick. A job's joules carry the tier its placement reported, so
+  /// `attribution_guard` — the guarded_planner the scheduling policy plans
+  /// through — is read only for the watchdog's quarantine observation at each
+  /// completion (falling back to the recovery guard). Attach before run().
   void attach_observability(std::shared_ptr<obs::slo_watchdog> watchdog,
                             std::shared_ptr<guarded_planner> attribution_guard = nullptr);
 
@@ -393,7 +390,11 @@ class simulator {
            k == event_kind::node_crash || k == event_kind::node_restart;
   }
 
-  void rebuild_controller();
+  /// Install the inventory `names` lists, in that order, with a fresh power
+  /// budget over it and a view of it with every GPU free.
+  void install_nodes(const std::vector<std::string>& names);
+  /// The configured inventory: cn000 onwards, n_nodes names.
+  [[nodiscard]] std::vector<std::string> configured_nodes() const;
   [[nodiscard]] sched::node_config make_node_config(const std::string& name) const;
   /// Inventory node names are "cn" + the zero-padded ordinal.
   static std::string node_name(std::size_t ordinal);
@@ -405,17 +406,20 @@ class simulator {
   void dispatch(const sim_event& e);
   void arrive(std::size_t row);
   void complete(std::size_t row, std::uint64_t epoch);
-  /// A GPU on `node_name` fell off the bus: requeue every job running
-  /// there, drain and remove the node, shrink the inventory.
-  void device_lost(const std::string& node_name);
+  /// Fail trace row `row`, which has not started, for `reason`.
+  void fail(std::size_t row, const char* reason);
+  /// A GPU on node `ordinal` (the NNN of cnNNN) fell off the bus: lose the
+  /// node, unless it is gone already, it is the last node, or the fault
+  /// plan's loss budget is spent.
+  void device_lost(std::size_t ordinal);
+  /// Lose node index `ni` (device_lost() and node_crash()): close the
+  /// facility integral, drain and remove the node, rebuild the budget over
+  /// the survivors, let `record(requeued)` count the loss, then rebalance,
+  /// run a scheduling pass and sample the power.
+  void lose_node(std::size_t ni, const std::function<void(std::size_t)>& record);
   /// Requeue every job running on node index `ni` with wasted-energy
   /// attribution (cause::fault_wasted); returns how many were drained.
-  /// Shared by the device-lost and node-crash paths.
   std::size_t drain_node(std::size_t ni);
-  /// Remove node `ni` from the inventory and rebuild the power budget over
-  /// the survivors (folding the old budget's counters into the summary).
-  /// False when the controller refused the removal (node not idle/absent).
-  bool remove_node_and_rebuild(std::size_t ni);
   /// Rebuild the power budget against the current inventory, re-registering
   /// every running job's demand and folding counters into the summary.
   void rebuild_budget();
@@ -435,13 +439,27 @@ class simulator {
   /// Stable digest of the replay-relevant configuration; a checkpoint only
   /// restores into a simulator whose digest matches.
   [[nodiscard]] std::string config_fingerprint() const;
-  void try_schedule();
+  /// Scheduling passes until one starts nothing. True when that last pass
+  /// left a job the policy deferred: the econ tick re-arms on it.
+  bool try_schedule();
   /// Stamp view_'s free GPUs with the current time (is_head set,
   /// head_reservation_s 0) and return how many GPUs are free.
   std::size_t make_view();
   /// Append to view_ every inventory node past its end, all GPUs free: the
   /// whole inventory after view_.nodes.clear(), or a node that just joined.
   void extend_view();
+  /// A job's per-GPU cost at one clock: the DVFS model's cost with its draw
+  /// drifted as of now and its energy re-derived from that draw, and the
+  /// model's undrifted draw (what the trained models believe; the hybrid
+  /// governor's watt target).
+  struct priced_run {
+    gpusim::kernel_cost cost;
+    double model_power_w{0.0};
+  };
+  /// Price `folded` (a job's whole launch stream) at `at`. Every DVFS model
+  /// call of the replay goes through here.
+  [[nodiscard]] priced_run price(const gpusim::kernel_profile& folded,
+                                 const common::frequency_config& at) const;
   /// Facility-cap admission: demote `config` down the clock table until
   /// the job fits the headroom; false = defer (or can never fit).
   bool admit(const traced_job& job, common::frequency_config& config, bool& demoted) const;
@@ -527,6 +545,10 @@ class simulator {
   /// release() undoes all three.
   void occupy(const running_job& rj);
   void release(const running_job& rj);
+  /// Book `joules` of `rj`'s GPU energy to `why`: one ledger charge keyed by
+  /// its node, the device, its job and its kernel, and, with econ on, one
+  /// cost-meter charge priced now.
+  void book(const running_job& rj, obs::cause why, double joules);
   /// Close `rj`'s open accrual segment at `now`: advance work fraction,
   /// book the segment's joules into the seed/governor bucket, and advance
   /// busy GPU-seconds.
@@ -565,8 +587,8 @@ class simulator {
   /// The per-GPU index of the running jobs, node for node with the
   /// inventory: occupy()/release() and governor ticks keep each GPU's
   /// busyness and busy_until current, and inventory changes add or drop one
-  /// node_view. The scheduling passes and the econ tick hand it to the
-  /// policy after make_view() stamps the free GPUs with the current time.
+  /// node_view. The scheduling passes hand it to the policy after
+  /// make_view() stamps the free GPUs with the current time.
   cluster_view view_;
   std::vector<std::pair<double, double>> power_samples_;
   // --- observability (optional) ---
@@ -577,7 +599,6 @@ class simulator {
   std::function<void(double)> scrape_hook_;
   // --- lifecycle recovery (optional) ---
   std::shared_ptr<guarded_planner> recovery_guard_;
-  std::shared_ptr<lifecycle::model_registry> recovery_registry_;
   std::shared_ptr<lifecycle::lifecycle_manager> recovery_manager_;
   bool recovery_was_quarantined_{false};
   // --- facility economics (reset per run; restored across resume) ---

@@ -99,7 +99,7 @@ simulator::simulator(cluster_config config, std::unique_ptr<scheduling_policy> p
     if (!probe.has_value())
       throw std::invalid_argument("simulator: " + probe.err().message);
   }
-  rebuild_controller();
+  install_nodes(configured_nodes());
 }
 
 sched::node_config simulator::make_node_config(const std::string& name) const {
@@ -126,11 +126,20 @@ std::size_t simulator::node_ordinal(std::string_view name) {
   return k;
 }
 
-void simulator::rebuild_controller() {
+void simulator::install_nodes(const std::vector<std::string>& names) {
   std::vector<sched::node_config> nodes;
-  nodes.reserve(config_.n_nodes);
-  for (std::size_t i = 0; i < config_.n_nodes; ++i) nodes.push_back(make_node_config(node_name(i)));
+  nodes.reserve(names.size());
+  for (const auto& name : names) nodes.push_back(make_node_config(name));
   ctl_ = std::make_unique<sched::controller>(std::move(nodes));
+  budget_ = std::make_unique<power_budget>(*ctl_, config_.facility_cap_w);
+  view_.nodes.clear();
+  extend_view();
+}
+
+std::vector<std::string> simulator::configured_nodes() const {
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < config_.n_nodes; ++i) names.push_back(node_name(i));
+  return names;
 }
 
 simulator::~simulator() = default;
@@ -192,9 +201,22 @@ void simulator::extend_view() {
     // controller is reachable (we are it), jobs own their GPUs exclusively
     // by construction, so capability reduces to the node-side checks.
     view_.nodes.push_back(
-        {n.name(), n.has_gres(sched::nvgpufreq_plugin::gres_tag) && n.config().nvml_available,
+        {n.has_gres(sched::nvgpufreq_plugin::gres_tag) && n.config().nvml_available,
          std::vector<bool>(gpus, false), std::vector<double>(gpus, 0.0)});
   }
+}
+
+simulator::priced_run simulator::price(const gpusim::kernel_profile& folded,
+                                       const common::frequency_config& at) const {
+  auto cost = model_.evaluate(spec_, folded, at);
+  // The fleet's boards may have drifted: their draw picks up the skew at
+  // this clock, which the trained models know nothing about. Undrifted, the
+  // factor is exactly 1 and evaluate() derived the energy the same way, so
+  // the cost keeps its bits.
+  const double model_w = cost.avg_power.value;
+  cost.avg_power = common::watts{model_w * drift_factor_now(at.core.value)};
+  cost.energy = cost.avg_power * cost.time;
+  return {cost, model_w};
 }
 
 bool simulator::admit(const traced_job& job, common::frequency_config& config,
@@ -207,10 +229,10 @@ bool simulator::admit(const traced_job& job, common::frequency_config& config,
   const double headroom = budget_->headroom_w();
   for (std::ptrdiff_t i = ci; i >= 0; --i) {
     const auto clock = clocks[static_cast<std::size_t>(i)];
-    const auto cost = model_.evaluate(spec_, folded, {config.memory, clock});
     // Priced as start() registers it with the budget: drifted.
     const double added =
-        job.n_gpus * (cost.avg_power.value * drift_factor_now(clock.value) - spec_.idle_power_w);
+        job.n_gpus * (price(folded, {config.memory, clock}).cost.avg_power.value -
+                      spec_.idle_power_w);
     if (added <= headroom + 1e-9) {
       demoted = (i != ci);
       config.core = clock;
@@ -221,15 +243,13 @@ bool simulator::admit(const traced_job& job, common::frequency_config& config,
 }
 
 bool simulator::above_cap_when_idle(const traced_job& job) const {
-  const auto min_clock = spec_.min_core_clock();
   const auto cost =
-      model_.evaluate(spec_, folded_profile(job), {spec_.default_config().memory, min_clock});
+      price(folded_profile(job), {spec_.default_config().memory, spec_.min_core_clock()}).cost;
   const double idle_facility =
       static_cast<double>(ctl_->node_count()) *
       (config_.host_power_w + static_cast<double>(config_.gpus_per_node) * spec_.idle_power_w);
   const double min_draw =
-      idle_facility +
-      job.n_gpus * (cost.avg_power.value * drift_factor_now(min_clock.value) - spec_.idle_power_w);
+      idle_facility + job.n_gpus * (cost.avg_power.value - spec_.idle_power_w);
   return min_draw > budget_->cap_w();
 }
 
@@ -264,7 +284,7 @@ void simulator::dispatch(const sim_event& e) {
     case event_kind::arrival: arrive(static_cast<std::size_t>(e.id)); break;
     case event_kind::completion: complete(static_cast<std::size_t>(e.id), e.epoch); break;
     case event_kind::governor_tick: governor_tick(static_cast<std::size_t>(e.id), e.epoch); break;
-    case event_kind::device_lost: device_lost(node_name(static_cast<std::size_t>(e.id))); break;
+    case event_kind::device_lost: device_lost(static_cast<std::size_t>(e.id)); break;
     case event_kind::node_crash: node_crash(); break;
     case event_kind::node_restart: node_restart(static_cast<std::size_t>(e.id)); break;
     case event_kind::scrape: scrape_tick(); break;
@@ -287,26 +307,24 @@ void simulator::arrive(std::size_t row) {
                   {"id", static_cast<double>(job.id)},
                   {"n_gpus", static_cast<double>(job.n_gpus)});
 
-  auto& r = run_.results[row];
   const std::size_t total_gpus = ctl_->node_count() * config_.gpus_per_node;
   if (static_cast<std::size_t>(job.n_gpus) > total_gpus) {
-    r.state = sched::job_state::failed;
-    r.failure_reason = "requests more GPUs than the cluster has";
-    SYNERGY_COUNTER_ADD("cluster.jobs_failed", 1);
+    fail(row, "requests more GPUs than the cluster has");
   } else if (budget_->capped() && above_cap_when_idle(job)) {
     // It can never be admitted: fail it now instead of starving the queue.
-    r.state = sched::job_state::failed;
-    r.failure_reason = min_draw_reason;
-    SYNERGY_COUNTER_ADD("cluster.jobs_failed", 1);
-  }
-
-  if (r.state != sched::job_state::failed) {
-    const auto est =
-        model_.evaluate(spec_, folded_profile(job), spec_.default_config()).time.value;
-    run_.queue.push_back({row, est});
+    fail(row, min_draw_reason);
+  } else {
+    run_.queue.push_back({row, price(folded_profile(job), spec_.default_config()).cost.time.value});
     try_schedule();
   }
   sample_power();
+}
+
+void simulator::fail(std::size_t row, const char* reason) {
+  auto& r = run_.results[row];
+  r.state = sched::job_state::failed;
+  r.failure_reason = reason;
+  SYNERGY_COUNTER_ADD("cluster.jobs_failed", 1);
 }
 
 void simulator::start(std::size_t queue_index, const placement& pl) {
@@ -365,21 +383,8 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
   if (r.clock_set_failed) why = obs::cause::fault_degraded;
   if (watchdog_) watchdog_->observe_plan(why == obs::cause::model);
 
-  auto cost = model_.evaluate(spec_, folded_profile(job), config);
-  // The model's belief about this job's draw, before any drift skew — the
-  // hybrid governor's watt target. Drift-free boards match it (the tracker
-  // holds the seeded clock); drifted boards overshoot it (the tracker
-  // chases the true optimum down).
-  const double predicted_power_w = cost.avg_power.value;
-  if (config_.drift.enabled() && now >= config_.drift.at_s) {
-    // The fleet's boards have drifted: modelled power picks up the skew at
-    // this job's clock. The trained models know nothing about it — that gap
-    // is what the drift monitor measures.
-    const double f =
-        config_.drift.factor(config.core.value, spec_.default_config().core.value);
-    cost.avg_power = common::watts{cost.avg_power.value * f};
-    cost.energy = cost.avg_power * cost.time;
-  }
+  const auto priced = price(folded_profile(job), config);
+  const auto& cost = priced.cost;
   const double duration = cost.time.value;
   // A clock-set fault pins the job to default clocks — broken clock-set
   // plumbing takes the governor down with it. Governed jobs are not
@@ -407,11 +412,15 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
     if (budget_->capped()) rj.gov->set_rails(spec_.min_core_clock(), config.core);
     rj.seed_clock = rj.gov->current();
     rj.last_tick_s = now;
-    rj.cur_base_power_w = predicted_power_w;
+    rj.cur_base_power_w = priced.model_power_w;
     rj.cur_power_w = cost.avg_power.value;
     rj.cur_duration_full = duration;
     rj.cur_util = cost.compute_utilization;
-    if (config_.governor.spec.hybrid) rj.target_w = predicted_power_w;
+    // The hybrid governor's watt target is the model's belief. Drift-free
+    // boards match it (the tracker holds the seeded clock); drifted boards
+    // overshoot it (the tracker chases the true optimum down) — the gap the
+    // drift monitor measures.
+    if (config_.governor.spec.hybrid) rj.target_w = priced.model_power_w;
   }
   occupy(rj);
   run_.running.push_back(std::move(rj));
@@ -457,7 +466,7 @@ void simulator::complete(std::size_t row, std::uint64_t epoch) {
 
   const traced_job& job = trace_->jobs[row];
   auto& r = run_.results[row];
-  [[maybe_unused]] double governor_j = 0.0;
+  double governor_j = 0.0;
   if (rj.gov) {
     // Close the final accrual segment and settle the job's energy from the
     // per-segment buckets (governed jobs were never pre-charged).
@@ -478,27 +487,18 @@ void simulator::complete(std::size_t row, std::uint64_t epoch) {
   }
   SYNERGY_COUNTER_ADD("cluster.jobs_completed", 1);
   SYNERGY_GAUGE_ADD("cluster.gpu_energy_j", r.gpu_energy_j);
-  // Ledger conservation contract: every completed job charges its full
-  // GPU energy here; device-lost partials charge in device_lost(). Ledger
+  // Ledger conservation contract: every completed job books its full GPU
+  // energy here; the partials of requeued jobs book in drain_node(). Ledger
   // total == busy GPU energy + wasted energy. Governed jobs split the
-  // charge: joules accrued before the governor first left the seeded clock
+  // booking: joules accrued before the governor first left the seeded clock
   // stay with the tier that seeded it, everything after is the governor's.
-  SYNERGY_OBS_CHARGE((obs::charge_key{node_of(rj), config_.device, job.name, job.kernel}),
-                     rj.why, r.gpu_energy_j - governor_j);
-  if (governor_j > 0.0)
-    SYNERGY_OBS_CHARGE((obs::charge_key{node_of(rj), config_.device, job.name, job.kernel}),
-                       obs::cause::governor, governor_j);
+  book(rj, rj.why, r.gpu_energy_j - governor_j);
+  if (governor_j > 0.0) book(rj, obs::cause::governor, governor_j);
   if (watchdog_) watchdog_->observe_job(r.gpu_energy_j / job.n_gpus);
   if (econ_meter_.active()) {
-    // Shadow-price the same charges the ledger takes (econ accounting works
-    // with the telemetry plane compiled out, so this is not behind the
-    // SYNERGY_OBS_CHARGE macro). Both buckets price at completion time, the
-    // instant the joules are booked.
-    const double now_s = engine_.now();
-    econ_meter_.charge(rj.why, r.gpu_energy_j - governor_j, now_s);
-    if (governor_j > 0.0) econ_meter_.charge(obs::cause::governor, governor_j, now_s);
     econ_meter_.complete_job();
     if (watchdog_) {
+      const double now_s = engine_.now();
       const double kwh_per_gpu = r.gpu_energy_j / job.n_gpus / econ::joules_per_kwh;
       watchdog_->observe_job_cost(kwh_per_gpu * econ_meter_.price_at(now_s),
                                   kwh_per_gpu * econ_meter_.carbon_at(now_s));
@@ -542,8 +542,7 @@ void simulator::complete(std::size_t row, std::uint64_t epoch) {
       // Champion moved: install it into the shared guard. install() resets
       // the drift monitor, so the quarantine lifts and the scheduling
       // policy resumes model-tier planning from the next placement on.
-      recovery_guard_->install(recovery_registry_ ? recovery_registry_->current_planner()
-                                                  : nullptr);
+      recovery_guard_->install(recovery_manager_->registry()->current_planner());
       recovery_was_quarantined_ = false;
       if (action == lifecycle::lifecycle_action::promoted) {
         ++run_.summary.promotions;
@@ -567,6 +566,15 @@ void simulator::complete(std::size_t row, std::uint64_t epoch) {
   budget_->rebalance();
   try_schedule();
   sample_power();
+}
+
+void simulator::book([[maybe_unused]] const running_job& rj, obs::cause why, double joules) {
+  SYNERGY_OBS_CHARGE((obs::charge_key{node_of(rj), config_.device, trace_->jobs[rj.row].name,
+                                      trace_->jobs[rj.row].kernel}),
+                     why, joules);
+  // Econ accounting works with the telemetry plane compiled out, so it is
+  // not behind the SYNERGY_OBS_CHARGE macro.
+  if (econ_meter_.active()) econ_meter_.charge(why, joules, engine_.now());
 }
 
 void simulator::accrue_governed(running_job& rj, double now) {
@@ -610,12 +618,12 @@ void simulator::governor_tick(std::size_t row, std::uint64_t epoch) {
     // Re-price the rest of the job at the new clock. Work completed so far
     // is banked in frac_done; only the remaining fraction runs at the new
     // speed and draw.
-    const auto c = model_.evaluate(spec_, folded_profile(trace_->jobs[row]),
-                                   {spec_.default_config().memory, decided});
-    rj.cur_base_power_w = c.avg_power.value;
-    rj.cur_power_w = c.avg_power.value * drift_factor_now(decided.value);
-    rj.cur_duration_full = c.time.value;
-    rj.cur_util = c.compute_utilization;
+    const auto p =
+        price(folded_profile(trace_->jobs[row]), {spec_.default_config().memory, decided});
+    rj.cur_base_power_w = p.model_power_w;
+    rj.cur_power_w = p.cost.avg_power.value;
+    rj.cur_duration_full = p.cost.time.value;
+    rj.cur_util = p.cost.compute_utilization;
     rj.avg_power_w = rj.cur_power_w;  // budget re-registration on node loss
     if (decided.value != rj.seed_clock.value) rj.deviated = true;
     run_.results[row].core_mhz = decided.value;
@@ -671,9 +679,7 @@ std::size_t simulator::drain_node(std::size_t ni) {
     // The partial execution's joules were spent and bought nothing: book
     // them as fault-wasted so the watchdog's wasted_energy_j rule sees the
     // incident on the next scrape.
-    SYNERGY_OBS_CHARGE((obs::charge_key{node_of(rj), config_.device, job.name, job.kernel}),
-                       obs::cause::fault_wasted, wasted);
-    if (econ_meter_.active()) econ_meter_.charge(obs::cause::fault_wasted, wasted, now);
+    book(rj, obs::cause::fault_wasted, wasted);
     r.gpu_energy_j = 0.0;
     r.state = sched::job_state::pending;
     r.start_s = -1.0;
@@ -700,54 +706,51 @@ void simulator::rebuild_budget() {
     for (const auto& s : rj.gpus) budget_->gpu_busy(s.node, s.gpu, rj.avg_power_w);
 }
 
-bool simulator::remove_node_and_rebuild(std::size_t ni) {
+void simulator::lose_node(std::size_t ni, const std::function<void(std::size_t)>& record) {
+  integrate_to(engine_.now());
+  const std::size_t requeued = drain_node(ni);
   // Drained of jobs, the node leaves the inventory through the controller's
   // normal removal path; the view and the running jobs' GPU indices shift
-  // down with it.
-  if (!ctl_->remove_node(ctl_->node_at(ni).name())) return false;
-  view_.nodes.erase(view_.nodes.begin() + static_cast<std::ptrdiff_t>(ni));
-  for (auto& rj : run_.running)
-    for (auto& s : rj.gpus)
-      if (s.node > ni) --s.node;
-  rebuild_budget();
-  return true;
+  // down with it. `record` runs before the scheduling pass, so a restart it
+  // schedules ranks ahead of any completion the pass schedules.
+  if (ctl_->remove_node(ctl_->node_at(ni).name())) {
+    view_.nodes.erase(view_.nodes.begin() + static_cast<std::ptrdiff_t>(ni));
+    for (auto& rj : run_.running)
+      for (auto& s : rj.gpus)
+        if (s.node > ni) --s.node;
+    rebuild_budget();
+    record(requeued);
+  }
+  budget_->rebalance();
+  try_schedule();
+  sample_power();
 }
 
-void simulator::device_lost(const std::string& node_name) {
-  // Resolve by name: earlier losses shift indices. A vanished name means the
-  // node is already gone (double event) — nothing to do.
+void simulator::device_lost(std::size_t ordinal) {
+  // Earlier losses shift indices, so the event names its node by ordinal. A
+  // node no longer in the inventory is lost already (double event).
   std::size_t ni = 0;
-  while (ni < ctl_->node_count() && ctl_->node_at(ni).name() != node_name) ++ni;
+  while (ni < ctl_->node_count() && node_ordinal(ctl_->node_at(ni).name()) != ordinal) ++ni;
   if (ni >= ctl_->node_count() || ctl_->node_count() <= 1 ||
       run_.summary.nodes_lost >= config_.faults.max_node_losses)
     return;
-  integrate_to(engine_.now());
-
-  [[maybe_unused]] const std::size_t requeued = drain_node(ni);
-  if (remove_node_and_rebuild(ni)) {
+  lose_node(ni, [&]([[maybe_unused]] std::size_t requeued) {
     ++run_.summary.nodes_lost;
     SYNERGY_COUNTER_ADD("cluster.nodes_lost", 1);
     SYNERGY_INSTANT(tel::category::sched, "cluster.device_lost",
                     {"node", static_cast<double>(ni)},
                     {"requeued", static_cast<double>(requeued)});
-  }
-
-  budget_->rebalance();
-  try_schedule();
-  sample_power();
+  });
 }
 
 void simulator::node_crash() {
   // At least one node always survives; a skipped crash consumes no RNG so
   // the victim stream stays aligned across replays regardless of timing.
   if (ctl_->node_count() <= 1) return;
-  integrate_to(engine_.now());
-
   const auto ni = static_cast<std::size_t>(
       run_.chaos_rng.bounded(static_cast<std::uint32_t>(ctl_->node_count())));
-  const std::string name = ctl_->node_at(ni).name();
-  [[maybe_unused]] const std::size_t requeued = drain_node(ni);
-  if (remove_node_and_rebuild(ni)) {
+  const std::size_t ordinal = node_ordinal(ctl_->node_at(ni).name());
+  lose_node(ni, [&]([[maybe_unused]] std::size_t requeued) {
     ++run_.summary.node_crashes;
     SYNERGY_COUNTER_ADD("cluster.node_crashes", 1);
     SYNERGY_INSTANT(tel::category::sched, "cluster.node_crash",
@@ -755,12 +758,8 @@ void simulator::node_crash() {
                     {"requeued", static_cast<double>(requeued)});
     if (config_.chaos.restart_delay_s > 0.0)
       schedule(engine_.now() + config_.chaos.restart_delay_s, event_kind::node_restart,
-               static_cast<std::int64_t>(node_ordinal(name)));
-  }
-
-  budget_->rebalance();
-  try_schedule();
-  sample_power();
+               static_cast<std::int64_t>(ordinal));
+  });
 }
 
 void simulator::node_restart(std::size_t ordinal) {
@@ -783,10 +782,12 @@ void simulator::node_restart(std::size_t ordinal) {
   sample_power();
 }
 
-void simulator::try_schedule() {
+bool simulator::try_schedule() {
   bool progressed = true;
+  bool deferred = false;
   while (progressed && !run_.queue.empty()) {
     progressed = false;
+    deferred = false;
     // Nothing the pass looks at changes until it starts a job, so the view,
     // its free GPUs and the head's EASY reservation are priced once per pass.
     const std::size_t free_gpus = make_view();
@@ -808,6 +809,7 @@ void simulator::try_schedule() {
           ++run_.summary.econ_jobs_deferred;
           SYNERGY_COUNTER_ADD("cluster.econ_deferrals", 1);
         }
+        deferred = true;
         continue;
       }
       // place()'s precondition: the job fits the view's free GPUs.
@@ -833,10 +835,7 @@ void simulator::try_schedule() {
         // Drift that set in after the job arrived can lift its floor above
         // the cap. Fail it as arrive() would have, or it blocks the queue.
         if (!above_cap_when_idle(qj.job)) continue;  // defer under the cap
-        auto& r = run_.results[qe.row];
-        r.state = sched::job_state::failed;
-        r.failure_reason = min_draw_reason;
-        SYNERGY_COUNTER_ADD("cluster.jobs_failed", 1);
+        fail(qe.row, min_draw_reason);
         run_.queue.erase(run_.queue.begin() + static_cast<std::ptrdiff_t>(i));
         progressed = true;
         break;  // the head may have changed: refill the view and restart
@@ -857,6 +856,7 @@ void simulator::try_schedule() {
       break;  // occupancy changed: refill the view and restart the scan
     }
   }
+  return deferred;
 }
 
 run_summary simulator::run(const job_trace& trace) {
@@ -865,13 +865,10 @@ run_summary simulator::run(const job_trace& trace) {
   // re-admitted restarted ones at the end, which permutes the node order.
   // A trace the loader would reject is rejected before anything is reset.
   validate_trace(trace);
-  rebuild_controller();
+  install_nodes(configured_nodes());
   engine_ = sim_engine{};
   trace_ = &trace;
   live_events_ = 0;
-  budget_ = std::make_unique<power_budget>(*ctl_, config_.facility_cap_w);
-  view_.nodes.clear();
-  extend_view();
   run_ = run_state{
       // Spelled out: left defaulted, GCC 12 -O3 flags the summary's string
       // as maybe-uninitialized in the temporary.
@@ -928,12 +925,8 @@ run_summary simulator::finish_run() {
 
   // Anything still queued can never start (the queue only drains on
   // completions, and none are pending).
-  for (const auto& qe : run_.queue) {
-    auto& r = run_.results[qe.row];
-    r.state = sched::job_state::failed;
-    r.failure_reason = "deferred by the power budget with nothing left to drain";
-    SYNERGY_COUNTER_ADD("cluster.jobs_failed", 1);
-  }
+  for (const auto& qe : run_.queue)
+    fail(qe.row, "deferred by the power budget with nothing left to drain");
   run_.queue.clear();
 
   run_summary s = run_.summary;
@@ -979,21 +972,13 @@ void simulator::econ_tick() {
   // deferred, nothing startable) deliberately do not touch run_.last_live_t —
   // econ-on/econ-off runs of a never-deferring policy stay byte-identical
   // in the energy columns.
-  try_schedule();
+  const bool deferred = try_schedule();
   sample_power();
-  bool waiting = false;
-  if (econ_meter_.active() && !run_.queue.empty()) {
-    make_view();
-    for (const auto& qe : run_.queue)
-      if (policy_->defer({trace_->jobs[qe.row], qe.est_runtime_s}, view_)) {
-        waiting = true;
-        break;
-      }
-  }
-  // Re-arm while deferred jobs wait on a boundary or live work could still
-  // defer later; same single-cursor discipline as the scrape tick, so the
-  // engine's tie-break sequence stays deterministic.
-  if (waiting || has_live_work()) {
+  // Re-arm while a job the pass deferred waits on a boundary (its last round
+  // placed nothing, so it asked a backfilling policy about every queued job)
+  // or live work could still defer later; same single-cursor discipline as
+  // the scrape tick, so the engine's tie-break sequence stays deterministic.
+  if (deferred || has_live_work()) {
     const double next = config_.econ.price.next_change_after(engine_.now());
     if (next > engine_.now()) schedule(next, event_kind::econ);
   }
@@ -1027,11 +1012,9 @@ void simulator::set_scrape_hook(std::function<void(double)> hook) {
 }
 
 void simulator::attach_recovery(std::shared_ptr<guarded_planner> guard,
-                                std::shared_ptr<lifecycle::model_registry> registry,
                                 std::shared_ptr<lifecycle::lifecycle_manager> manager) {
   if (manager && ckpt_enabled_) throw std::invalid_argument(lifecycle_checkpointing_error);
   recovery_guard_ = std::move(guard);
-  recovery_registry_ = std::move(registry);
   recovery_manager_ = std::move(manager);
   recovery_was_quarantined_ = recovery_guard_ && recovery_guard_->quarantined();
   if (recovery_guard_ && recovery_manager_)

@@ -547,6 +547,33 @@ TEST_F(checkpoint_test, NodeChaosReplaysConserveEnergyAcrossResume) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_F(checkpoint_test, DeviceLossesAndCrashesInOneReplayShareTheLossPath) {
+  // Both ways a node leaves the inventory in one replay: device-lost faults
+  // remove nodes for good, chaos crashes remove nodes that restart later.
+  const auto trace = chaotic_trace();
+  auto cc = chaotic_config();
+  cc.faults.device_lost_rate = 0.1;
+  cc.faults.max_node_losses = 2;
+  cc.chaos.max_crashes = 3;
+  sc::simulator sim{cc, sc::make_energy_aware(sc::make_suite_planner(cc.device))};
+  const auto summary = sim.run(trace);
+
+  ASSERT_GT(summary.nodes_lost, 0u);
+  ASSERT_GT(summary.node_crashes, 0u);
+  ASSERT_GT(summary.node_restarts, 0u);
+  EXPECT_EQ(sim.controller().node_count(),
+            cc.n_nodes - summary.nodes_lost - summary.node_crashes + summary.node_restarts);
+  EXPECT_EQ(summary.completed + summary.failed, trace.jobs.size());
+  EXPECT_GT(summary.requeues, 0u);
+
+  // Every requeued job's partial joules are booked as fault-wasted, whichever
+  // cause drained its node.
+  SYNERGY_REQUIRE_CHARGE_SITES();
+  EXPECT_DOUBLE_EQ(obs::energy_ledger::instance()
+                       .totals_by_cause()[static_cast<std::size_t>(obs::cause::fault_wasted)],
+                   summary.wasted_gpu_energy_j);
+}
+
 // ------------------------------------ a deferred job that fails queued ----
 
 namespace {

@@ -474,7 +474,7 @@ TEST(Policies, EnergyAwarePlacementMatchesTheSortedReference) {
     sc::cluster_view view;
     view.is_head = true;
     for (const std::size_t w : widths)
-      view.nodes.push_back({"n", true, std::vector<bool>(w, false), std::vector<double>(w, 0.0)});
+      view.nodes.push_back({true, std::vector<bool>(w, false), std::vector<double>(w, 0.0)});
     return view;
   };
 

@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -564,4 +567,84 @@ TEST(SimulatorEcon, EconDisabledLeavesSummaryZeroed) {
   EXPECT_DOUBLE_EQ(summary.econ_carbon_g, 0.0);
   EXPECT_EQ(summary.econ_jobs_deferred, 0u);
   EXPECT_EQ(summary.econ_price_demotions, 0u);
+}
+
+namespace {
+
+/// Wraps a policy and records each instant at which defer() held a job
+/// while no GPU of the view was busy and every job had arrived. At such an
+/// instant nothing can wake the queue but the econ tick, and the tick
+/// re-arms only on the scheduling pass's own deferral verdict.
+class idle_deferral_probe final : public sc::scheduling_policy {
+ public:
+  idle_deferral_probe(std::unique_ptr<sc::scheduling_policy> inner, double last_arrival_s)
+      : inner_(std::move(inner)), last_arrival_s_(last_arrival_s) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] bool backfills() const override { return inner_->backfills(); }
+  [[nodiscard]] bool defer(const sc::queued_job& job, const sc::cluster_view& view) const override {
+    const bool held = inner_->defer(job, view);
+    const bool idle = std::none_of(view.nodes.begin(), view.nodes.end(), [](const auto& node) {
+      return std::find(node.gpu_busy.begin(), node.gpu_busy.end(), true) != node.gpu_busy.end();
+    });
+    if (held && idle && view.now > last_arrival_s_) idle_deferrals.push_back(view.now);
+    return held;
+  }
+  std::optional<sc::placement> place(const sc::queued_job& job,
+                                     const sc::cluster_view& view) override {
+    return inner_->place(job, view);
+  }
+
+  mutable std::vector<double> idle_deferrals;
+
+ private:
+  std::unique_ptr<sc::scheduling_policy> inner_;
+  double last_arrival_s_;
+};
+
+}  // namespace
+
+TEST(SimulatorEcon, EconTickWakesJobsDeferredOnAnIdleCluster) {
+  // synergy_cluster --nodes 4 --gpus 4 --policy cost --econ --deferrable 0.6
+  // --jobs 100 --mean-interarrival 1 --seed 3: the arrivals end within two
+  // minutes, and deferred jobs then wait out pricey windows on an idle
+  // cluster until the makespan of ~830 s.
+  sc::cluster_config cc;
+  cc.n_nodes = 4;
+  cc.gpus_per_node = 4;
+  cc.econ.enabled = true;
+  econ::synthetic_config syn;
+  syn.seed = 3;
+  syn.period_s = 240.0;
+  syn.step_s = 10.0;
+  syn.noise = 0.01;
+  cc.econ.price = econ::synthetic_diurnal(syn);
+  syn.stream = 1;
+  syn.base = 300.0;
+  syn.amplitude = 120.0;
+  syn.noise = 20.0;
+  cc.econ.carbon = econ::synthetic_diurnal(syn);
+  sc::trace_config tc;
+  tc.n_jobs = 100;
+  tc.mean_interarrival_s = 1.0;
+  tc.seed = 3;
+  tc.deferrable_fraction = 0.6;
+  const auto trace = sc::generate_trace(tc);
+  double last_arrival_s = 0.0;
+  for (const auto& job : trace.jobs) last_arrival_s = std::max(last_arrival_s, job.submit_s);
+
+  synergy::obs::energy_ledger::instance().reset();
+  synergy::telemetry::metrics_registry::instance().reset_values();
+  auto probe = std::make_unique<idle_deferral_probe>(
+      sc::make_cost_aware(&cc.econ, sc::make_suite_planner(cc.device)), last_arrival_s);
+  const auto& idle_deferrals = probe->idle_deferrals;
+  sc::simulator sim{cc, std::move(probe)};
+  const auto summary = sim.run(trace);
+
+  ASSERT_FALSE(idle_deferrals.empty()) << "no job was deferred on an idle cluster";
+  EXPECT_GT(summary.econ_jobs_deferred, 0u);
+  // Had the tick stopped re-arming there, the waiting jobs would have
+  // failed as "deferred by the power budget with nothing left to drain".
+  EXPECT_EQ(summary.failed, 0u);
+  EXPECT_EQ(summary.completed, trace.jobs.size());
 }

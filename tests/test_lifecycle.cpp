@@ -543,7 +543,7 @@ cluster_recovery_outcome run_cluster_recovery(const std::filesystem::path& model
       registry, gs::make_v100(),
       lc::make_drifted_retrainer(gs::make_v100(), quick_options(), cluster.drift.power_skew,
                                  cluster.drift.freq_exponent));
-  sim.attach_recovery(guarded.guard, registry, manager);
+  sim.attach_recovery(guarded.guard, manager);
 
   sc::trace_config gen;
   gen.n_jobs = 400;
@@ -616,10 +616,10 @@ TEST(ClusterLifecycle, CheckpointingAndRecoveryLoopExcludeEachOtherInEitherOrder
   sc::simulator checkpointed{sc::cluster_config{}, sc::make_fifo()};
   checkpointed.set_checkpointing({});
   const auto recovery_second =
-      rejection([&] { checkpointed.attach_recovery(guard, nullptr, manager()); });
+      rejection([&] { checkpointed.attach_recovery(guard, manager()); });
 
   sc::simulator recovering{sc::cluster_config{}, sc::make_fifo()};
-  recovering.attach_recovery(guard, nullptr, manager());
+  recovering.attach_recovery(guard, manager());
   const auto checkpointing_second = rejection([&] { recovering.set_checkpointing({}); });
 
   EXPECT_NE(checkpointing_second.find("lifecycle recovery loop"), std::string::npos)

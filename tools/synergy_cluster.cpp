@@ -490,7 +490,7 @@ int main(int argc, char** argv) {
                                                 cluster.drift.freq_exponent);
       manager = std::make_shared<lc::lifecycle_manager>(registry, spec, std::move(retrain),
                                                         lc::lifecycle_options{}, store);
-      sim.attach_recovery(guard, registry, manager);
+      sim.attach_recovery(guard, manager);
       std::cout << "lifecycle: persisting versions to " << lifecycle_dir << '\n';
     }
 
