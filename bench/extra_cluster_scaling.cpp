@@ -9,7 +9,12 @@
 /// The arrival rate scales with the GPU count so every cluster sees the
 /// same offered load per GPU; each scale replays one fixed-seed trace under
 /// all five schedulers, so rows differ only by policy.
+///
+/// Acceptance gate (checked, nonzero exit on violation): at every scale the
+/// energy policy at ES_50 uses less GPU energy than FIFO, at no more than
+/// 1.10x FIFO's makespan.
 
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -51,6 +56,7 @@ int main() {
   table.header({"GPUs", "policy", "jobs", "makespan (s)", "GPU energy (J)",
                 "facility E (J)", "mean wait (s)", "util", "vs fifo E", "vs fifo T"});
   std::vector<std::string> csv_rows;
+  int failures = 0;
 
   for (const std::size_t n_nodes : node_counts) {
     sc::cluster_config cc;
@@ -73,6 +79,13 @@ int main() {
       if (pc.label == "fifo") {
         fifo_energy = s.total_gpu_energy_j;
         fifo_makespan = s.makespan_s;
+      }
+      if (pc.label == "energy ES_50" && !(s.total_gpu_energy_j < fifo_energy &&
+                                          s.makespan_s <= 1.10 * fifo_makespan)) {
+        std::cerr << "FAIL: at " << gpus << " GPUs ES_50 is at "
+                  << s.total_gpu_energy_j / fifo_energy << "x FIFO's energy and "
+                  << s.makespan_s / fifo_makespan << "x its makespan\n";
+        ++failures;
       }
       table.row({std::to_string(gpus), pc.label,
                  std::to_string(s.completed) + "/" + std::to_string(s.jobs),
@@ -100,5 +113,5 @@ int main() {
   std::cout << "\nnote: 'vs fifo' columns normalise to the FIFO row of the same scale;\n"
                "the ES_50 policy must stay below 1.0 on energy within 1.10 on makespan\n"
                "(the repository's acceptance bar for this bench).\n";
-  return 0;
+  return failures == 0 ? EXIT_SUCCESS : EXIT_FAILURE;
 }

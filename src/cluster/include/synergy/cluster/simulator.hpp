@@ -440,14 +440,21 @@ class simulator {
   /// restores into a simulator whose digest matches.
   [[nodiscard]] std::string config_fingerprint() const;
   /// Scheduling passes until one starts nothing. True when that last pass
-  /// left a job the policy deferred: the econ tick re-arms on it.
+  /// left a job the policy deferred: the econ tick re-arms on it. With the
+  /// econ meter off, a pass with no free GPU is not run: every job needs a
+  /// GPU, and only defer() could see it.
   bool try_schedule();
-  /// Stamp view_'s free GPUs with the current time (is_head set,
-  /// head_reservation_s 0) and return how many GPUs are free.
-  std::size_t make_view();
+  /// Stamp view_.now and view_'s free GPUs with the current time, unless
+  /// they carry it already: no release() or extend_view() since a stamp at
+  /// this instant.
+  void make_view();
   /// Append to view_ every inventory node past its end, all GPUs free: the
   /// whole inventory after view_.nodes.clear(), or a node that just joined.
   void extend_view();
+  /// GPUs in the inventory: every node has config_.gpus_per_node.
+  [[nodiscard]] std::size_t gpu_count() const {
+    return ctl_->node_count() * config_.gpus_per_node;
+  }
   /// A job's per-GPU cost at one clock: the DVFS model's cost with its draw
   /// drifted as of now and its energy re-derived from that draw, and the
   /// model's undrifted draw (what the trained models believe; the hybrid
@@ -590,6 +597,15 @@ class simulator {
   /// node_view. The scheduling passes hand it to the policy after
   /// make_view() stamps the free GPUs with the current time.
   cluster_view view_;
+  /// GPUs whose view_ busy bit is set: occupy() and release(), which flip
+  /// the bits, count them, and install_nodes() zeroes it. A drained node
+  /// leaves with none set and a joining node brings none.
+  std::size_t busy_gpus_{0};
+  /// Every free GPU's busy_until is view_.now: release() and extend_view()
+  /// clear it, make_view() sets it.
+  bool view_stamped_{false};
+  /// shadow_time()'s buffer, reused across passes: every GPU's busy_until.
+  std::vector<double> shadow_avail_;
   std::vector<std::pair<double, double>> power_samples_;
   // --- observability (optional) ---
   /// Scrape tick: scrape() now, rescheduled while the run has live work.

@@ -30,8 +30,19 @@ void check_job_row(const traced_job& job) {
   if (std::isnan(job.deadline_s) || (job.deadline_s >= 0.0 && !(job.deadline_s >= job.submit_s)))
     throw std::invalid_argument("job_trace: deadline before submit for id " +
                                 std::to_string(job.id));
-  if (job.n_gpus < 1 || job.iterations < 1 || !(job.work_items > 0.0) || !(job.submit_s >= 0.0))
+  if (job.n_gpus < 1 || job.iterations < 1 || !(job.work_items > 0.0) ||
+      !std::isfinite(job.work_items) || !(job.submit_s >= 0.0) || !std::isfinite(job.submit_s))
     throw std::invalid_argument("job_trace: invalid job row for id " + std::to_string(job.id));
+}
+
+/// An integer column, all of it: std::stoi alone reads "1x" as 1.
+int parse_int(const std::string& field, const char* column) {
+  std::size_t end = 0;
+  const int v = std::stoi(field, &end);
+  if (end != field.size())
+    throw std::invalid_argument(std::string("job_trace: ") + column + " is not an integer: " +
+                                field);
+  return v;
 }
 
 }  // namespace
@@ -80,13 +91,13 @@ job_trace job_trace::from_csv(const std::string& text) {
       throw std::invalid_argument("job_trace: expected 8 or 10 fields, got " +
                                   std::to_string(f.size()));
     traced_job j;
-    j.id = std::stoi(f[0]);
+    j.id = parse_int(f[0], "id");
     j.name = f[1];
     j.submit_s = std::stod(f[2]);
-    j.n_gpus = std::stoi(f[3]);
+    j.n_gpus = parse_int(f[3], "n_gpus");
     j.kernel = f[4];
     j.work_items = std::stod(f[5]);
-    j.iterations = std::stoi(f[6]);
+    j.iterations = parse_int(f[6], "iterations");
     j.target = f[7];
     if (f.size() == 10) {
       if (f[8] != "0" && f[8] != "1")

@@ -54,9 +54,9 @@ gpusim::kernel_profile folded_profile(const traced_job& job) {
 }
 
 /// EASY shadow time over a view whose free GPUs carry `view.now`: when
-/// `n_gpus` GPUs are free at the earliest.
-double shadow_time(const cluster_view& view, int n_gpus) {
-  std::vector<double> avail;
+/// `n_gpus` GPUs are free at the earliest. `avail` is a reused buffer.
+double shadow_time(const cluster_view& view, int n_gpus, std::vector<double>& avail) {
+  avail.clear();
   for (const auto& nv : view.nodes) avail.insert(avail.end(), nv.busy_until.begin(), nv.busy_until.end());
   if (static_cast<std::size_t>(n_gpus) > avail.size()) return inf;
   std::nth_element(avail.begin(), avail.begin() + (n_gpus - 1), avail.end());
@@ -133,6 +133,7 @@ void simulator::install_nodes(const std::vector<std::string>& names) {
   ctl_ = std::make_unique<sched::controller>(std::move(nodes));
   budget_ = std::make_unique<power_budget>(*ctl_, config_.facility_cap_w);
   view_.nodes.clear();
+  busy_gpus_ = 0;
   extend_view();
 }
 
@@ -161,39 +162,44 @@ const std::string& simulator::node_of(const running_job& rj) const {
 void simulator::occupy(const running_job& rj) {
   for (std::size_t k = 0; k < rj.gpus.size(); ++k) {
     const gpu_slot s = rj.gpus[k];
-    view_.nodes[s.node].gpu_busy[s.gpu] = true;
-    view_.nodes[s.node].busy_until[s.gpu] = rj.busy_until;
+    auto& nv = view_.nodes[s.node];
+    if (!nv.gpu_busy[s.gpu]) ++busy_gpus_;
+    nv.gpu_busy[s.gpu] = true;
+    nv.busy_until[s.gpu] = rj.busy_until;
     budget_->gpu_busy(s.node, s.gpu, rj.avg_power_w);
     if (first_on_its_node(rj.gpus, k)) ctl_->node_at(s.node).add_job();
   }
 }
 
 void simulator::release(const running_job& rj) {
+  // The freed GPUs still carry the job's busy_until, not the current time.
+  view_stamped_ = false;
   for (std::size_t k = 0; k < rj.gpus.size(); ++k) {
     const gpu_slot s = rj.gpus[k];
-    view_.nodes[s.node].gpu_busy[s.gpu] = false;
+    auto& nv = view_.nodes[s.node];
+    if (nv.gpu_busy[s.gpu]) --busy_gpus_;
+    nv.gpu_busy[s.gpu] = false;
     budget_->gpu_idle(s.node, s.gpu);
     if (first_on_its_node(rj.gpus, k)) ctl_->node_at(s.node).remove_job();
   }
 }
 
-std::size_t simulator::make_view() {
+void simulator::make_view() {
   // The busy GPUs are current already; only a free GPU's busy_until (the
-  // time it is free from) moves with the clock.
-  view_.now = engine_.now();
-  view_.is_head = true;
-  view_.head_reservation_s = 0.0;
-  std::size_t n_free = 0;
+  // time it is free from) moves with the clock. occupy() only turns free
+  // GPUs busy, so after a stamp at this instant only a release() or a new
+  // node can leave a free GPU without it.
+  const double now = engine_.now();
+  if (view_stamped_ && now == view_.now) return;
+  view_.now = now;
   for (auto& nv : view_.nodes)
     for (std::size_t g = 0; g < nv.gpu_busy.size(); ++g)
-      if (!nv.gpu_busy[g]) {
-        nv.busy_until[g] = view_.now;
-        ++n_free;
-      }
-  return n_free;
+      if (!nv.gpu_busy[g]) nv.busy_until[g] = now;
+  view_stamped_ = true;
 }
 
 void simulator::extend_view() {
+  view_stamped_ = false;
   for (std::size_t i = view_.nodes.size(); i < ctl_->node_count(); ++i) {
     const auto& n = ctl_->node_at(i);
     const std::size_t gpus = n.config().gpus.size();
@@ -307,8 +313,7 @@ void simulator::arrive(std::size_t row) {
                   {"id", static_cast<double>(job.id)},
                   {"n_gpus", static_cast<double>(job.n_gpus)});
 
-  const std::size_t total_gpus = ctl_->node_count() * config_.gpus_per_node;
-  if (static_cast<std::size_t>(job.n_gpus) > total_gpus) {
+  if (static_cast<std::size_t>(job.n_gpus) > gpu_count()) {
     fail(row, "requests more GPUs than the cluster has");
   } else if (budget_->capped() && above_cap_when_idle(job)) {
     // It can never be admitted: fail it now instead of starving the queue.
@@ -783,6 +788,7 @@ void simulator::node_restart(std::size_t ordinal) {
 }
 
 bool simulator::try_schedule() {
+  const bool backfills = policy_->backfills();
   bool progressed = true;
   bool deferred = false;
   while (progressed && !run_.queue.empty()) {
@@ -790,14 +796,26 @@ bool simulator::try_schedule() {
     deferred = false;
     // Nothing the pass looks at changes until it starts a job, so the view,
     // its free GPUs and the head's EASY reservation are priced once per pass.
-    const std::size_t free_gpus = make_view();
+    const std::size_t free_gpus = gpu_count() - busy_gpus_;
+    // Every job needs a GPU, so with none free the pass skips each one
+    // before place(); only defer(), asked while the econ meter runs, could
+    // see it.
+    if (free_gpus == 0 && !econ_meter_.active()) break;
+    make_view();
     cluster_view& view = view_;
     view.head_reservation_s = inf;  // until the first backfill candidate
     for (std::size_t i = 0; i < run_.queue.size(); ++i) {
-      if (i > 0 && !policy_->backfills()) break;
+      if (i > 0 && !backfills) break;
       view.is_head = (i == 0);
-      if (i == 1)
-        view.head_reservation_s = shadow_time(view, trace_->jobs[run_.queue[0].row].n_gpus);
+      if (i == 1) {
+        // A head that fits the free GPUs did not start (deferred, cap-blocked
+        // or refused): its shadow time is now, since at least that many GPUs
+        // carry now and no busy GPU is busy until before now.
+        const int head_gpus = trace_->jobs[run_.queue[0].row].n_gpus;
+        view.head_reservation_s = static_cast<std::size_t>(head_gpus) <= free_gpus
+                                      ? view.now
+                                      : shadow_time(view, head_gpus, shadow_avail_);
+      }
       queue_entry& qe = run_.queue[i];
       const queued_job qj{trace_->jobs[qe.row], qe.est_runtime_s};
       if (econ_meter_.active() && policy_->defer(qj, view)) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -17,6 +18,7 @@
 
 #include "synergy/cluster/simulator.hpp"
 #include "synergy/common/rng.hpp"
+#include "synergy/econ/trace.hpp"
 #include "synergy/gpusim/dvfs_model.hpp"
 #include "synergy/workloads/benchmark.hpp"
 
@@ -266,6 +268,11 @@ TEST(JobTrace, LoaderRejectsMalformedInput) {
   const auto csv = sc::generate_trace({.n_jobs = 3}).to_csv();
   EXPECT_THROW((void)sc::job_trace::from_csv(csv + "9,bad,0,1,mat_mul,1,1\n"),
                std::invalid_argument);  // short row
+  // An integer column must be all digits: "1x" GPUs ran as 1 GPU.
+  EXPECT_EQ(sc::job_trace::from_csv(csv + "9,ok,0,1,mat_mul,1,1,default\n").jobs.back().n_gpus, 1);
+  for (const char* row : {"9x,bad,0,1,mat_mul,1,1,default\n", "9,bad,0,1x,mat_mul,1,1,default\n",
+                          "9,bad,0,1,mat_mul,1,1x,default\n"})
+    EXPECT_THROW((void)sc::job_trace::from_csv(csv + row), std::invalid_argument) << row;
 }
 
 TEST(JobTrace, LoaderRejectsRepeatedJobIds) {
@@ -391,21 +398,49 @@ TEST(Policies, PlaceIsOfferedFittingJobsOnACurrentView) {
   chaotic.chaos.restart_delay_s = 30.0;
   chaotic.chaos.max_crashes = 3;
 
+  // Two where a pass may reuse an earlier stamp or skip the EASY selection.
+  // A device loss drains a node whose GPUs were busy until later, and the
+  // pass that follows runs at the same instant.
+  auto faulted = cc;
+  faulted.faults.seed = 9;
+  faulted.faults.device_lost_rate = 0.05;
+  faulted.faults.max_node_losses = 2;
+  auto faulted_tc = tc;
+  faulted_tc.n_jobs = 200;
+  faulted_tc.mean_interarrival_s = 0.2;
+  // The cost policy defers heads that fit, and the cap blocks others that
+  // fit, so the pass prices their reservation while the GPUs they need are
+  // free.
+  auto priced = cc;
+  priced.facility_cap_w = 2600.0;
+  priced.econ.enabled = true;
+  synergy::econ::synthetic_config tariff;
+  tariff.seed = 3;
+  tariff.period_s = 240.0;
+  tariff.step_s = 10.0;
+  tariff.noise = 0.01;
+  priced.econ.price = synergy::econ::synthetic_diurnal(tariff);
+  auto priced_tc = faulted_tc;
+  priced_tc.mean_interarrival_s = 1.0;
+  priced_tc.deferrable_fraction = 0.6;
+
   struct replay {
     std::string what;
     sc::cluster_config cc;
     sc::trace_config tc;
-    bool energy;
+    std::string policy;
   };
-  for (const auto& [what, config, trace_config, energy] :
-       {replay{"burst", cc, burst, false}, replay{"burst", cc, burst, true},
-        replay{"governed", governed, tc, true}, replay{"chaotic", chaotic, tc, true}}) {
+  for (const auto& [what, config, trace_config, policy] :
+       {replay{"burst", cc, burst, "backfill"}, replay{"burst", cc, burst, "energy"},
+        replay{"governed", governed, tc, "energy"}, replay{"chaotic", chaotic, tc, "energy"},
+        replay{"faulted", faulted, faulted_tc, "energy"},
+        replay{"priced", priced, priced_tc, "cost"}}) {
     const auto trace = sc::generate_trace(trace_config);
-    auto wrapped = std::make_unique<view_checking_policy>(
-        energy ? sc::make_energy_aware(sc::make_suite_planner(config.device))
-               : sc::make_easy_backfill());
+    auto wrapped = std::make_unique<view_checking_policy>(sc::make_policy(
+        policy, sc::make_suite_planner(config.device), std::nullopt, &config.econ));
     auto& checker = *wrapped;
-    checker.check_reservation = what == "burst";
+    // A requeued job goes to the back of the queue (see check_reservation).
+    checker.check_reservation = what == "burst" || what == "priced";
     sc::simulator sim{config, std::move(wrapped)};
     checker.sim = &sim;
     checker.trace = &trace;
@@ -424,7 +459,80 @@ TEST(Policies, PlaceIsOfferedFittingJobsOnACurrentView) {
       EXPECT_EQ(summary.node_crashes, config.chaos.max_crashes);
       EXPECT_EQ(summary.node_restarts, summary.node_crashes);
     }
+    if (config.faults.enabled()) {
+      EXPECT_EQ(summary.nodes_lost, config.faults.max_node_losses);
+      EXPECT_GT(summary.requeues, 0u);
+    }
+    if (config.econ.enabled) {
+      EXPECT_GT(summary.econ_jobs_deferred, 0u);
+      EXPECT_GT(summary.cap_demotions, 0u);
+    }
   }
+}
+
+TEST(Policies, APassAtTheInstantOfADrainOrARestartSeesFreshFreeGpus) {
+  // Passes at one instant share the stamp of the first, until GPUs are
+  // freed or join. 2 x 4 GPUs, one crash, one restart: job 1 spans both
+  // nodes, jobs 2 and 3 arrive at the crash's instant (job 3 does not fit
+  // until the crash drains job 1), and job 5 at the restart's instant (it
+  // does not fit until the node is back). Arrivals fire before the crash
+  // and the restart at an equal time, as they were scheduled first.
+  sc::cluster_config cc;
+  cc.n_nodes = 2;
+  cc.gpus_per_node = 4;
+  cc.chaos.seed = 11;
+  cc.chaos.mtbf_s = 20.0;
+  cc.chaos.restart_delay_s = 5.0;
+  cc.chaos.max_crashes = 1;
+  // The crash time as run() draws it.
+  synergy::common::pcg32 chaos_rng{cc.chaos.seed};
+  const double crash_s = -cc.chaos.mtbf_s * std::log1p(-chaos_rng.uniform());
+  const double restart_s = crash_s + cc.chaos.restart_delay_s;
+
+  sc::job_trace trace;
+  trace.jobs = {make_job(1, 0.0, 6, 4000), make_job(2, crash_s, 1, 4000),
+                make_job(3, crash_s, 2, 4000), make_job(5, restart_s, 2, 1)};
+  auto wrapped = std::make_unique<view_checking_policy>(sc::make_easy_backfill());
+  auto& checker = *wrapped;
+  checker.check_reservation = false;  // the crash requeues job 1
+  sc::simulator sim{cc, std::move(wrapped)};
+  checker.sim = &sim;
+  checker.trace = &trace;
+  const auto summary = sim.run(trace);
+
+  EXPECT_EQ(summary.completed, trace.jobs.size());
+  EXPECT_EQ(summary.node_crashes, 1u);
+  EXPECT_EQ(summary.node_restarts, 1u);
+  EXPECT_EQ(result_for(sim, trace, 1).requeues, 1);
+  // The passes that follow the drain and the restart placed these.
+  EXPECT_EQ(result_for(sim, trace, 3).start_s, crash_s);
+  EXPECT_EQ(result_for(sim, trace, 5).start_s, restart_s);
+  EXPECT_EQ(checker.misfits, 0u);
+  EXPECT_EQ(checker.stale_views, 0u);
+  EXPECT_EQ(checker.stale_free, 0u) << "of " << checker.calls << " place() calls";
+  EXPECT_EQ(checker.stale_busy, 0u);
+}
+
+TEST(Policies, AFullClusterStillAsksDeferWhileTheEconMeterRuns) {
+  // One GPU. Job 1 holds it into the cheap half of the tariff; job 2 is
+  // deferrable and arrives in the pricey half, when no GPU is free. The
+  // pass at its arrival still asks defer(), so its wait counts as a
+  // deferral even though the price has dropped by the time it starts.
+  sc::cluster_config cc;
+  cc.n_nodes = 1;
+  cc.gpus_per_node = 1;
+  cc.econ.enabled = true;
+  cc.econ.price = synergy::econ::step_trace({{0.0, 1.0}, {100.0, 0.1}}, 200.0);
+  sc::job_trace trace;
+  trace.jobs = {make_job(1, 0.0, 1, 4000), make_job(2, 10.0, 1, 10)};
+  trace.jobs[1].deferrable = true;
+  sc::simulator sim{cc, sc::make_cost_aware(&cc.econ)};
+  const auto summary = sim.run(trace);
+
+  ASSERT_EQ(summary.completed, 2u);
+  ASSERT_GT(result_for(sim, trace, 1).end_s, 100.0);
+  EXPECT_EQ(result_for(sim, trace, 2).start_s, result_for(sim, trace, 1).end_s);
+  EXPECT_EQ(summary.econ_jobs_deferred, 1u);
 }
 
 TEST(Policies, EnergyAwarePlacementMatchesTheSortedReference) {
@@ -794,6 +902,10 @@ TEST(Simulator, RunRejectsRowsTheLoaderRejects) {
       [](sc::traced_job& j) { j.work_items = 0.0; },
       [](sc::traced_job& j) { j.submit_s = -1.0; },
       [](sc::traced_job& j) { j.deadline_s = j.submit_s / 2.0; },
+      // An infinite submit time put the makespan at inf; infinite work
+      // never completed, and the job fell out of every count.
+      [](sc::traced_job& j) { j.submit_s = std::numeric_limits<double>::infinity(); },
+      [](sc::traced_job& j) { j.work_items = std::numeric_limits<double>::infinity(); },
   };
   for (std::size_t k = 0; k < breaks.size(); ++k) {
     SCOPED_TRACE("row check " + std::to_string(k));
