@@ -699,7 +699,7 @@ std::string simulator::serialize_checkpoint() const {
   checkpoint_layout::sections x;
   x.fingerprint = common::crc32(config_fingerprint());
   x.n_jobs = run_.results.size();
-  for (std::size_t i = 0; i < ctl_->node_count(); ++i) x.nodes.push_back(ctl_->node_at(i).name());
+  x.nodes = node_names();
   // The event heap as it stands, less the checkpoint tick and the crash
   // injection, which resume() re-arms from its own options.
   x.now = engine_.now();
@@ -760,11 +760,13 @@ common::status simulator::restore_checkpoint(const std::string& payload,
   if (x.nodes.empty()) return reject("nodes: empty inventory");
   // Which ordinals are up; a node joins the inventory once.
   std::vector<bool> up(config_.n_nodes, false);
+  std::vector<std::size_t> ordinals;
   for (const auto& name : x.nodes) {
     const std::size_t ordinal = node_ordinal(name);
     if (ordinal >= config_.n_nodes) return reject("nodes: not an inventory node name");
     if (up[ordinal]) return reject("nodes: node " + name + " appears twice");
     up[ordinal] = true;
+    ordinals.push_back(ordinal);
   }
   if (st.results.size() != trace.jobs.size()) return reject("per-job result count mismatch");
   // complete() and governor_tick() binary-search the running jobs by epoch.
@@ -874,10 +876,10 @@ common::status simulator::restore_checkpoint(const std::string& payload,
   run_ = std::move(st);
 
   // Fresh budget and view over the restored inventory; the running jobs
-  // re-register their demand, node occupancy and GPUs. No restore-time
-  // rebalance — the summary carries the exporting run's counters, and a
-  // gratuitous rebalance here would put the resumed summary one count ahead.
-  install_nodes(x.nodes);
+  // re-register their demand and GPUs. No restore-time rebalance — the
+  // summary carries the exporting run's counters, and a gratuitous
+  // rebalance here would put the resumed summary one count ahead.
+  install_nodes(std::move(ordinals));
   for (const auto& rj : run_.running) occupy(rj);
 
   power_samples_.clear();  // diagnostics only; not part of any output artefact

@@ -13,9 +13,10 @@
 ///    enough GPUs drain (the EASY shadow time); later jobs may jump ahead
 ///    iff their estimated completion does not cross that reservation.
 ///  - energy_aware: EASY's queue discipline, plus placement that prefers
-///    frequency-capable nodes (the paper's Sec. 7.2 check chain decides
-///    capability) and a per-job frequency plan resolved from the kernel's
-///    tuning-table / planner entry for the job's energy target.
+///    emptier nodes and, on a frequency-capable cluster (the paper's
+///    Sec. 7.2 check chain decides capability), a per-job frequency plan
+///    resolved from the kernel's tuning-table / planner entry for the job's
+///    energy target.
 ///  - cost_aware: energy_aware's placement, plus the econ plane's defer
 ///    rule — deferrable jobs wait out expensive price windows (bounded by
 ///    their deadlines) and start in cheap/clean ones instead.
@@ -49,10 +50,6 @@ struct gpu_slot {
 /// must not keep a reference to it past the call it was passed to.
 struct cluster_view {
   struct node_view {
-    /// The Sec. 7.2 prologue chain outcome for this node: tagged with the
-    /// nvgpufreq GRES, management library loadable. Placement on a node
-    /// that fails the chain runs at default clocks.
-    bool freq_capable{false};
     std::vector<bool> gpu_busy;
     /// Modelled completion time of the job holding each GPU (= now when
     /// the GPU is free).
@@ -61,6 +58,11 @@ struct cluster_view {
 
   double now{0.0};
   std::vector<node_view> nodes;
+  /// The Sec. 7.2 prologue chain outcome, one for the cluster: every node
+  /// is tagged with the nvgpufreq GRES and loads its management library,
+  /// or none is. Placements on a cluster that fails the chain run at
+  /// default clocks.
+  bool freq_capable{false};
   /// True while the policy is asked about the queue head; false for
   /// backfill candidates behind a blocked head.
   bool is_head{true};

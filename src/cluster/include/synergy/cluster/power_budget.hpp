@@ -11,26 +11,33 @@
 /// plan is demoted down the clock table until it does (counted as a
 /// demotion), and the job waits if even the lowest clock is too hot.
 ///
-/// Every draw change (a placement, a completion, a governor clock move, a
-/// node loss or restart) is a rebalance point, which the budget counts and
-/// traces. It locks no board clocks: admission prices clocks with
-/// the DVFS model against headroom_w(), and no cluster code reads a board's
-/// bounds. sched::power_manager is the scheduler-level model of SLURM's
-/// per-node cap redistribution.
+/// The budget holds draws, not nodes: each node's host watts and each of
+/// its GPUs' idle watts, given at construction. Every draw change (a
+/// placement, a completion, a governor clock move, a node loss or restart)
+/// is a rebalance point, which the budget counts and traces. It locks no
+/// clocks: admission prices clocks with the DVFS model against
+/// headroom_w(). sched::power_manager is the scheduler-level model of
+/// SLURM's per-node cap redistribution.
 
 #include <cstddef>
 #include <optional>
 #include <vector>
 
-#include "synergy/sched/controller.hpp"
+namespace synergy::sched { class controller; }  // synergy/sched/controller.hpp
 
 namespace synergy::cluster {
 
 class power_budget {
  public:
+  /// Node i draws `host_w[i]` for its host and `idle_w[i][g]` for its GPU g
+  /// while that GPU is idle; the two lists must name the same nodes.
   /// `facility_cap_w` covers hosts + GPUs across every node; <= 0 disables
   /// capping (admission always passes, no rebalances).
-  power_budget(sched::controller& ctl, double facility_cap_w);
+  power_budget(std::vector<double> host_w, std::vector<std::vector<double>> idle_w,
+               double facility_cap_w);
+  /// The draws of `ctl`'s nodes: each node's host power and its boards'
+  /// idle power, read once here.
+  power_budget(const sched::controller& ctl, double facility_cap_w);
 
   [[nodiscard]] bool capped() const { return cap_w_ > 0.0; }
   [[nodiscard]] double cap_w() const { return cap_w_; }
@@ -60,8 +67,10 @@ class power_budget {
   void count_demotion() { ++demotions_; }
 
  private:
-  sched::controller* ctl_;
   double cap_w_;
+  std::vector<double> host_w_;
+  /// Each GPU's idle floor, indexed [node][gpu].
+  std::vector<std::vector<double>> idle_w_;
   /// Modelled per-GPU draw, indexed [node][gpu]; idle floor when no job.
   std::vector<std::vector<double>> gpu_power_w_;
   /// facility_power_w() since the last draw change; empty when stale.

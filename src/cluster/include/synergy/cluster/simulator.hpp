@@ -3,10 +3,11 @@
 /// \file simulator.hpp
 /// The discrete-event cluster simulator: trace in, summary out.
 ///
-/// The simulator replays a job trace against a modelled cluster: nodes are
-/// sched::node inventory (host power, GRES tags, simulated boards), job
-/// costs are charged through the gpusim DVFS model at the clocks the
-/// scheduling policy picked, and a facility power budget admits/demotes/
+/// The simulator replays a job trace against a modelled cluster: every node
+/// is the one cluster_config describes (device, GPU count, host power,
+/// nvgpufreq tag), so the inventory is the ordinals of the nodes that are
+/// up. Job costs are charged through the gpusim DVFS model at the clocks
+/// the scheduling policy picked, and a facility power budget admits/demotes/
 /// defers placements. Everything advances on the event engine's virtual
 /// time, so a 1000-job / 64-node run takes milliseconds and is
 /// bit-reproducible: same trace + policy + config, same summary CSV.
@@ -36,7 +37,7 @@
 #include "synergy/econ/tco.hpp"
 #include "synergy/governor/governor.hpp"
 #include "synergy/obs/energy_ledger.hpp"
-#include "synergy/sched/controller.hpp"
+#include "synergy/sched/job.hpp"
 
 namespace synergy {
 class guarded_planner;  // core guardrail chain (synergy/guarded_planner.hpp)
@@ -69,9 +70,8 @@ namespace synergy::cluster {
 ///  - power-read dropout: the job's energy sample is flagged degraded
 ///    (`energy_degraded`) but still accounted.
 ///  - device-lost: one GPU dies mid-job; every job on that node is requeued
-///    (never lost), the node is drained and removed via
-///    sched::controller::remove_node, and the partial execution is charged
-///    to `wasted_gpu_energy_j`.
+///    (never lost), the node is drained and leaves the inventory, and the
+///    partial execution is charged to `wasted_gpu_energy_j`.
 struct fault_plan {
   std::uint64_t seed{0xfa0175eedULL};
   double clock_set_fail_rate{0.0};    ///< per placement
@@ -279,7 +279,9 @@ class simulator {
     return power_samples_;
   }
 
-  [[nodiscard]] sched::controller& controller() { return *ctl_; }
+  /// The names of the nodes that are up, in inventory order: "cn" and the
+  /// node's zero-padded ordinal. Restarted nodes rejoin at the back.
+  [[nodiscard]] std::vector<std::string> node_names() const;
   [[nodiscard]] const cluster_config& config() const { return config_; }
 
   /// Close the model-lifecycle loop over this cluster: every trusted job
@@ -390,12 +392,14 @@ class simulator {
            k == event_kind::node_crash || k == event_kind::node_restart;
   }
 
-  /// Install the inventory `names` lists, in that order, with a fresh power
-  /// budget over it and a view of it with every GPU free.
-  void install_nodes(const std::vector<std::string>& names);
-  /// The configured inventory: cn000 onwards, n_nodes names.
-  [[nodiscard]] std::vector<std::string> configured_nodes() const;
-  [[nodiscard]] sched::node_config make_node_config(const std::string& name) const;
+  /// Install the nodes `ordinals` lists, in that order, with a fresh power
+  /// budget over them and a view of them with every GPU free.
+  void install_nodes(std::vector<std::size_t> ordinals);
+  /// The configured inventory: ordinals 0 to n_nodes - 1.
+  [[nodiscard]] std::vector<std::size_t> configured_nodes() const;
+  /// A budget over the inventory with every GPU idle: each node draws
+  /// config_.host_power_w and each GPU the device's idle power.
+  [[nodiscard]] std::unique_ptr<power_budget> make_budget() const;
   /// Inventory node names are "cn" + the zero-padded ordinal.
   static std::string node_name(std::size_t ordinal);
   /// Ordinal of a canonical node name; npos when `name` is not one.
@@ -452,9 +456,7 @@ class simulator {
   /// whole inventory after view_.nodes.clear(), or a node that just joined.
   void extend_view();
   /// GPUs in the inventory: every node has config_.gpus_per_node.
-  [[nodiscard]] std::size_t gpu_count() const {
-    return ctl_->node_count() * config_.gpus_per_node;
-  }
+  [[nodiscard]] std::size_t gpu_count() const { return nodes_.size() * config_.gpus_per_node; }
   /// A job's per-GPU cost at one clock: the DVFS model's cost with its draw
   /// drifted as of now and its energy re-derived from that draw, and the
   /// model's undrifted draw (what the trained models believe; the hybrid
@@ -487,7 +489,9 @@ class simulator {
 
   cluster_config config_;
   std::unique_ptr<scheduling_policy> policy_;
-  std::unique_ptr<sched::controller> ctl_;
+  /// The nodes that are up, in view order: each is the ordinal of its name
+  /// (the NNN of cnNNN). Every node fact beside it is in config_.
+  std::vector<std::size_t> nodes_;
   gpusim::device_spec spec_;
   gpusim::dvfs_model model_;
 
@@ -546,10 +550,9 @@ class simulator {
   /// rejects any other.
   std::vector<running_job>::iterator find_running(std::size_t row, std::uint64_t epoch);
   /// Name of the node of `rj`'s first GPU, where its joules are charged.
-  [[nodiscard]] const std::string& node_of(const running_job& rj) const;
-  /// Mark `rj`'s GPUs busy until rj.busy_until in view_, register their
-  /// draw with the budget and count the job on each node it spans.
-  /// release() undoes all three.
+  [[nodiscard]] std::string node_of(const running_job& rj) const;
+  /// Mark `rj`'s GPUs busy until rj.busy_until in view_ and register their
+  /// draw with the budget. release() undoes both.
   void occupy(const running_job& rj);
   void release(const running_job& rj);
   /// Book `joules` of `rj`'s GPU energy to `why`: one ledger charge keyed by
@@ -565,8 +568,8 @@ class simulator {
   /// local one, validates it, and installs it with one move. A new per-run
   /// field is a member here plus, when it must survive a resume, one line
   /// in checkpoint.cpp's layout. What is derived from it is not a member:
-  /// restore rebuilds view_, the budget's draw and the node job counts by
-  /// occupying each running job.
+  /// restore rebuilds view_ and the budget's draw by occupying each running
+  /// job.
   struct run_state {
     std::vector<queue_entry> queue{};
     std::vector<job_result> results{};

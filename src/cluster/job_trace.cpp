@@ -5,8 +5,10 @@
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "synergy/common/csv.hpp"
+#include "synergy/common/parse.hpp"
 #include "synergy/common/rng.hpp"
 #include "synergy/workloads/benchmark.hpp"
 
@@ -35,16 +37,6 @@ void check_job_row(const traced_job& job) {
     throw std::invalid_argument("job_trace: invalid job row for id " + std::to_string(job.id));
 }
 
-/// An integer column, all of it: std::stoi alone reads "1x" as 1.
-int parse_int(const std::string& field, const char* column) {
-  std::size_t end = 0;
-  const int v = std::stoi(field, &end);
-  if (end != field.size())
-    throw std::invalid_argument(std::string("job_trace: ") + column + " is not an integer: " +
-                                field);
-  return v;
-}
-
 }  // namespace
 
 std::string job_trace::to_csv() const {
@@ -70,42 +62,49 @@ job_trace job_trace::from_csv(const std::string& text) {
     throw std::invalid_argument("job_trace: missing trace header line");
 
   job_trace trace;
-  const std::string& header = records.front();
-  const auto seed_pos = header.find("seed=");
-  if (seed_pos == std::string::npos)
-    throw std::invalid_argument("job_trace: header records no seed");
-  trace.seed = std::stoull(header.substr(seed_pos + 5));
+  // A bad header or row names its line: the record's first, since a quoted
+  // name may span lines. Every number must be the whole field.
+  std::size_t line_no = 1;
+  try {
+    const std::string& header = records.front();
+    const auto seed_pos = header.find("seed=");
+    if (seed_pos == std::string::npos) throw std::invalid_argument("header records no seed");
+    const auto seed = std::string_view{header}.substr(seed_pos + 5);
+    trace.seed = common::parse_number<std::uint64_t>(seed.substr(0, seed.find(' ')), "seed");
 
-  bool saw_columns = false;
-  for (std::size_t ri = 1; ri < records.size(); ++ri) {
-    const std::string& line = records[ri];
-    if (line.empty() || line[0] == '#') continue;
-    if (!saw_columns) {  // column-header row
-      saw_columns = true;
-      continue;
+    bool saw_columns = false;
+    for (std::size_t ri = 1; ri < records.size(); ++ri) {
+      line_no += 1 + std::count(records[ri - 1].begin(), records[ri - 1].end(), '\n');
+      const std::string& line = records[ri];
+      if (line.empty() || line[0] == '#') continue;
+      if (!saw_columns) {  // column-header row
+        saw_columns = true;
+        continue;
+      }
+      const auto f = common::parse_csv_line(line);
+      // 8 fields is the pre-econ row shape; the two econ columns default so
+      // existing traces parse unchanged.
+      if (f.size() != 8 && f.size() != 10)
+        throw std::invalid_argument("expected 8 or 10 fields, got " + std::to_string(f.size()));
+      traced_job j;
+      j.id = common::parse_number<int>(f[0], "id");
+      j.name = f[1];
+      j.submit_s = common::parse_number<double>(f[2], "submit_s");
+      j.n_gpus = common::parse_number<int>(f[3], "n_gpus");
+      j.kernel = f[4];
+      j.work_items = common::parse_number<double>(f[5], "work_items");
+      j.iterations = common::parse_number<int>(f[6], "iterations");
+      j.target = f[7];
+      if (f.size() == 10) {
+        if (f[8] != "0" && f[8] != "1")
+          throw std::invalid_argument("deferrable must be 0 or 1 for id " + f[0]);
+        j.deferrable = f[8] == "1";
+        j.deadline_s = common::parse_number<double>(f[9], "deadline_s");
+      }
+      trace.jobs.push_back(std::move(j));
     }
-    const auto f = common::parse_csv_line(line);
-    // 8 fields is the pre-econ row shape; the two econ columns default so
-    // existing traces parse unchanged.
-    if (f.size() != 8 && f.size() != 10)
-      throw std::invalid_argument("job_trace: expected 8 or 10 fields, got " +
-                                  std::to_string(f.size()));
-    traced_job j;
-    j.id = parse_int(f[0], "id");
-    j.name = f[1];
-    j.submit_s = std::stod(f[2]);
-    j.n_gpus = parse_int(f[3], "n_gpus");
-    j.kernel = f[4];
-    j.work_items = std::stod(f[5]);
-    j.iterations = parse_int(f[6], "iterations");
-    j.target = f[7];
-    if (f.size() == 10) {
-      if (f[8] != "0" && f[8] != "1")
-        throw std::invalid_argument("job_trace: deferrable must be 0 or 1 for id " + f[0]);
-      j.deferrable = f[8] == "1";
-      j.deadline_s = std::stod(f[9]);
-    }
-    trace.jobs.push_back(std::move(j));
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("job_trace: line " + std::to_string(line_no) + ": " + e.what());
   }
   validate_trace(trace);
   return trace;

@@ -76,18 +76,15 @@ class energy_aware_policy : public scheduling_policy {
     auto slots = first_fit(view, preferred_order(view), job.job.n_gpus);
     if (!slots) return std::nullopt;
 
-    // The plan applies only when every allocated node passes the check
-    // chain and the job opted into a target (Sec. 7.2: no privileges, no
-    // clock change — the job runs at defaults).
+    // The plan applies only when the nodes pass the check chain and the job
+    // opted into a target (Sec. 7.2: no privileges, no clock change — the
+    // job runs at defaults).
     std::optional<common::frequency_config> config;
     obs::cause cause = obs::cause::oracle;
     const std::string target_name =
         override_ ? override_->to_string() : job.job.target;
     const bool wants_tuning = target_name != "default" && !target_name.empty();
-    const bool all_capable =
-        std::all_of(slots->begin(), slots->end(),
-                    [&](const gpu_slot& s) { return view.nodes[s.node].freq_capable; });
-    if (wants_tuning && all_capable && plan_) {
+    if (wants_tuning && view.freq_capable && plan_) {
       const planned_clocks planned = plan_(job.job.kernel, metrics::target::parse(target_name));
       config = planned.config;
       cause = planned.cause;
@@ -97,21 +94,19 @@ class energy_aware_policy : public scheduling_policy {
   }
 
  private:
-  /// The nodes, frequency-capable first, then emptier first, so tunable jobs
-  /// land where the Sec. 7.2 chain grants clock privileges; ties resolve by
-  /// index for determinism. A counting sort on the key (not capable, busy
-  /// GPUs), stable in the index, into scratch reused across calls.
+  /// The nodes, emptier first; ties resolve by index for determinism. A
+  /// counting sort on the busy GPUs, stable in the index, into scratch
+  /// reused across calls.
   const std::vector<std::size_t>& preferred_order(const cluster_view& view) {
     std::size_t widest = 0;
     for (const auto& nv : view.nodes) widest = std::max(widest, nv.gpu_busy.size());
     key_.resize(view.nodes.size());
     for (std::size_t i = 0; i < view.nodes.size(); ++i) {
       const auto& nv = view.nodes[i];
-      key_[i] = (nv.freq_capable ? 0 : widest + 1) +
-                static_cast<std::size_t>(std::count(nv.gpu_busy.begin(), nv.gpu_busy.end(), true));
+      key_[i] = static_cast<std::size_t>(std::count(nv.gpu_busy.begin(), nv.gpu_busy.end(), true));
     }
     // bucket_[k] becomes the first position of key k in the order.
-    bucket_.assign(2 * (widest + 1) + 1, 0);
+    bucket_.assign(widest + 2, 0);
     for (const std::size_t k : key_) ++bucket_[k + 1];
     std::partial_sum(bucket_.begin(), bucket_.end(), bucket_.begin());
     order_.resize(view.nodes.size());

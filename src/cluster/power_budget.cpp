@@ -1,27 +1,35 @@
 #include "synergy/cluster/power_budget.hpp"
 
 #include <limits>
+#include <utility>
 
+#include "synergy/sched/controller.hpp"
 #include "synergy/telemetry/telemetry.hpp"
 
 namespace synergy::cluster {
 
-power_budget::power_budget(sched::controller& ctl, double facility_cap_w)
-    : ctl_(&ctl), cap_w_(facility_cap_w) {
-  gpu_power_w_.resize(ctl.node_count());
+power_budget::power_budget(std::vector<double> host_w, std::vector<std::vector<double>> idle_w,
+                           double facility_cap_w)
+    : cap_w_(facility_cap_w),
+      host_w_(std::move(host_w)),
+      idle_w_(std::move(idle_w)),
+      gpu_power_w_(idle_w_) {}
+
+power_budget::power_budget(const sched::controller& ctl, double facility_cap_w)
+    : cap_w_(facility_cap_w) {
   for (std::size_t i = 0; i < ctl.node_count(); ++i) {
-    const auto& n = ctl.node_at(i);
-    gpu_power_w_[i].assign(n.devices().size(), 0.0);
-    for (std::size_t g = 0; g < n.devices().size(); ++g)
-      gpu_power_w_[i][g] = n.devices()[g].spec().idle_power_w;
+    host_w_.push_back(ctl.node_at(i).config().host_power_w);
+    auto& idle = idle_w_.emplace_back();
+    for (const auto& dev : ctl.node_at(i).devices()) idle.push_back(dev.spec().idle_power_w);
   }
+  gpu_power_w_ = idle_w_;
 }
 
 double power_budget::facility_power_w() const {
   if (!facility_w_) {
     double total = 0.0;
-    for (std::size_t i = 0; i < ctl_->node_count(); ++i) {
-      total += ctl_->node_at(i).config().host_power_w;
+    for (std::size_t i = 0; i < host_w_.size(); ++i) {
+      total += host_w_[i];
       for (const double w : gpu_power_w_[i]) total += w;
     }
     facility_w_ = total;
@@ -40,8 +48,7 @@ void power_budget::gpu_busy(std::size_t node, std::size_t gpu, double busy_power
 }
 
 void power_budget::gpu_idle(std::size_t node, std::size_t gpu) {
-  gpu_power_w_.at(node).at(gpu) =
-      ctl_->node_at(node).devices().at(gpu).spec().idle_power_w;
+  gpu_power_w_.at(node).at(gpu) = idle_w_.at(node).at(gpu);
   facility_w_.reset();
 }
 

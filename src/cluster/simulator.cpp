@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <iterator>
 #include <limits>
+#include <numeric>
 #include <ostream>
 #include <stdexcept>
 
@@ -20,7 +21,6 @@
 #include "synergy/model_store.hpp"
 #include "synergy/obs/slo_watchdog.hpp"
 #include "synergy/plan_service.hpp"
-#include "synergy/sched/plugin.hpp"
 #include "synergy/telemetry/telemetry.hpp"
 #include "synergy/tuning_table.hpp"
 #include "synergy/workloads/benchmark.hpp"
@@ -63,13 +63,6 @@ double shadow_time(const cluster_view& view, int n_gpus, std::vector<double>& av
   return avail[static_cast<std::size_t>(n_gpus) - 1];
 }
 
-/// Whether `gpus[k]` is the first of a gang's GPUs on its node: a gang
-/// counts once on every node it spans.
-bool first_on_its_node(const std::vector<gpu_slot>& gpus, std::size_t k) {
-  return std::none_of(gpus.begin(), gpus.begin() + static_cast<std::ptrdiff_t>(k),
-                      [&](const gpu_slot& s) { return s.node == gpus[k].node; });
-}
-
 }  // namespace
 
 double drift_plan::factor(double core_mhz, double default_core_mhz) const {
@@ -102,15 +95,6 @@ simulator::simulator(cluster_config config, std::unique_ptr<scheduling_policy> p
   install_nodes(configured_nodes());
 }
 
-sched::node_config simulator::make_node_config(const std::string& name) const {
-  sched::node_config cfg;
-  cfg.name = name;
-  cfg.gpus.assign(config_.gpus_per_node, config_.device);
-  cfg.host_power_w = config_.host_power_w;
-  if (config_.tag_nvgpufreq) cfg.gres.insert(sched::nvgpufreq_plugin::gres_tag);
-  return cfg;
-}
-
 std::string simulator::node_name(std::size_t ordinal) {
   char name[24];
   std::snprintf(name, sizeof name, "cn%03zu", ordinal);
@@ -126,21 +110,39 @@ std::size_t simulator::node_ordinal(std::string_view name) {
   return k;
 }
 
-void simulator::install_nodes(const std::vector<std::string>& names) {
-  std::vector<sched::node_config> nodes;
-  nodes.reserve(names.size());
-  for (const auto& name : names) nodes.push_back(make_node_config(name));
-  ctl_ = std::make_unique<sched::controller>(std::move(nodes));
-  budget_ = std::make_unique<power_budget>(*ctl_, config_.facility_cap_w);
+std::vector<std::string> simulator::node_names() const {
+  std::vector<std::string> names;
+  names.reserve(nodes_.size());
+  for (const std::size_t ordinal : nodes_) names.push_back(node_name(ordinal));
+  return names;
+}
+
+void simulator::install_nodes(std::vector<std::size_t> ordinals) {
+  nodes_ = std::move(ordinals);
+  budget_ = make_budget();
   view_.nodes.clear();
+  // The Sec. 7.2 prologue chain, evaluated once for the whole cluster: the
+  // simulator is the controller, so it is reachable; jobs own their GPUs
+  // exclusively by construction; and every node's management library
+  // loads. Capability is then the nvgpufreq tag, which every node carries
+  // or none does.
+  view_.freq_capable = config_.tag_nvgpufreq;
   busy_gpus_ = 0;
   extend_view();
 }
 
-std::vector<std::string> simulator::configured_nodes() const {
-  std::vector<std::string> names;
-  for (std::size_t i = 0; i < config_.n_nodes; ++i) names.push_back(node_name(i));
-  return names;
+std::vector<std::size_t> simulator::configured_nodes() const {
+  std::vector<std::size_t> ordinals(config_.n_nodes);
+  std::iota(ordinals.begin(), ordinals.end(), std::size_t{0});
+  return ordinals;
+}
+
+std::unique_ptr<power_budget> simulator::make_budget() const {
+  return std::make_unique<power_budget>(
+      std::vector<double>(nodes_.size(), config_.host_power_w),
+      std::vector<std::vector<double>>(
+          nodes_.size(), std::vector<double>(config_.gpus_per_node, spec_.idle_power_w)),
+      config_.facility_cap_w);
 }
 
 simulator::~simulator() = default;
@@ -155,32 +157,28 @@ std::vector<simulator::running_job>::iterator simulator::find_running(std::size_
   return it;
 }
 
-const std::string& simulator::node_of(const running_job& rj) const {
-  return ctl_->node_at(rj.gpus.front().node).name();
+std::string simulator::node_of(const running_job& rj) const {
+  return node_name(nodes_[rj.gpus.front().node]);
 }
 
 void simulator::occupy(const running_job& rj) {
-  for (std::size_t k = 0; k < rj.gpus.size(); ++k) {
-    const gpu_slot s = rj.gpus[k];
+  for (const gpu_slot s : rj.gpus) {
     auto& nv = view_.nodes[s.node];
     if (!nv.gpu_busy[s.gpu]) ++busy_gpus_;
     nv.gpu_busy[s.gpu] = true;
     nv.busy_until[s.gpu] = rj.busy_until;
     budget_->gpu_busy(s.node, s.gpu, rj.avg_power_w);
-    if (first_on_its_node(rj.gpus, k)) ctl_->node_at(s.node).add_job();
   }
 }
 
 void simulator::release(const running_job& rj) {
   // The freed GPUs still carry the job's busy_until, not the current time.
   view_stamped_ = false;
-  for (std::size_t k = 0; k < rj.gpus.size(); ++k) {
-    const gpu_slot s = rj.gpus[k];
+  for (const gpu_slot s : rj.gpus) {
     auto& nv = view_.nodes[s.node];
     if (nv.gpu_busy[s.gpu]) --busy_gpus_;
     nv.gpu_busy[s.gpu] = false;
     budget_->gpu_idle(s.node, s.gpu);
-    if (first_on_its_node(rj.gpus, k)) ctl_->node_at(s.node).remove_job();
   }
 }
 
@@ -200,16 +198,9 @@ void simulator::make_view() {
 
 void simulator::extend_view() {
   view_stamped_ = false;
-  for (std::size_t i = view_.nodes.size(); i < ctl_->node_count(); ++i) {
-    const auto& n = ctl_->node_at(i);
-    const std::size_t gpus = n.config().gpus.size();
-    // The Sec. 7.2 prologue chain, evaluated for this simulated node: the
-    // controller is reachable (we are it), jobs own their GPUs exclusively
-    // by construction, so capability reduces to the node-side checks.
-    view_.nodes.push_back(
-        {n.has_gres(sched::nvgpufreq_plugin::gres_tag) && n.config().nvml_available,
-         std::vector<bool>(gpus, false), std::vector<double>(gpus, 0.0)});
-  }
+  const std::size_t gpus = config_.gpus_per_node;
+  view_.nodes.resize(nodes_.size(),
+                     {std::vector<bool>(gpus, false), std::vector<double>(gpus, 0.0)});
 }
 
 simulator::priced_run simulator::price(const gpusim::kernel_profile& folded,
@@ -252,7 +243,7 @@ bool simulator::above_cap_when_idle(const traced_job& job) const {
   const auto cost =
       price(folded_profile(job), {spec_.default_config().memory, spec_.min_core_clock()}).cost;
   const double idle_facility =
-      static_cast<double>(ctl_->node_count()) *
+      static_cast<double>(nodes_.size()) *
       (config_.host_power_w + static_cast<double>(config_.gpus_per_node) * spec_.idle_power_w);
   const double min_draw =
       idle_facility + job.n_gpus * (cost.avg_power.value - spec_.idle_power_w);
@@ -370,7 +361,7 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
     }
     lose_device_here = u_lost < config_.faults.device_lost_rate &&
                        run_.summary.nodes_lost < config_.faults.max_node_losses &&
-                       ctl_->node_count() > 1;
+                       nodes_.size() > 1;
   }
   r.core_mhz = config.core.value;
 
@@ -448,9 +439,8 @@ void simulator::start(std::size_t queue_index, const placement& pl) {
   if (lose_device_here) {
     // The board dies partway through this job. Nodes are addressed by
     // ordinal because indices shift when earlier losses remove nodes.
-    const auto victim = node_ordinal(node_of(run_.running.back()));
     schedule(now + duration * lose_at_frac, event_kind::device_lost,
-             static_cast<std::int64_t>(victim));
+             static_cast<std::int64_t>(nodes_[run_.running.back().gpus.front().node]));
   }
 }
 
@@ -706,7 +696,7 @@ void simulator::rebuild_budget() {
   // survive the swap, and running jobs re-register their demand.
   run_.summary.cap_rebalances += budget_->rebalances();
   run_.summary.cap_demotions += budget_->demotions();
-  budget_ = std::make_unique<power_budget>(*ctl_, config_.facility_cap_w);
+  budget_ = make_budget();
   for (const auto& rj : run_.running)
     for (const auto& s : rj.gpus) budget_->gpu_busy(s.node, s.gpu, rj.avg_power_w);
 }
@@ -714,18 +704,17 @@ void simulator::rebuild_budget() {
 void simulator::lose_node(std::size_t ni, const std::function<void(std::size_t)>& record) {
   integrate_to(engine_.now());
   const std::size_t requeued = drain_node(ni);
-  // Drained of jobs, the node leaves the inventory through the controller's
-  // normal removal path; the view and the running jobs' GPU indices shift
-  // down with it. `record` runs before the scheduling pass, so a restart it
-  // schedules ranks ahead of any completion the pass schedules.
-  if (ctl_->remove_node(ctl_->node_at(ni).name())) {
-    view_.nodes.erase(view_.nodes.begin() + static_cast<std::ptrdiff_t>(ni));
-    for (auto& rj : run_.running)
-      for (auto& s : rj.gpus)
-        if (s.node > ni) --s.node;
-    rebuild_budget();
-    record(requeued);
-  }
+  // Drained of jobs, the node leaves the inventory; the view and the
+  // running jobs' GPU indices shift down with it. `record` runs before the
+  // scheduling pass, so a restart it schedules ranks ahead of any
+  // completion the pass schedules.
+  nodes_.erase(nodes_.begin() + static_cast<std::ptrdiff_t>(ni));
+  view_.nodes.erase(view_.nodes.begin() + static_cast<std::ptrdiff_t>(ni));
+  for (auto& rj : run_.running)
+    for (auto& s : rj.gpus)
+      if (s.node > ni) --s.node;
+  rebuild_budget();
+  record(requeued);
   budget_->rebalance();
   try_schedule();
   sample_power();
@@ -734,11 +723,11 @@ void simulator::lose_node(std::size_t ni, const std::function<void(std::size_t)>
 void simulator::device_lost(std::size_t ordinal) {
   // Earlier losses shift indices, so the event names its node by ordinal. A
   // node no longer in the inventory is lost already (double event).
-  std::size_t ni = 0;
-  while (ni < ctl_->node_count() && node_ordinal(ctl_->node_at(ni).name()) != ordinal) ++ni;
-  if (ni >= ctl_->node_count() || ctl_->node_count() <= 1 ||
+  const auto it = std::find(nodes_.begin(), nodes_.end(), ordinal);
+  if (it == nodes_.end() || nodes_.size() <= 1 ||
       run_.summary.nodes_lost >= config_.faults.max_node_losses)
     return;
+  const auto ni = static_cast<std::size_t>(it - nodes_.begin());
   lose_node(ni, [&]([[maybe_unused]] std::size_t requeued) {
     ++run_.summary.nodes_lost;
     SYNERGY_COUNTER_ADD("cluster.nodes_lost", 1);
@@ -751,10 +740,10 @@ void simulator::device_lost(std::size_t ordinal) {
 void simulator::node_crash() {
   // At least one node always survives; a skipped crash consumes no RNG so
   // the victim stream stays aligned across replays regardless of timing.
-  if (ctl_->node_count() <= 1) return;
+  if (nodes_.size() <= 1) return;
   const auto ni = static_cast<std::size_t>(
-      run_.chaos_rng.bounded(static_cast<std::uint32_t>(ctl_->node_count())));
-  const std::size_t ordinal = node_ordinal(ctl_->node_at(ni).name());
+      run_.chaos_rng.bounded(static_cast<std::uint32_t>(nodes_.size())));
+  const std::size_t ordinal = nodes_[ni];
   lose_node(ni, [&]([[maybe_unused]] std::size_t requeued) {
     ++run_.summary.node_crashes;
     SYNERGY_COUNTER_ADD("cluster.node_crashes", 1);
@@ -774,13 +763,13 @@ void simulator::node_restart(std::size_t ordinal) {
   // was requeued at crash time), is appended to the inventory — append never
   // shifts existing indices — and the budget re-spreads over the grown
   // fleet before an immediate scheduling pass picks up deferred work.
-  ctl_->add_node(make_node_config(node_name(ordinal)));
+  nodes_.push_back(ordinal);
   extend_view();
   rebuild_budget();
   ++run_.summary.node_restarts;
   SYNERGY_COUNTER_ADD("cluster.node_restarts", 1);
   SYNERGY_INSTANT(tel::category::sched, "cluster.node_restart",
-                  {"node", static_cast<double>(ctl_->node_count() - 1)});
+                  {"node", static_cast<double>(nodes_.size() - 1)});
 
   budget_->rebalance();
   try_schedule();

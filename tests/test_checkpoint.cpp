@@ -487,10 +487,10 @@ TEST_F(checkpoint_test, SecondRunOnOneSimulatorReplaysTheFirst) {
   const auto json_first = ledger_json();
   // The run ends with the full node count, but restarted nodes re-joined at
   // the back of the inventory.
-  ASSERT_EQ(sim.controller().node_count(), cc.n_nodes);
+  const auto names = sim.node_names();
+  ASSERT_EQ(names.size(), cc.n_nodes);
   bool reordered = false;
-  for (std::size_t i = 0; i < cc.n_nodes; ++i)
-    reordered |= sim.controller().node_at(i).name() != "cn00" + std::to_string(i);
+  for (std::size_t i = 0; i < cc.n_nodes; ++i) reordered |= names[i] != "cn00" + std::to_string(i);
   ASSERT_TRUE(reordered);
 
   // The second run starts from the configured inventory, so every ledger
@@ -567,8 +567,17 @@ TEST_F(checkpoint_test, DeviceLossesAndCrashesInOneReplayShareTheLossPath) {
   ASSERT_GT(summary.nodes_lost, 0u);
   ASSERT_GT(summary.node_crashes, 0u);
   ASSERT_GT(summary.node_restarts, 0u);
-  EXPECT_EQ(sim.controller().node_count(),
+  const auto names = sim.node_names();
+  EXPECT_EQ(names.size(),
             cc.n_nodes - summary.nodes_lost - summary.node_crashes + summary.node_restarts);
+  // Each node that is up is a configured node, and up once.
+  std::set<std::string> configured;
+  for (std::size_t i = 0; i < cc.n_nodes; ++i) configured.insert("cn00" + std::to_string(i));
+  std::set<std::string> seen;
+  for (const auto& name : names) {
+    EXPECT_TRUE(configured.count(name)) << name << " is not a configured node";
+    EXPECT_TRUE(seen.insert(name).second) << name << " is up twice";
+  }
   EXPECT_EQ(summary.completed + summary.failed, trace.jobs.size());
   EXPECT_GT(summary.requeues, 0u);
 

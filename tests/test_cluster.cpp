@@ -19,7 +19,9 @@
 #include "synergy/cluster/simulator.hpp"
 #include "synergy/common/rng.hpp"
 #include "synergy/econ/trace.hpp"
+#include "synergy/gpusim/device_spec.hpp"
 #include "synergy/gpusim/dvfs_model.hpp"
+#include "synergy/sched/controller.hpp"
 #include "synergy/workloads/benchmark.hpp"
 
 namespace sc = synergy::cluster;
@@ -273,6 +275,27 @@ TEST(JobTrace, LoaderRejectsMalformedInput) {
   for (const char* row : {"9x,bad,0,1,mat_mul,1,1,default\n", "9,bad,0,1x,mat_mul,1,1,default\n",
                           "9,bad,0,1,mat_mul,1,1x,default\n"})
     EXPECT_THROW((void)sc::job_trace::from_csv(csv + row), std::invalid_argument) << row;
+  // So must a real column and the header's seed, and a bad number names its
+  // column and the record's line: the appended row is line 6.
+  const auto expect_named = [](const std::string& text, const std::string& named) {
+    try {
+      (void)sc::job_trace::from_csv(text);
+      ADD_FAILURE() << "loaded, but " << named << " is malformed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(named), std::string::npos) << e.what();
+    }
+  };
+  for (const auto& [row, named] : std::vector<std::pair<std::string, std::string>>{
+           {"9,bad,0,x,mat_mul,1,1,default\n", "line 6: n_gpus"},
+           {"9,bad,0,99999999999,mat_mul,1,1,default\n", "line 6: n_gpus"},
+           {"9,bad,soon,1,mat_mul,1,1,default\n", "line 6: submit_s"},
+           {"9,bad,5.59x,1,mat_mul,1,1,default\n", "line 6: submit_s"},
+           {"9,bad,0,1,mat_mul,268435456abc,1,default\n", "line 6: work_items"},
+           {"9,bad,0,1,mat_mul,1,1,default,0,-1junk\n", "line 6: deadline_s"}})
+    expect_named(csv + row, named);
+  const std::string rows = csv.substr(csv.find('\n'));
+  for (const std::string seed : {"abc", "1x"})
+    expect_named("# synergy-cluster-trace v1 seed=" + seed + " jobs=3" + rows, "line 1: seed");
 }
 
 TEST(JobTrace, LoaderRejectsRepeatedJobIds) {
@@ -536,19 +559,16 @@ TEST(Policies, AFullClusterStillAsksDeferWhileTheEconMeterRuns) {
 }
 
 TEST(Policies, EnergyAwarePlacementMatchesTheSortedReference) {
-  // The order the policy places in: frequency-capable nodes first, then
-  // fewer busy GPUs, ties by index (a stable sort), then first fit.
+  // The order the policy places in: fewer busy GPUs first, ties by index (a
+  // stable sort), then first fit.
   const auto sorted_first_fit = [](const sc::cluster_view& view, int n) {
     std::vector<std::size_t> order(view.nodes.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
     const auto busy = [&](std::size_t i) {
       return std::count(view.nodes[i].gpu_busy.begin(), view.nodes[i].gpu_busy.end(), true);
     };
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      if (view.nodes[a].freq_capable != view.nodes[b].freq_capable)
-        return view.nodes[a].freq_capable;
-      return busy(a) < busy(b);
-    });
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) { return busy(a) < busy(b); });
     std::vector<sc::gpu_slot> slots;
     for (const std::size_t ni : order)
       for (std::size_t g = 0; g < view.nodes[ni].gpu_busy.size(); ++g)
@@ -569,34 +589,30 @@ TEST(Policies, EnergyAwarePlacementMatchesTheSortedReference) {
     for (int n = 1; n <= n_free; ++n) {
       const auto pl = policy->place({make_job(1, 0.0, n, 10, "mat_mul", "ES_50"), 1.0}, view);
       ASSERT_TRUE(pl.has_value()) << what << ", " << n << " GPUs";
-      const auto want = sorted_first_fit(view, n);
-      ASSERT_EQ(pl->gpus, want) << what << ", " << n << " GPUs";
-      const bool all_capable = std::all_of(want.begin(), want.end(), [&](const sc::gpu_slot& s) {
-        return view.nodes[s.node].freq_capable;
-      });
-      EXPECT_EQ(pl->config.has_value(), all_capable) << what << ", " << n << " GPUs";
+      ASSERT_EQ(pl->gpus, sorted_first_fit(view, n)) << what << ", " << n << " GPUs";
+      EXPECT_EQ(pl->config.has_value(), view.freq_capable) << what << ", " << n << " GPUs";
       if (pl->config) EXPECT_EQ(*pl->config, planned);
     }
   };
   const auto make_view = [](std::vector<std::size_t> widths) {
     sc::cluster_view view;
     view.is_head = true;
+    view.freq_capable = true;
     for (const std::size_t w : widths)
-      view.nodes.push_back({true, std::vector<bool>(w, false), std::vector<double>(w, 0.0)});
+      view.nodes.push_back({std::vector<bool>(w, false), std::vector<double>(w, 0.0)});
     return view;
   };
 
   // Seeded random views: 1-70 nodes of 1-8 GPUs each, widths mixed within
-  // a view, capability and busy bits at random.
+  // a view, capability per view and busy bits at random.
   synergy::common::pcg32 rng{77};
   for (int v = 0; v < 300; ++v) {
     std::vector<std::size_t> widths(1 + rng.bounded(70));
     for (auto& w : widths) w = 1 + rng.bounded(8);
     auto view = make_view(widths);
-    for (auto& node : view.nodes) {
-      node.freq_capable = rng.bounded(3) != 0;
+    view.freq_capable = rng.bounded(3) != 0;
+    for (auto& node : view.nodes)
       for (std::size_t g = 0; g < node.gpu_busy.size(); ++g) node.gpu_busy[g] = rng.bounded(2) == 0;
-    }
     check(view, "random view " + std::to_string(v));
   }
 
@@ -604,9 +620,9 @@ TEST(Policies, EnergyAwarePlacementMatchesTheSortedReference) {
   auto even = make_view({2, 4, 8, 3, 1, 6});
   for (auto& node : even.nodes) node.gpu_busy[node.gpu_busy.size() - 1] = true;
   check(even, "equally busy");
-  // No node capable: no clock plan, whatever the request.
+  // A cluster that fails the check chain: no clock plan, whatever the request.
   auto uncapable = make_view({4, 2, 8, 1});
-  for (auto& node : uncapable.nodes) node.freq_capable = false;
+  uncapable.freq_capable = false;
   uncapable.nodes[2].gpu_busy[0] = true;
   check(uncapable, "no capable node");
 }
@@ -655,10 +671,9 @@ TEST(PowerBudget, FacilityPowerNeverExceedsTheCapAtAnyEvent) {
   }
 }
 
-TEST(PowerBudget, AdmissionAloneHoldsTheCapAndLeavesBoardsUnlocked) {
-  // The budget counts rebalance points but locks no board clocks. On the
-  // input above, admission alone keeps the facility under the cap, and
-  // after the replay every board still accepts its top clock.
+TEST(PowerBudget, AdmissionAloneHoldsTheCap) {
+  // The budget counts rebalance points and locks no clocks. On the input
+  // above, admission alone keeps the facility under the cap.
   sc::trace_config tc;
   tc.n_jobs = 80;
   tc.gpu_mix = {1, 1, 2};
@@ -672,17 +687,6 @@ TEST(PowerBudget, AdmissionAloneHoldsTheCapAndLeavesBoardsUnlocked) {
   EXPECT_GT(summary.cap_rebalances, 0u);
   EXPECT_GT(summary.cap_demotions, 0u);
   EXPECT_LE(summary.peak_facility_power_w, cc.facility_cap_w + 1e-6);
-
-  auto& ctl = sim.controller();
-  std::size_t boards = 0;
-  for (std::size_t i = 0; i < ctl.node_count(); ++i)
-    for (const auto& dev : ctl.node_at(i).devices()) {
-      const auto top = dev.spec().core_clocks.back();
-      EXPECT_TRUE(dev.board()->set_core_clock(top).ok())
-          << ctl.node_at(i).name() << " rejects " << top.value << " MHz";
-      ++boards;
-    }
-  EXPECT_EQ(boards, 4u);
 }
 
 TEST(PowerBudget, UncappedRunNeverRebalances) {
@@ -762,57 +766,73 @@ TEST(PowerBudget, CachedDrawEqualsFreshSum) {
   // Nodes of other widths, one of them mixing parts.
   nodes[2].gpus = {"V100", "V100"};
   nodes[8].gpus = {"V100", "A100", "V100", "A100", "V100", "A100", "V100"};
-  ss::controller ctl{nodes};
-  sc::power_budget budget{ctl, 5400.0};  // idle draw is ~4.7 kW: binding
-  ASSERT_TRUE(budget.capped());
-
-  // The draw as the test tracks it, summed hosts-then-GPUs node by node.
-  std::vector<std::vector<double>> gpu_w(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i)
-    for (const auto& dev : ctl.node_at(i).devices()) gpu_w[i].push_back(dev.spec().idle_power_w);
-  const auto fresh_sum = [&] {
-    double total = 0.0;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      total += nodes[i].host_power_w;
-      for (const double w : gpu_w[i]) total += w;
-    }
-    return total;
-  };
-
-  synergy::common::pcg32 rng{2024};
-  // A random GPU of `node` goes busy at a random draw or back to idle.
-  const auto change = [&](std::size_t node) {
-    const auto gpu = rng.bounded(static_cast<std::uint32_t>(gpu_w[node].size()));
-    if (rng.bounded(2) == 0) {
-      const double w = rng.uniform(60.0, 300.0);
-      budget.gpu_busy(node, gpu, w);
-      gpu_w[node][gpu] = w;
-    } else {
-      budget.gpu_idle(node, gpu);
-      gpu_w[node][gpu] = ctl.node_at(node).devices()[gpu].spec().idle_power_w;
-    }
-  };
-  EXPECT_EQ(budget.facility_power_w(), fresh_sum());
-  for (int step = 0; step < 2000; ++step) {
-    switch (rng.bounded(5)) {
-      case 0: change(rng.bounded(static_cast<std::uint32_t>(nodes.size()))); break;
-      case 1: budget.rebalance(); break;
-      case 2: EXPECT_EQ(budget.headroom_w(), budget.cap_w() - fresh_sum()); break;
-      case 3:
-      case 4: {
-        // Several nodes change before the next read, as in a gang placement
-        // or a governor tick: in ascending node order, or descending.
-        const bool ascending = rng.bounded(2) == 0;
-        for (std::size_t k = 0; k < nodes.size(); ++k) {
-          const std::size_t node = ascending ? k : nodes.size() - 1 - k;
-          for (auto n = rng.bounded(3); n > 0; --n) change(node);
-        }
-        break;
-      }
-    }
-    ASSERT_EQ(budget.facility_power_w(), fresh_sum()) << "after step " << step;
+  const ss::controller ctl{nodes};
+  // The same nodes' draws, as the simulator hands them over: host watts and
+  // each GPU's idle watts from its device spec.
+  std::vector<double> host_w;
+  std::vector<std::vector<double>> idle_w;
+  for (const auto& node : nodes) {
+    host_w.push_back(node.host_power_w);
+    auto& idle = idle_w.emplace_back();
+    for (const auto& gpu : node.gpus)
+      idle.push_back(synergy::gpusim::make_device_spec(gpu).idle_power_w);
   }
-  EXPECT_GT(budget.rebalances(), 0u);
+
+  // The same sequence of draw changes and reads over either constructor.
+  for (const bool from_controller : {true, false}) {
+    SCOPED_TRACE(from_controller ? "controller" : "draws");
+    // Idle draw is ~4.7 kW: binding.
+    sc::power_budget budget = from_controller ? sc::power_budget{ctl, 5400.0}
+                                              : sc::power_budget{host_w, idle_w, 5400.0};
+    ASSERT_TRUE(budget.capped());
+
+    // The draw as the test tracks it, summed hosts-then-GPUs node by node.
+    auto gpu_w = idle_w;
+    const auto fresh_sum = [&] {
+      double total = 0.0;
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        total += host_w[i];
+        for (const double w : gpu_w[i]) total += w;
+      }
+      return total;
+    };
+
+    synergy::common::pcg32 rng{2024};
+    // A random GPU of `node` goes busy at a random draw or back to idle.
+    const auto change = [&](std::size_t node) {
+      const auto gpu = rng.bounded(static_cast<std::uint32_t>(gpu_w[node].size()));
+      if (rng.bounded(2) == 0) {
+        const double w = rng.uniform(60.0, 300.0);
+        budget.gpu_busy(node, gpu, w);
+        gpu_w[node][gpu] = w;
+      } else {
+        budget.gpu_idle(node, gpu);
+        gpu_w[node][gpu] = idle_w[node][gpu];
+      }
+    };
+    EXPECT_EQ(budget.facility_power_w(), fresh_sum());
+    for (int step = 0; step < 2000; ++step) {
+      switch (rng.bounded(5)) {
+        case 0: change(rng.bounded(static_cast<std::uint32_t>(nodes.size()))); break;
+        case 1: budget.rebalance(); break;
+        case 2: EXPECT_EQ(budget.headroom_w(), budget.cap_w() - fresh_sum()); break;
+        case 3:
+        case 4: {
+          // Several nodes change before the next read, as in a gang
+          // placement or a governor tick: in ascending node order, or
+          // descending.
+          const bool ascending = rng.bounded(2) == 0;
+          for (std::size_t k = 0; k < nodes.size(); ++k) {
+            const std::size_t node = ascending ? k : nodes.size() - 1 - k;
+            for (auto n = rng.bounded(3); n > 0; --n) change(node);
+          }
+          break;
+        }
+      }
+      ASSERT_EQ(budget.facility_power_w(), fresh_sum()) << "after step " << step;
+    }
+    EXPECT_GT(budget.rebalances(), 0u);
+  }
 }
 
 // ----------------------------------------------------------- reproducibility ----
@@ -1075,7 +1095,7 @@ TEST(Faults, DeviceLostRequeuesJobsAndRemovesNode) {
   const auto summary = sim.run(trace);
 
   EXPECT_EQ(summary.nodes_lost, 1u);
-  EXPECT_EQ(sim.controller().node_count(), 1u);
+  EXPECT_EQ(sim.node_names().size(), 1u);
   EXPECT_GE(summary.requeues, 1u);
   EXPECT_GT(summary.wasted_gpu_energy_j, 0.0);
   // Requeued, not lost: every job still completes on the surviving node.

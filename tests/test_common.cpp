@@ -4,13 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "synergy/common/csv.hpp"
 #include "synergy/common/error.hpp"
 #include "synergy/common/ewma.hpp"
 #include "synergy/common/log.hpp"
+#include "synergy/common/parse.hpp"
 #include "synergy/common/rng.hpp"
 #include "synergy/common/stats.hpp"
 #include "synergy/common/table.hpp"
@@ -238,6 +244,34 @@ TEST(Csv, SplitRecordsHandlesDoubledQuotesAndBlanks) {
 }
 
 // ---------------------------------------------------------------- table ----
+
+TEST(Parse, NumbersParseWholeOrNameWhatFailed) {
+  using synergy::common::parse_number;
+  EXPECT_EQ(parse_number<std::size_t>("64", "--nodes"), 64u);
+  EXPECT_EQ(parse_number<int>("-3", "id"), -3);
+  EXPECT_EQ(parse_number<double>("-1", "deadline_s"), -1.0);
+  // Every %.17g rendering reads back to its bits.
+  for (const double v : {5.59, 1.0 / 3.0, 268435456.0, 1e-300, 4.9e-324,
+                         std::numeric_limits<double>::max()}) {
+    char text[32];
+    std::snprintf(text, sizeof text, "%.17g", v);
+    EXPECT_EQ(parse_number<double>(text, "submit_s"), v) << text;
+  }
+  // stoul read "2x" as 2 and wrapped "-1" to 2^64 - 1; std::stod read
+  // " 5" and "+5" as 5. None is a whole number token.
+  for (const char* bad : {"", "2x", "-1", "+1", " 1", "1 ", "0x10", "18446744073709551616"}) {
+    try {
+      (void)parse_number<std::uint64_t>(bad, "--seed");
+      ADD_FAILURE() << "parsed \"" << bad << "\"";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("--seed: \"" + std::string(bad) + "\" is ", 0), 0u)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)parse_number<int>("99999999999", "n_gpus"), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<double>("1e400", "work_items"), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<double>("3000W", "--cap"), std::invalid_argument);
+}
 
 TEST(Table, AlignsColumns) {
   sc::text_table t;

@@ -18,7 +18,7 @@
 #  - resuming from a directory with no artefacts exits 1,
 #  - malformed flag combinations (--resume/--checkpoint-interval/--crash-at
 #    without --checkpoint-dir; econ flags without --econ; out-of-range econ
-#    values) exit 2 with usage.
+#    values; numbers with trailing characters) exit 2 with usage.
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
@@ -162,6 +162,8 @@ endforeach()
 
 # Econ usage contract: trace/capex flags and the cost policy require --econ,
 # and out-of-range econ values are usage errors even with --econ present.
+# A numeric value must also parse whole: "2x" nodes, a "3000W" cap and "5x"
+# jobs are usage errors, not 2 nodes, 3000 W and 5 jobs.
 # None of these invocations get as far as opening a file, so the missing
 # nosuch.csv never matters — exit 2 must come from flag validation alone.
 foreach(bad_args
@@ -171,7 +173,10 @@ foreach(bad_args
         "--policy cost"
         "--econ --capex -1"
         "--econ --econ-period 0"
-        "--econ --deferrable 1.5")
+        "--econ --deferrable 1.5"
+        "--nodes 2x"
+        "--cap 3000W"
+        "--jobs 5x")
   separate_arguments(bad_list UNIX_COMMAND "${bad_args}")
   execute_process(COMMAND "${CLUSTER}" --jobs 1 ${bad_list}
                   WORKING_DIRECTORY "${WORK_DIR}"

@@ -117,6 +117,7 @@
 
 #include "synergy/cluster/checkpoint.hpp"
 #include "synergy/cluster/simulator.hpp"
+#include "synergy/common/parse.hpp"
 #include "synergy/econ/tco.hpp"
 #include "synergy/econ/trace.hpp"
 #include "synergy/plan_service.hpp"
@@ -193,57 +194,61 @@ int main(int argc, char** argv) {
         if (i + 1 >= argc) throw std::invalid_argument(arg + " needs a value");
         return argv[++i];
       };
-      if (arg == "--nodes") cluster.n_nodes = std::stoul(value());
-      else if (arg == "--gpus") cluster.gpus_per_node = std::stoul(value());
+      // A numeric value must parse whole: "--nodes 2x" is a usage error.
+      const auto count = [&] { return synergy::common::parse_number<std::size_t>(value(), arg); };
+      const auto seed = [&] { return synergy::common::parse_number<std::uint64_t>(value(), arg); };
+      const auto real = [&] { return synergy::common::parse_number<double>(value(), arg); };
+      if (arg == "--nodes") cluster.n_nodes = count();
+      else if (arg == "--gpus") cluster.gpus_per_node = count();
       else if (arg == "--device") cluster.device = value();
       else if (arg == "--policy") policy = value();
       else if (arg == "--models") model_dir = value();
       else if (arg == "--target") override_target = sm::target::parse(value());
-      else if (arg == "--cap") cluster.facility_cap_w = std::stod(value());
-      else if (arg == "--jobs") gen.n_jobs = std::stoul(value());
-      else if (arg == "--seed") gen.seed = std::stoull(value());
-      else if (arg == "--mean-interarrival") gen.mean_interarrival_s = std::stod(value());
-      else if (arg == "--work-items") gen.work_items = std::stod(value());
+      else if (arg == "--cap") cluster.facility_cap_w = real();
+      else if (arg == "--jobs") gen.n_jobs = count();
+      else if (arg == "--seed") gen.seed = seed();
+      else if (arg == "--mean-interarrival") gen.mean_interarrival_s = real();
+      else if (arg == "--work-items") gen.work_items = real();
       else if (arg == "--trace-in") trace_in = value();
       else if (arg == "--trace-out") trace_out = value();
       else if (arg == "--csv") csv_file = value();
       else if (arg == "--report") report = true;
       else if (arg == "--faults") {
-        const double r = std::stod(value());
+        const double r = real();
         if (r < 0.0 || r > 1.0) throw std::invalid_argument("--faults rate out of [0,1]");
         cluster.faults.clock_set_fail_rate = r;
         cluster.faults.power_read_dropout_rate = r;
       } else if (arg == "--fault-device-lost") {
-        const double r = std::stod(value());
+        const double r = real();
         if (r < 0.0 || r > 1.0)
           throw std::invalid_argument("--fault-device-lost rate out of [0,1]");
         cluster.faults.device_lost_rate = r;
-      } else if (arg == "--fault-max-losses") cluster.faults.max_node_losses = std::stoul(value());
-      else if (arg == "--fault-seed") cluster.faults.seed = std::stoull(value());
-      else if (arg == "--drift") cluster.drift.power_skew = std::stod(value());
-      else if (arg == "--drift-at") cluster.drift.at_s = std::stod(value());
-      else if (arg == "--drift-gamma") cluster.drift.freq_exponent = std::stod(value());
+      } else if (arg == "--fault-max-losses") cluster.faults.max_node_losses = count();
+      else if (arg == "--fault-seed") cluster.faults.seed = seed();
+      else if (arg == "--drift") cluster.drift.power_skew = real();
+      else if (arg == "--drift-at") cluster.drift.at_s = real();
+      else if (arg == "--drift-gamma") cluster.drift.freq_exponent = real();
       else if (arg == "--lifecycle") lifecycle_dir = value();
       else if (arg == "--lifecycle-history") lifecycle_history = true;
       else if (arg == "--obs-out") obs_out = value();
-      else if (arg == "--obs-interval") obs_interval = std::stod(value());
+      else if (arg == "--obs-interval") obs_interval = real();
       else if (arg == "--slo-rules") slo_rules_file = value();
       else if (arg == "--governor") governor_arg = value();
-      else if (arg == "--governor-tick") governor_tick = std::stod(value());
-      else if (arg == "--chaos-mtbf") cluster.chaos.mtbf_s = std::stod(value());
-      else if (arg == "--chaos-restart") cluster.chaos.restart_delay_s = std::stod(value());
-      else if (arg == "--chaos-max") cluster.chaos.max_crashes = std::stoul(value());
-      else if (arg == "--chaos-seed") cluster.chaos.seed = std::stoull(value());
+      else if (arg == "--governor-tick") governor_tick = real();
+      else if (arg == "--chaos-mtbf") cluster.chaos.mtbf_s = real();
+      else if (arg == "--chaos-restart") cluster.chaos.restart_delay_s = real();
+      else if (arg == "--chaos-max") cluster.chaos.max_crashes = count();
+      else if (arg == "--chaos-seed") cluster.chaos.seed = seed();
       else if (arg == "--checkpoint-dir") ckpt_dir = value();
-      else if (arg == "--checkpoint-interval") ckpt_interval = std::stod(value());
+      else if (arg == "--checkpoint-interval") ckpt_interval = real();
       else if (arg == "--resume") do_resume = true;
-      else if (arg == "--crash-at") crash_at = std::stod(value());
+      else if (arg == "--crash-at") crash_at = real();
       else if (arg == "--econ") econ_on = true;
-      else if (arg == "--econ-period") econ_period = std::stod(value());
+      else if (arg == "--econ-period") econ_period = real();
       else if (arg == "--price-trace") price_trace_file = value();
       else if (arg == "--carbon-trace") carbon_trace_file = value();
-      else if (arg == "--capex") capex = std::stod(value());
-      else if (arg == "--deferrable") gen.deferrable_fraction = std::stod(value());
+      else if (arg == "--capex") capex = real();
+      else if (arg == "--deferrable") gen.deferrable_fraction = real();
       else if (arg == "--help" || arg == "-h") return usage(0);
       else {
         std::cerr << "error: unknown argument " << arg << '\n';

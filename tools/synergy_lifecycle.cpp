@@ -17,9 +17,11 @@
 /// Exit codes: 0 success, 1 usage / missing store, 2 damaged artefacts.
 /// Output is stable (no timestamps), so workflows can assert on it.
 
+#include <cstdint>
 #include <iostream>
 #include <string>
 
+#include "synergy/common/parse.hpp"
 #include "synergy/gpusim/device_spec.hpp"
 #include "synergy/lifecycle/version_store.hpp"
 
@@ -165,14 +167,15 @@ int main(int argc, char** argv) {
     if (command == "history") return cmd_history(store);
     if (command == "promote") {
       if (argc != 5 || std::string(argv[3]) != "--id") return usage(1);
-      const auto id = std::stoull(argv[4]);
+      const auto id = synergy::common::parse_number<std::uint64_t>(argv[4], "--id");
       if (id == 0) return usage(1);
       return cmd_promote(store, id);
     }
     if (command == "rollback") return cmd_rollback(store);
     if (command == "gc") {
       std::size_t keep = 4;
-      if (argc == 5 && std::string(argv[3]) == "--keep") keep = std::stoul(argv[4]);
+      if (argc == 5 && std::string(argv[3]) == "--keep")
+        keep = synergy::common::parse_number<std::size_t>(argv[4], "--keep");
       else if (argc != 3) return usage(1);
       return cmd_gc(store, keep);
     }

@@ -38,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "synergy/common/parse.hpp"
 #include "synergy/obs/json.hpp"
 #include "synergy/obs/snapshot.hpp"
 
@@ -289,9 +290,10 @@ int main(int argc, char** argv) {
         if (i + 1 >= argc) throw std::invalid_argument(arg + " needs a value");
         return argv[++i];
       };
-      if (arg == "--watch") watch_s = std::stod(value());
-      else if (arg == "--iterations") iterations = std::stoll(value());
-      else if (arg == "--top") top_k = std::stoul(value());
+      using synergy::common::parse_number;
+      if (arg == "--watch") watch_s = parse_number<double>(value(), arg);
+      else if (arg == "--iterations") iterations = parse_number<long long>(value(), arg);
+      else if (arg == "--top") top_k = parse_number<std::size_t>(value(), arg);
       else if (arg == "--no-clear") clear = false;
       else if (arg == "--check") check = true;
       else if (arg == "--help" || arg == "-h") return usage(0);

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "synergy/cluster/simulator.hpp"
+#include "synergy/common/parse.hpp"
 #include "synergy/governor/governor.hpp"
 #include "synergy/obs/snapshot.hpp"
 #include "synergy/sched/controller.hpp"
@@ -200,13 +201,14 @@ int main(int argc, char** argv) {
       };
       if (arg == "--device") device = value();
       else if (arg == "--target") target_name = value();
-      else if (arg == "--faults") fault_rate = std::stod(value());
-      else if (arg == "--fault-seed") fault_seed = std::stoull(value());
+      else if (arg == "--faults") fault_rate = synergy::common::parse_number<double>(value(), arg);
+      else if (arg == "--fault-seed")
+        fault_seed = synergy::common::parse_number<std::uint64_t>(value(), arg);
       else if (arg == "--out") out_file = value();
       else if (arg == "--csv") csv_file = value();
       else if (arg == "--capacity")
         tel::trace_recorder::instance().set_capacity(
-            static_cast<std::size_t>(std::stoul(value())));
+            synergy::common::parse_number<std::size_t>(value(), arg));
       else if (arg == "--no-cluster") cluster = false;
       else if (arg == "--no-cluster-sim") cluster_sim = false;
       else if (arg == "--log-tap") tel::install_log_tap();

@@ -4,9 +4,9 @@
 ///
 /// Usage: synergy_train <device> <output-dir> [n_microbenchmarks] [freq_samples]
 
-#include <cstdlib>
 #include <iostream>
 
+#include "synergy/common/parse.hpp"
 #include "synergy/synergy.hpp"
 
 int main(int argc, char** argv) {
@@ -21,8 +21,9 @@ int main(int argc, char** argv) {
     const std::string out_dir = argv[2];
 
     synergy::trainer_options opt;
-    if (argc > 3) opt.n_microbenchmarks = static_cast<std::size_t>(std::atoi(argv[3]));
-    if (argc > 4) opt.freq_samples = static_cast<std::size_t>(std::atoi(argv[4]));
+    using synergy::common::parse_number;
+    if (argc > 3) opt.n_microbenchmarks = parse_number<std::size_t>(argv[3], "n_microbenchmarks");
+    if (argc > 4) opt.freq_samples = parse_number<std::size_t>(argv[4], "freq_samples");
 
     const auto spec = synergy::gpusim::make_device_spec(device);
     std::cout << "training on " << spec.name << ": " << opt.n_microbenchmarks
